@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -45,7 +46,8 @@ def _matrix(F: FieldCtx, text: str) -> Mat:
             or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
         raise DomainError(f"matrix {text!r} must be [[a,b],[c,d]]")
     flat = [*rows[0], *rows[1]]
-    if any(not isinstance(v, int) or not 0 <= v < F.q for v in flat):
+    if any(isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < F.q
+           for v in flat):
         raise DomainError(f"matrix entries must be integers in 0..{F.q - 1}")
     m = tuple(flat)
     if mat_det(F, m) != 1:
@@ -188,8 +190,9 @@ def _cmd_verify(args) -> int:
         suite = [(p, a) for (p, a) in DEFAULT_SUITE if p ** a <= max_q]
         kinds = [args.group] if args.group else ["sl2", "psl2"]
         tasks = [(p, a, k, max_q) for (p, a) in suite for k in kinds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_task, tasks))
     else:
         reports = [_verify_task(t) for t in tasks]
@@ -220,6 +223,13 @@ def _cmd_covering(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sl2prod",
@@ -229,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, group=True):
         sp.add_argument("--field", help="field descriptor p or p^a, q >= 5 odd")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for the verify suite")
+        sp.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel workers for the verify suite, at most "
+                             "one per task and per CPU")
         sp.add_argument("--max-q", type=int, default=oracle.DEFAULT_MAX_Q,
                         help="enumeration bound / verify suite cap")
         if group:

@@ -6,6 +6,7 @@ prints one PASS line on success (visible with pytest -s / -v).
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -19,7 +20,8 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      mat_inv, mat_mul, mat_trace,
                      psl_distinct_unipotent_product_by_order,
                      psl_pair_product, psl_triple_product,
-                     representative, sl2_pair_product, sl2_triple_product)
+                     representative, sl2_pair_product, sl2_triple_product,
+                     verify_laws)
 from sl2prod.oracle import triple_containment_expected
 
 SUITE = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
@@ -195,3 +197,24 @@ def test_criterion_7_structural_suites():
                 classify_sl2(F, mat_inv(F, representative(F, L)))
     print("PASS criterion 7: Bruhat suites, q+4 partition, reality "
           "properties all exact")
+
+
+def test_criterion_8_certification_beyond_suite():
+    """verify_laws for both groups at q in {17, 19, 23, 25}: every pair and
+    triple law equals the oracle, every ordered pair and every unordered
+    triple is checked, and the covering numbers are (3, 4)."""
+    t0 = time.monotonic()
+    checked = 0
+    for F in [make_field(17), make_field(19), make_field(23), make_field(5, 2)]:
+        for kind, labels in (("sl2", all_classes_sl2(F)),
+                             ("psl2", all_classes_psl(F))):
+            rep = verify_laws(F, kind)
+            n = len(labels)
+            assert rep.ok, (F.q, kind, rep.to_dict())
+            assert rep.pair_count == n * n, (F.q, kind)
+            assert rep.triple_count == math.comb(n + 2, 3), (F.q, kind)
+            assert rep.covering == (3, 4), (F.q, kind)
+            checked += rep.pair_count + rep.triple_count
+    elapsed = time.monotonic() - t0
+    print(f"PASS criterion 8: {checked} pair and triple products law==oracle "
+          f"at q in {{17, 19, 23, 25}}, covering (3,4) ({elapsed:.1f}s)")

@@ -125,6 +125,9 @@ def test_usage_error_exit_2():
     assert code == 2
     code, _, _ = run_cli(["product", "--field", "7", "U[1]"])  # arity
     assert code == 2
+    for jobs in ("0", "-3"):
+        code, out, _ = run_cli(["verify", "--field", "5", "--jobs", jobs])
+        assert code == 2 and out == "", jobs
 
 
 def test_domain_error_exit_3():
@@ -132,6 +135,8 @@ def test_domain_error_exit_3():
                  ["classify", "--field", "3", "[[1,0],[0,1]]"],
                  ["classify", "--field", "7", "[[1,0],[0,2]]"],
                  ["classify", "--field", "7", "[[1,0],[0"],
+                 ["classify", "--field", "7", "[[true,0],[0,1]]"],
+                 ["classify", "--field", "7", "[[1,false],[0,1]]"],
                  ["product", "--field", "7", "U[2]", "U[1]"],
                  ["product", "--field", "7", "SS[0]", "U[1]"],
                  ["classify", "[[1,0],[0,1]]"]]:
@@ -144,6 +149,37 @@ def test_verify_jobs_flag_output_stable():
     a = run_cli(["verify", "--field", "5"])
     b = run_cli(["verify", "--field", "5", "--jobs", "2"])
     assert a == b
+
+
+def test_verify_workers_clamped(monkeypatch):
+    """The pool gets at most one worker per task and per CPU; a single
+    worker runs in-process.  A fake pool records the request instead of
+    starting processes."""
+    import sl2prod.cli as cli
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    serial = run_cli(["verify", "--field", "5"])
+    assert run_cli(["verify", "--field", "5", "--jobs", "3"]) == serial
+    assert asked == [2]
+    assert run_cli(["verify", "--field", "5", "--group", "sl2", "--jobs", "3"])[0] == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run_cli(["verify", "--field", "5", "--jobs", "3"]) == serial
+    assert asked == [2]
 
 
 def test_verify_failure_exit_1(monkeypatch):

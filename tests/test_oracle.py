@@ -1,14 +1,20 @@
 """Oracle internals: enumeration, fibers, brute products, covering numbers,
 commutator sets."""
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
 from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      brute_commutator_set, brute_pair_product,
-                     brute_triple_product,
+                     brute_pair_product_psl, brute_triple_product,
                      classify_sl2, commutator_expressible_psl,
-                     covering_numbers, enumerate_sl2, make_field, mat_mul,
-                     psl_classify, representative, verify_laws)
+                     covering_numbers, enumerate_sl2, laws, make_field,
+                     mat_det, mat_mul, psl_classify, psl_lift_pair,
+                     psl_project, representative, verify_laws)
+from sl2prod.cli import main as cli_main
 
 F5, F7 = make_field(5), make_field(7)
 
@@ -50,12 +56,26 @@ def test_brute_pair_symmetric(small_F):
             assert brute_pair_product(T, L1, L2) == brute_pair_product(T, L2, L1)
 
 
-def test_paranoid_mode_agrees_q5():
-    T = enumerate_sl2(F5)
-    for L1 in all_classes_sl2(F5):
-        for L2 in all_classes_sl2(F5):
+def test_paranoid_mode_agrees(small_F):
+    T = enumerate_sl2(small_F)
+    for L1 in all_classes_sl2(small_F):
+        for L2 in all_classes_sl2(small_F):
             assert brute_pair_product(T, L1, L2) == \
-                brute_pair_product(T, L1, L2, paranoid=True)
+                brute_pair_product(T, L1, L2, paranoid=True), (str(L1), str(L2))
+
+
+@pytest.mark.parametrize("F", [F5, F7], ids=["q5", "q7"])
+def test_psl_projection_matches_literal_fibers(F):
+    """Each projected PSL2 cell equals the projection of every product of
+    the full SL2 fibers over both classes (both lifts of each)."""
+    T = enumerate_sl2(F)
+    for P1 in all_classes_psl(F):
+        for P2 in all_classes_psl(F):
+            left = [x for D in set(psl_lift_pair(F, P1)) for x in T.fiber[D]]
+            right = [y for D in set(psl_lift_pair(F, P2)) for y in T.fiber[D]]
+            literal = {psl_classify(F, mat_mul(F, x, y), check=False)
+                       for x in left for y in right}
+            assert brute_pair_product_psl(T, P1, P2) == literal, (str(P1), str(P2))
 
 
 def test_composed_triple_matches_literal_q5():
@@ -112,3 +132,50 @@ def test_brute_commutator_sl2_kind():
     assert SL2Label("I") in got
     assert {psl_classify(F5, representative(F5, L)) for L in got} == \
         brute_commutator_set(enumerate_sl2(F5), "psl2")
+
+
+# -- mutation check: a broken law must be caught --------------------------
+
+
+@pytest.mark.parametrize("kind,name,where,dropped", [
+    ("sl2", "sl2_pair_product", (SL2Label("U", 1), SL2Label("U", 3)),
+     SL2Label("SS", 6)),
+    ("psl2", "psl_pair_product", (PSLLabel("PU", 1), PSLLabel("PU", 3)),
+     PSLLabel("PNSS", 3)),
+])
+def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped):
+    """laws.<name> drops one class from the product of one pair at q = 7;
+    verify_laws and `sl2prod verify` must report exactly that pair, with a
+    product in the dropped class."""
+    orig = getattr(laws, name)
+
+    def broken(F, a, b):
+        out = orig(F, a, b)
+        if F.q == 7 and (a, b) == where:
+            assert dropped in out
+            return out - {dropped}
+        return out
+    monkeypatch.setattr(laws, name, broken)
+    rep = verify_laws(F7, kind, with_covering=False)
+    assert not rep.ok
+    assert len(rep.pair_mismatches) == 1
+    assert rep.triple_mismatches == [] and rep.containment_failures == []
+    m = rep.pair_mismatches[0]
+    assert m.where == where
+    assert set(m.brute) - set(m.law) == {dropped}
+    assert set(m.law) - set(m.brute) == set()
+    ce = m.counterexample
+    assert ce is not None and mat_det(F7, ce) == 1
+    got = classify_sl2(F7, ce)
+    assert (got if kind == "sl2" else psl_project(F7, got)) == dropped
+    assert m.to_dict()["counterexample"] == list(ce)
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_main(["verify", "--field", "7"])
+    data = json.loads(out.getvalue())
+    assert code == 1 and data["ok"] is False
+    failed = [r for r in data["reports"] if not r["ok"]]
+    assert [r["group"] for r in failed] == [kind]
+    assert [f["where"] for f in failed[0]["pairs"]["failures"]] == \
+        [[str(L) for L in where]]
