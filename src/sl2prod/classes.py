@@ -4,6 +4,11 @@ SL2 label grammar: I, -I, U[s], NU[s], SS[t], NSS[t] with s a square-class
 representative (1 or the field's nonsquare representative) and t a trace
 encoding.  PSL2 grammar: P1, PU[s], PSS[t], PNSS[t] with t the smaller of
 the two lift traces {t, -t}.
+
+Inside the library a class is its index in all_classes_sl2(F) or
+all_classes_psl(F) and a set of classes is an int bitmask (ClassIndex).
+The laws and the oracle each fill a ProductTable of pair-product masks, and
+fold triples over it; label sets are built only for public return values.
 """
 
 from __future__ import annotations
@@ -191,23 +196,8 @@ def psl_lift_pair(F: FieldCtx, P: PSLLabel) -> tuple[SL2Label, SL2Label]:
 
 @lru_cache(maxsize=None)
 def all_classes_psl(F: FieldCtx) -> tuple[PSLLabel, ...]:
-    nsr = F.nonsquare_rep
-    out = [PSLLabel("P1"), PSLLabel("PU", 1), PSLLabel("PU", nsr)]
-    seen = set()
-    split, nonsplit = [], []
-    two, ntwo = F.scalar(2), F.neg(2)
-    for t in F.elements():
-        if t in (two, ntwo):
-            continue
-        key = min(t, F.neg(t))
-        if key in seen:
-            continue
-        seen.add(key)
-        disc = F.sub(F.mul(t, t), F.scalar(4))
-        (split if F.is_square(disc) else nonsplit).append(key)
-    out.extend(PSLLabel("PSS", t) for t in sorted(split))
-    out.extend(PSLLabel("PNSS", t) for t in sorted(nonsplit))
-    return tuple(out)
+    """The (q+5)/2 PSL2 class labels in canonical order."""
+    return sort_labels({psl_project(F, L) for L in all_classes_sl2(F)})
 
 
 def psl_representative(F: FieldCtx, P: PSLLabel) -> Mat:
@@ -283,3 +273,82 @@ def parse_psl_label(F: FieldCtx, text: str) -> PSLLabel:
 
 def sort_labels(labels):
     return tuple(sorted(labels, key=lambda L: L.sort_key))
+
+
+# -- class sets as bitmasks ---------------------------------------------------
+
+
+def bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ClassIndex:
+    """The classes of one group over one field, in canonical order; class k
+    is bit k of a class-set mask."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.index = {L: k for k, L in enumerate(labels)}
+        self.full = (1 << len(labels)) - 1
+        self._bit = {(L.kind, L.param): 1 << k for k, L in enumerate(labels)}
+        self.kind_mask: dict[str, int] = {}
+        for k, L in enumerate(labels):
+            self.kind_mask[L.kind] = self.kind_mask.get(L.kind, 0) | 1 << k
+        self._sets: dict[int, frozenset] = {}
+
+    def bit(self, kind: str, param: int = 0) -> int:
+        return self._bit[kind, param]
+
+    def labels_of(self, mask: int) -> frozenset:
+        out = self._sets.get(mask)
+        if out is None:
+            out = self._sets[mask] = frozenset(self.labels[k] for k in bits(mask))
+        return out
+
+
+@lru_cache(maxsize=None)
+def class_index(F: FieldCtx, kind: str) -> ClassIndex:
+    """The class index of SL2(F) (kind "sl2") or PSL2(F) (kind "psl2")."""
+    return ClassIndex(all_classes_sl2(F) if kind == "sl2" else all_classes_psl(F))
+
+
+class ProductTable:
+    """Class products of one group: cell (i, j) is the mask of C_i * C_j,
+    computed by fill(i, j) on first use."""
+
+    def __init__(self, classes: ClassIndex, fill):
+        self.classes = classes
+        self._fill = fill
+        self._columns = [[None] * len(classes.labels) for _ in classes.labels]
+
+    def pair(self, i: int, j: int) -> int:
+        cell = self._columns[j][i]
+        if cell is None:
+            cell = self._columns[j][i] = self._fill(i, j)
+        return cell
+
+    def compose(self, mask: int, j: int) -> int:
+        """Mask of S * C_j for the class set S given by mask."""
+        column = self._columns[j]
+        out = 0
+        for i in bits(mask):
+            cell = column[i]
+            out |= self.pair(i, j) if cell is None else cell
+        return out
+
+    def triple(self, i: int, j: int, k: int) -> int:
+        """Mask of C_i * C_j * C_k; exact because class products are unions
+        of classes."""
+        return self.compose(self.pair(i, j), k)
+
+    def of_labels(self, L1, L2, *more) -> frozenset:
+        """Label set of the product of two or more classes given by label."""
+        index = self.classes.index
+        mask = self.pair(index[L1], index[L2])
+        for L in more:
+            mask = self.compose(mask, index[L])
+        return self.classes.labels_of(mask)

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import laws, oracle, witness
 from .classes import (all_classes_psl, all_classes_sl2, classify_sl2,
                       parse_psl_label, parse_sl2_label, psl_classify,
-                      psl_representative, representative)
+                      psl_representative, representative, sort_labels)
 from .field import FieldCtx, parse_descriptor
 from .mat2 import Mat, mat_det
 
@@ -76,12 +76,6 @@ def _emit(args, obj, text_lines):
             print(line)
 
 
-def _label_strings(F, labels, group):
-    ordered = all_classes_sl2(F) if group == "sl2" else all_classes_psl(F)
-    pos = {L: i for i, L in enumerate(ordered)}
-    return [str(L) for L in sorted(labels, key=pos.__getitem__)]
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -113,7 +107,7 @@ def _cmd_product(args) -> int:
         law = laws.sl2_pair_product_law(F, L1, L2)
     else:
         law = laws.psl_pair_product_law(F, L1, L2)
-    obj = {"classes": _label_strings(F, law.classes, args.group), "rule": law.rule}
+    obj = {"classes": [str(L) for L in sort_labels(law.classes)], "rule": law.rule}
     _emit(args, obj, lambda o: [" ".join(o["classes"]), f"rule: {o['rule']}"])
     return 0
 
@@ -123,7 +117,7 @@ def _cmd_triple(args) -> int:
     Ls = [_label(F, t, args.group) for t in args.labels]
     fn = laws.sl2_triple_product if args.group == "sl2" else laws.psl_triple_product
     out = fn(F, *Ls)
-    obj = {"classes": _label_strings(F, out, args.group),
+    obj = {"classes": [str(L) for L in sort_labels(out)],
            "rule": "composed_from_pairwise_laws"}
     _emit(args, obj, lambda o: [" ".join(o["classes"])])
     return 0
@@ -223,11 +217,13 @@ def _cmd_covering(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, group=True):
         sp.add_argument("--field", help="field descriptor p or p^a, q >= 5 odd")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--jobs", type=_positive_int, default=1,
+        sp.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallel workers for the verify suite, at most "
                              "one per task and per CPU")
-        sp.add_argument("--max-q", type=int, default=oracle.DEFAULT_MAX_Q,
-                        help="enumeration bound / verify suite cap")
+        # below 5 no field qualifies, and the verify suite would be empty
+        sp.add_argument("--max-q", type=_int_at_least(5), default=oracle.DEFAULT_MAX_Q,
+                        help="enumeration bound / verify suite cap, at least 5")
         if group:
             sp.add_argument("--group", choices=("sl2", "psl2"), default="sl2")
 

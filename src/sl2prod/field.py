@@ -242,12 +242,18 @@ class FieldCtx:
         return f"GF({self.descriptor})"
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, a: int = 1) -> FieldCtx:
     """Finite field F_{p^a} with the deterministic modulus and square tables.
 
-    Rejects even characteristic, non-prime p, a < 1, and q < 5.
+    One context per (p, a), however the call spells it, so that every cache
+    keyed on the field is built once.  Rejects even characteristic,
+    non-prime p, a < 1, and q < 5.
     """
+    return _make_field(p, a)
+
+
+@lru_cache(maxsize=None)
+def _make_field(p: int, a: int) -> FieldCtx:
     if p == 2:
         raise ValueError("even characteristic")
     if not _is_prime(p):

@@ -1,11 +1,12 @@
 """Closed-form products of conjugacy classes in SL2(F_q) and PSL2(F_q).
 
-Every pairwise product is described exactly as a set of class labels; the
-memberships that the source propositions guard with |k| > 5 are implemented
-through the underlying solvability criteria (shift equations in the field),
-which stay correct at q = 5.  Triple products are composed from the
-pairwise laws, which are complete, so composition is exact.  The oracle
-module certifies all of this against brute force.
+Every pairwise product is described exactly as a set of classes, held as a
+bitmask over the group's ClassIndex; the memberships that the source
+propositions guard with |k| > 5 are implemented through the underlying
+solvability criteria (shift equations in the field), which stay correct at
+q = 5.  Triple products are folds over the law table, a ProductTable whose
+cells are the pairwise laws; the pairwise laws are complete, so the fold is
+exact.  The oracle module certifies all of this against brute force.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import FieldCtx, eps_shift_solvable
-from .classes import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
-                      is_q_good, negate_class, psl_lift_pair, psl_project)
+from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_psl,
+                      class_index, is_q_good, negate_class, psl_lift_pair,
+                      psl_project)
 
 
 @dataclass(frozen=True)
@@ -26,220 +28,190 @@ class ProductLaw:
     rule: str
 
 
-def _unit_labels(F):
-    return (SL2Label("U", 1), SL2Label("U", F.nonsquare_rep))
+def _solvable_unipotents(F, C, kind, e1, e2):
+    """Mask of the classes kind[s] for which some unit a puts e2 + e1*a^2 in
+    the square class of s."""
+    return sum(C.bit(kind, s) for s in (1, F.nonsquare_rep)
+               if eps_shift_solvable(F, e1, e2, s) is not None)
 
 
-def _neg_unit_labels(F):
-    return (SL2Label("NU", 1), SL2Label("NU", F.nonsquare_rep))
-
-
-def _semisimple_labels(F):
-    return tuple(L for L in all_classes_sl2(F) if L.is_semisimple)
-
-
-def _unipotents_in_unipotent_pair(F, e1, e2):
-    """Unipotent classes meeting U_{e1} * U_{e2}: the off-diagonal entry of
-    the trace-2 elements of the product is e2 + e1*a^2 with a a unit."""
-    return [U for U in _unit_labels(F)
-            if eps_shift_solvable(F, e1, e2, U.param) is not None]
-
-
-def _semisimple_by_shift(F, shift, cls):
-    """Semisimple labels with class(shift - t) == class(cls)."""
-    out = []
-    for L in _semisimple_labels(F):
-        v = F.sub(shift, L.param)
-        if v and F.same_class(v, cls):
-            out.append(L)
+def _semisimple_by_shift(F, C, shift, cls):
+    """Mask of the semisimple classes with class(shift - t) == class(cls)."""
+    out = 0
+    for k, L in enumerate(C.labels):
+        if L.is_semisimple:
+            v = F.sub(shift, L.param)
+            if v and F.same_class(v, cls):
+                out |= 1 << k
     return out
 
 
 def sl2_pair_product_law(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> ProductLaw:
-    classes, rule = _sl2_pair(F, L1, L2)
-    return ProductLaw(L1, L2, classes, rule)
+    mask, rule = _sl2_pair(F, L1, L2)
+    return ProductLaw(L1, L2, class_index(F, "sl2").labels_of(mask), rule)
 
 
 def sl2_pair_product(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> frozenset:
-    return _sl2_pair(F, L1, L2)[0]
+    return class_index(F, "sl2").labels_of(_sl2_pair(F, L1, L2)[0])
 
 
 @lru_cache(maxsize=None)
 def _sl2_pair(F, L1, L2):
+    """(mask, rule) of L1 * L2."""
     if L2.sort_key < L1.sort_key:
         L1, L2 = L2, L1
+    C = class_index(F, "sl2")
     # central factors translate the other class
     if L1.kind == "I":
-        return frozenset([L2]), "central_translation"
+        return 1 << C.index[L2], "central_translation"
     if L1.kind == "-I":
-        return frozenset([negate_class(F, L2)]), "central_translation"
+        return 1 << C.index[negate_class(F, L2)], "central_translation"
 
-    all_labels = frozenset(all_classes_sl2(F))
     k1, k2 = L1.kind, L2.kind
+    units, neg_units = C.kind_mask["U"], C.kind_mask["NU"]
 
     if k1 == "U" and k2 == "U":
-        out = set(_unipotents_in_unipotent_pair(F, L1.param, L2.param))
-        out.update(_semisimple_by_shift(F, F.scalar(2), F.mul(L1.param, L2.param)))
-        if L1.param == L2.param:
-            out.add(SL2Label("NU", L1.param))
+        e1, e2 = L1.param, L2.param
+        # unipotent members: the off-diagonal entry of the trace-2 elements
+        # of the product is e2 + e1*a^2 with a a unit
+        out = _solvable_unipotents(F, C, "U", e1, e2)
+        out |= _semisimple_by_shift(F, C, F.scalar(2), F.mul(e1, e2))
+        if e1 == e2:
+            out |= C.bit("NU", e1)
             rule = "unipotent_class_square"
         else:
             rule = "distinct_unipotent_classes"
-        if F.same_class(F.neg(L1.param), L2.param):
-            out.add(SL2Label("I"))
-        return frozenset(out), rule
+        if F.same_class(F.neg(e1), e2):
+            out |= C.bit("I")
+        return out, rule
 
     if k1 == "U" and k2 == "NU":
         e1, e2 = L1.param, L2.param
-        out = set(_semisimple_by_shift(F, F.neg(F.scalar(2)), F.mul(e1, e2)))
+        out = _semisimple_by_shift(F, C, F.neg(F.scalar(2)), F.mul(e1, e2))
         if F.same_class(F.neg(e1), e2):
-            out.add(SL2Label("U", F.square_class(F.neg(e1))))
+            out |= C.bit("U", F.square_class(F.neg(e1)))
         # trace -2 part: the P-matrix with c = 0 has entry e2 - e1*a^2
-        for NU in _neg_unit_labels(F):
-            if eps_shift_solvable(F, F.neg(e1), e2, NU.param) is not None:
-                out.add(NU)
+        out |= _solvable_unipotents(F, C, "NU", F.neg(e1), e2)
         if F.same_class(e1, e2):
-            out.add(SL2Label("-I"))
-        return frozenset(out), "unipotent_times_negative_unipotent"
+            out |= C.bit("-I")
+        return out, "unipotent_times_negative_unipotent"
 
     if k1 == "NU" and k2 == "NU":
-        e1, e2 = L1.param, L2.param
-        # (-u)(-u') = uu', so unipotent members follow the negated parameters
-        out = set()
-        for U in _unit_labels(F):
-            if eps_shift_solvable(F, F.neg(e1), F.neg(e2), U.param) is not None:
-                out.add(U)
-        out.update(_semisimple_by_shift(F, F.scalar(2), F.mul(e1, e2)))
-        if e1 == e2:
-            out.add(SL2Label("NU", F.square_class(F.neg(e1))))
-            rule = "negative_unipotent_class_square"
-        else:
-            rule = "distinct_negative_unipotent_classes"
-        if F.same_class(F.neg(e1), e2):
-            out.add(SL2Label("I"))
-        return frozenset(out), rule
+        # (-u)(-u') = uu', so NU[e1] * NU[e2] is U[class(-e1)] * U[class(-e2)]
+        out = _sl2_pair(F, *(SL2Label("U", F.square_class(F.neg(L.param)))
+                             for L in (L1, L2)))[0]
+        if L1 == L2:
+            return out, "negative_unipotent_class_square"
+        return out, "distinct_negative_unipotent_classes"
 
-    if k1 == "U" and L2.is_semisimple:
-        return _semisimple_times_unipotent(F, L2, L1.param)
-
-    if k1 == "NU" and L2.is_semisimple:
-        return _semisimple_times_negative_unipotent(F, L2, L1.param)
+    if L2.is_semisimple and k1 in ("U", "NU"):
+        return _semisimple_times_unipotent(F, C, L2, L1)
 
     # both semisimple
     t1, t2 = L1.param, L2.param
     if L1 == L2:
         if k1 == "SS":
             if t1 == 0:
-                return all_labels, "semisimple_class_square"
-            return all_labels - {SL2Label("-I")}, "semisimple_class_square"
-        drop = {SL2Label("-I")} | set(_unit_labels(F))
+                return C.full, "semisimple_class_square"
+            return C.full & ~C.bit("-I"), "semisimple_class_square"
+        drop = C.bit("-I") | units
         if t1 == 0:
-            drop = set(_unit_labels(F)) | set(_neg_unit_labels(F))
-        return all_labels - drop, "semisimple_class_square"
+            drop = units | neg_units
+        return C.full & ~drop, "semisimple_class_square"
     if t1 != F.neg(t2):
-        drop = {SL2Label("I"), SL2Label("-I")}
+        drop = C.bit("I") | C.bit("-I")
     elif k1 == "SS":
-        drop = {SL2Label("I")}
+        drop = C.bit("I")
     else:
-        drop = {SL2Label("I")} | set(_neg_unit_labels(F))
-    return all_labels - drop, "distinct_semisimple_classes"
+        drop = C.bit("I") | neg_units
+    return C.full & ~drop, "distinct_semisimple_classes"
 
 
-def _semisimple_times_unipotent(F, C, eps):
-    t = C.param
-    out = set(_semisimple_labels(F))
-    if C.kind == "NSS":
-        out.discard(C)
-    for U in _unit_labels(F):
-        if F.same_class(F.sub(t, F.scalar(2)), F.mul(eps, U.param)):
-            out.add(U)
-    for NU in _neg_unit_labels(F):
-        if F.same_class(F.add(t, F.scalar(2)), F.mul(eps, NU.param)):
-            out.add(NU)
-    return frozenset(out), "semisimple_times_unipotent"
+def _semisimple_times_unipotent(F, C, S, L):
+    """S * L for a semisimple class S and a class L of kind U or NU.
+
+    For x in S and y in NU[e], xy = (-x)(-y) with -x in -S and -y in
+    U[class(-e)], so S * NU[e] is (-S) * U[class(-e)]."""
+    t, eps, rule = S.param, L.param, "semisimple_times_unipotent"
+    if L.kind == "NU":
+        t, eps = F.neg(t), F.square_class(F.neg(eps))
+        rule = "semisimple_times_negative_unipotent"
+    out = C.kind_mask["SS"] | C.kind_mask["NSS"]
+    if S.kind == "NSS":
+        out &= ~C.bit("NSS", t)
+    for s in (1, F.nonsquare_rep):
+        if F.same_class(F.sub(t, F.scalar(2)), F.mul(eps, s)):
+            out |= C.bit("U", s)
+        if F.same_class(F.add(t, F.scalar(2)), F.mul(eps, s)):
+            out |= C.bit("NU", s)
+    return out, rule
 
 
-def _semisimple_times_negative_unipotent(F, C, eps):
-    t = C.param
-    out = set(_semisimple_labels(F))
-    if t == 0 and C.kind == "NSS":
-        out.discard(C)
-    neg_twin = SL2Label(C.kind, F.neg(t))
-    if C.kind == "NSS" and neg_twin != C:
-        out.discard(neg_twin)
-    for U in _unit_labels(F):
-        if F.same_class(F.add(t, F.scalar(2)), F.mul(eps, U.param)):
-            out.add(U)
-    for NU in _neg_unit_labels(F):
-        if F.same_class(F.sub(t, F.scalar(2)), F.mul(eps, NU.param)):
-            out.add(NU)
-    return frozenset(out), "semisimple_times_negative_unipotent"
+@lru_cache(maxsize=None)
+def law_table(F: FieldCtx, kind: str) -> ProductTable:
+    """The pairwise laws of SL2(F) (kind "sl2") or PSL2(F) (kind "psl2") as
+    a ProductTable, filled cell by cell as folds ask for them."""
+    C = class_index(F, kind)
+    pair = _sl2_pair if kind == "sl2" else _psl_pair
+    return ProductTable(C, lambda i, j: pair(F, C.labels[i], C.labels[j])[0])
 
 
 def sl2_triple_product(F: FieldCtx, L1: SL2Label, L2: SL2Label, L3: SL2Label) -> frozenset:
-    """Exact triple product, composed from the complete pairwise laws."""
-    out = set()
-    for M in _sl2_pair(F, L1, L2)[0]:
-        out.update(_sl2_pair(F, M, L3)[0])
-    return frozenset(out)
+    """Exact triple product, folded from the complete pairwise laws."""
+    return law_table(F, "sl2").of_labels(L1, L2, L3)
 
 
 # -- PSL2 ------------------------------------------------------------------
 
 
 def psl_pair_product_law(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> ProductLaw:
-    classes, rule = _psl_pair(F, P1, P2)
-    return ProductLaw(P1, P2, classes, rule)
+    mask, rule = _psl_pair(F, P1, P2)
+    return ProductLaw(P1, P2, class_index(F, "psl2").labels_of(mask), rule)
 
 
 def psl_pair_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> frozenset:
-    return _psl_pair(F, P1, P2)[0]
-
-
-def _psl_unit_labels(F):
-    return (PSLLabel("PU", 1), PSLLabel("PU", F.nonsquare_rep))
+    return class_index(F, "psl2").labels_of(_psl_pair(F, P1, P2)[0])
 
 
 @lru_cache(maxsize=None)
 def _psl_pair(F, P1, P2):
+    """(mask, rule) of P1 * P2."""
     if P2.sort_key < P1.sort_key:
         P1, P2 = P2, P1
+    C = class_index(F, "psl2")
     if P1.kind == "P1":
-        return frozenset([P2]), "psl_central_translation"
+        return 1 << C.index[P2], "psl_central_translation"
 
-    all_labels = frozenset(all_classes_psl(F))
-    semis = frozenset(P for P in all_labels if P.is_semisimple)
+    units = C.kind_mask["PU"]
 
     if P1.kind == "PU" and P2.kind == "PU":
-        out = set(_psl_unit_labels(F))
-        cls = F.mul(P1.param, P2.param)
-        for P in semis:
-            t = P.param
-            if any(v and F.same_class(v, cls)
-                   for v in (F.sub(F.scalar(2), t), F.add(F.scalar(2), t))):
-                out.add(P)
+        # semisimple members: 2 - t or 2 + t in the class of cls, and 2 + t
+        # is in the class of cls iff -2 - t is in the class of -cls
+        cls, two = F.mul(P1.param, P2.param), F.scalar(2)
+        out = (units | _semisimple_by_shift(F, C, two, cls)
+               | _semisimple_by_shift(F, C, F.neg(two), F.neg(cls)))
         if F.same_class(F.neg(P1.param), P2.param):
-            out.add(PSLLabel("P1"))
-        return frozenset(out), "psl_unipotent_classes"
+            out |= C.bit("P1")
+        return out, "psl_unipotent_classes"
 
     if P1.kind == "PU":
         # semisimple class times unipotent class
         t, eps = P2.param, P1.param
-        out = set(semis)
+        out = C.kind_mask["PSS"] | C.kind_mask["PNSS"]
         if t == 0 and not F.is_square(F.neg(1)):
-            out.discard(P2)
-        for U in _psl_unit_labels(F):
-            cls = F.mul(eps, U.param)
+            out &= ~(1 << C.index[P2])
+        for s in (1, F.nonsquare_rep):
+            cls = F.mul(eps, s)
             if any(F.same_class(v, cls)
                    for v in (F.sub(t, F.scalar(2)), F.sub(F.neg(t), F.scalar(2))) if v):
-                out.add(U)
-        return frozenset(out), "psl_semisimple_times_unipotent"
+                out |= C.bit("PU", s)
+        return out, "psl_semisimple_times_unipotent"
 
     if P1 == P2:
         if P1.kind == "PNSS" and P1.param == 0:
-            return all_labels - set(_psl_unit_labels(F)), "psl_semisimple_class_square"
-        return all_labels, "psl_semisimple_class_square"
-    return all_labels - {PSLLabel("P1")}, "psl_distinct_semisimple_classes"
+            return C.full & ~units, "psl_semisimple_class_square"
+        return C.full, "psl_semisimple_class_square"
+    return C.full & ~C.bit("P1"), "psl_distinct_semisimple_classes"
 
 
 def psl_pair_product_via_lifts(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> frozenset:
@@ -259,16 +231,14 @@ def psl_inverse_class(F: FieldCtx, P: PSLLabel) -> PSLLabel:
 
 
 def psl_triple_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel, P3: PSLLabel) -> frozenset:
-    out = set()
-    for M in _psl_pair(F, P1, P2)[0]:
-        out.update(_psl_pair(F, M, P3)[0])
-    return frozenset(out)
+    """Exact triple product, folded from the complete pairwise laws."""
+    return law_table(F, "psl2").of_labels(P1, P2, P3)
 
 
 def psl_distinct_unipotent_product_by_order(F: FieldCtx) -> frozenset:
     """The product of the two distinct PSL unipotent classes, stated through
     the q-good / q-bad order dichotomy of its semisimple members."""
-    out = set(_psl_unit_labels(F))
+    out = {P for P in all_classes_psl(F) if P.kind == "PU"}
     semis = [P for P in all_classes_psl(F) if P.is_semisimple]
     if F.q % 4 == 1:
         out.update(P for P in semis if P.kind == "PNSS")

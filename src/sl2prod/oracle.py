@@ -4,43 +4,43 @@ Enumerates the full group, computes literal class products, certifies every
 closed-form law, and computes covering numbers.  Everything here is exact;
 any disagreement with the laws module is reported with a counterexample.
 
-Class products come from one table per group, built on first use.  A class
-is its index in all_classes_sl2(F) (all_classes_psl(F) for PSL2) and a set
-of classes is an int bitmask over those indices; cell (i, j) is the mask of
-C_i * C_j.
+Class products come from one ProductTable per group over the shared
+ClassIndex (see classes), whose cell (i, j) is the class mask of C_i * C_j.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the whole group per
-  representative y fills column j.  tr(x * y) = ae + bg + cf + dh is read
-  from q x q add and mul tables, and a trace other than +-2 fixes the class
-  (SS[t] or NSS[t]).  Only products of trace +-2 get their off-diagonal
-  entries formed, which tell +-I and the (negative) unipotent classes apart
-  exactly as classify_sl2 does.
+  representative y fills column j, on first use.  tr(x * y) = ae + bg +
+  cf + dh is read from q x q add and mul tables, and a trace other than +-2
+  fixes the class (SS[t] or NSS[t]).  Only products of trace +-2 get their
+  off-diagonal entries formed, which tell +-I and the (negative) unipotent
+  classes apart exactly as classify_sl2 does.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
   D1 * D2.
-- Triple products and covering numbers are OR-folds over table cells.
+- Triple products and covering numbers are OR-folds over table cells;
+  verify_laws compares them with the same folds over the laws' table.
 
 brute_pair_product(..., paranoid=True) is the literal double loop over both
 fibers with mat_mul and classify_sl2, kept as the independent reference the
 tests compare the table against.
 
 On a shared 2-core host (Python 3.11, in-process), `sl2prod verify --field
-3^3` takes 0.6-0.9 s and `--field 31` 0.9-1.3 s, against 10.9 s and 7.4 s
-for the per-cell mat_mul and classify_sl2 loops this table replaced.
+3^3` takes 0.4-0.5 s and `--field 31` 0.6-0.7 s, against 10.9 s and 7.4 s
+with per-cell mat_mul and classify_sl2 loops and label-set laws.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .field import FieldCtx
 from .mat2 import Mat, iter_sl2, mat_inv, mat_mul
-from .classes import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
-                      classify_sl2, psl_lift_pair, psl_project, representative,
-                      sort_labels)
+from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
+                      bits, class_index, classify_sl2, psl_lift_pair,
+                      psl_project, representative, sort_labels)
 from . import laws
 
 DEFAULT_MAX_Q = 31
@@ -80,37 +80,6 @@ def enumerate_sl2(F: FieldCtx, max_q: int = DEFAULT_MAX_Q) -> GroupTable:
 # -- class-product tables ----------------------------------------------------
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class ProductTable:
-    """Class products of one group: cell[i][j] is the mask of C_i * C_j."""
-
-    def __init__(self, labels):
-        self.labels = labels
-        self.index = {L: k for k, L in enumerate(labels)}
-        self.cell: list[list[int]] = [[0] * len(labels) for _ in labels]
-        self._sets: dict[int, frozenset] = {}
-
-    def labels_of(self, mask: int) -> frozenset:
-        out = self._sets.get(mask)
-        if out is None:
-            out = self._sets[mask] = frozenset(self.labels[k] for k in _bits(mask))
-        return out
-
-    def compose(self, mask: int, j: int) -> int:
-        """Mask of S * C_j for the class set S given by mask."""
-        out = 0
-        for k in _bits(mask):
-            out |= self.cell[k][j]
-        return out
-
-
 def _product_table(T: GroupTable, kind: str) -> ProductTable:
     P = T._products.get(kind)
     if P is None:
@@ -122,31 +91,31 @@ def _product_table(T: GroupTable, kind: str) -> ProductTable:
 def _sl2_products(T: GroupTable) -> ProductTable:
     F = T.field
     q = F.q
-    P = ProductTable(all_classes_sl2(F))
+    C = class_index(F, "sl2")
     ADD = [F.add(x, y) for x in range(q) for y in range(q)]    # ADD[x*q + y]
     MUL = [F.mul(x, y) for x in range(q) for y in range(q)]
 
-    def bit(kind, param=0):
-        return 1 << P.index[SL2Label(kind, param)]
-
     trace_bit = [0] * q        # semisimple class of each trace; 0 at +-2
-    for k, L in enumerate(P.labels):
+    for k, L in enumerate(C.labels):
         if L.is_semisimple:
             trace_bit[L.param] = 1 << k
     nsr = F.nonsquare_rep
     # trace +-2 -> (central class, square class -> unipotent class)
-    pm2 = {F.scalar(2): (bit("I"), {1: bit("U", 1), nsr: bit("U", nsr)}),
-           F.neg(2): (bit("-I"), {1: bit("NU", 1), nsr: bit("NU", nsr)})}
+    pm2 = {F.scalar(2): (C.bit("I"), {1: C.bit("U", 1), nsr: C.bit("U", nsr)}),
+           F.neg(2): (C.bit("-I"), {1: C.bit("NU", 1), nsr: C.bit("NU", nsr)})}
 
-    fibers = [T.fiber[L] for L in P.labels]
+    fibers = [T.fiber[L] for L in C.labels]
     top = [[a * q + b for a, b, _, _ in fib] for fib in fibers]
     bottom = [[c * q + d for _, _, c, d in fib] for fib in fibers]
-    for j, L in enumerate(P.labels):
-        e, f, g, h = representative(F, L)
+
+    @lru_cache(maxsize=None)
+    def column(j):
+        e, f, g, h = representative(F, C.labels[j])
         me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in (e, f, g, h))
         # tr(x y) = ADD[left[a*q + b] + right[c*q + d]]
         left = [ADD[me[a] * q + mg[b]] * q for a in range(q) for b in range(q)]
         right = [ADD[mf[c] * q + mh[d]] for c in range(q) for d in range(q)]
+        masks = []
         for i, fib in enumerate(fibers):
             traces = [ADD[left[u] + right[v]] for u, v in zip(top[i], bottom[i])]
             seen = set(traces)
@@ -164,21 +133,25 @@ def _sl2_products(T: GroupTable) -> ProductTable:
                         else:
                             mask |= unipotent[F.square_class(
                                 upper if lower == 0 else F.neg(lower))]
-            P.cell[i][j] = mask
-    return P
+            masks.append(mask)
+        return masks
+
+    return ProductTable(C, lambda i, j: column(j)[i])
 
 
 def _psl_products(T: GroupTable) -> ProductTable:
     F = T.field
     S = _product_table(T, "sl2")
-    P = ProductTable(all_classes_psl(F))
-    project_bit = [1 << P.index[psl_project(F, L)] for L in S.labels]
-    lift = [S.index[psl_lift_pair(F, C)[0]] for C in P.labels]
-    for i, a in enumerate(lift):
-        for j, b in enumerate(lift):
-            for k in _bits(S.cell[a][b]):
-                P.cell[i][j] |= project_bit[k]
-    return P
+    C = class_index(F, "psl2")
+    project_bit = [1 << C.index[psl_project(F, L)] for L in S.classes.labels]
+    lift = [S.classes.index[psl_lift_pair(F, P)[0]] for P in C.labels]
+
+    def fill(i, j):
+        out = 0
+        for k in bits(S.pair(lift[i], lift[j])):
+            out |= project_bit[k]
+        return out
+    return ProductTable(C, fill)
 
 
 def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
@@ -188,8 +161,7 @@ def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
     Default mode reads the SL2 product table.  Paranoid mode runs the
     literal double loop over both fibers."""
     if not paranoid:
-        P = _product_table(T, "sl2")
-        return P.labels_of(P.cell[P.index[L1]][P.index[L2]])
+        return _product_table(T, "sl2").of_labels(L1, L2)
     F = T.field
     return frozenset(classify_sl2(F, mat_mul(F, x, y), check=False)
                      for x in T.fiber[L1] for y in T.fiber[L2])
@@ -198,16 +170,13 @@ def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
 def brute_pair_product_psl(T: GroupTable, P1: PSLLabel, P2: PSLLabel) -> frozenset:
     """Exact PSL label set, projected from the SL2 cell of one lift of each
     class."""
-    P = _product_table(T, "psl2")
-    return P.labels_of(P.cell[P.index[P1]][P.index[P2]])
+    return _product_table(T, "psl2").of_labels(P1, P2)
 
 
 def brute_triple_product(T: GroupTable, L1, L2, L3, kind: str = "sl2") -> frozenset:
-    """Triple product composed from the brute pair table; exact since class
+    """Triple product folded from the brute pair table; exact since class
     products are conjugation closed."""
-    P = _product_table(T, kind)
-    i, j, k = P.index[L1], P.index[L2], P.index[L3]
-    return P.labels_of(P.compose(P.cell[i][j], k))
+    return _product_table(T, kind).of_labels(L1, L2, L3)
 
 
 def brute_commutator_set(T: GroupTable, kind: str = "psl2") -> frozenset:
@@ -313,51 +282,45 @@ def triple_containment_expected(F, kind, trip):
     return sum(L.is_semisimple for L in trip) != 1
 
 
+_PAIR_LAWS = {"sl2": "sl2_pair_product", "psl2": "psl_pair_product"}
+
+
 def verify_laws(F: FieldCtx, kind: str, max_q: int = DEFAULT_MAX_Q,
                 with_covering: bool = True) -> VerificationReport:
     """Compare every pairwise and triple law with brute force."""
-    if kind not in ("sl2", "psl2"):
+    if kind not in _PAIR_LAWS:
         raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
     T = enumerate_sl2(F, max_q=max_q)
     report = VerificationReport(q=F.q, kind=kind)
+    # read at run time, so that the law being certified is the one in place
+    law_pair = getattr(laws, _PAIR_LAWS[kind])
+    law, brute = laws.law_table(F, kind), _product_table(T, kind)
+    C = brute.classes
+    labels = C.labels
 
-    if kind == "sl2":
-        labels = all_classes_sl2(F)
-        law_pair = lambda a, b: laws.sl2_pair_product(F, a, b)
-        law_triple = lambda a, b, c: laws.sl2_triple_product(F, a, b, c)
-        brute_pair = lambda a, b: brute_pair_product(T, a, b)
-        central = {SL2Label("I"), SL2Label("-I")}
-    else:
-        labels = all_classes_psl(F)
-        law_pair = lambda a, b: laws.psl_pair_product(F, a, b)
-        law_triple = lambda a, b, c: laws.psl_triple_product(F, a, b, c)
-        brute_pair = lambda a, b: brute_pair_product_psl(T, a, b)
-        central = {PSLLabel("P1")}
-
-    for L1 in labels:
-        for L2 in labels:
+    for i, L1 in enumerate(labels):
+        for j, L2 in enumerate(labels):
             report.pair_count += 1
-            law = law_pair(L1, L2)
-            brute = brute_pair(L1, L2)
-            if law != brute:
-                missing = brute - law
+            got, want = law_pair(F, L1, L2), C.labels_of(brute.pair(i, j))
+            if got != want:
+                missing = want - got
                 ce = _pair_counterexample(T, kind, L1, L2, missing) if missing else None
                 report.pair_mismatches.append(
-                    Mismatch((L1, L2), sort_labels(law), sort_labels(brute), ce))
+                    Mismatch((L1, L2), sort_labels(got), sort_labels(want), ce))
 
-    full = frozenset(labels)
-    noncentral = full - central
-    for trip in itertools.combinations_with_replacement(labels, 3):
+    noncentral = C.full & ~sum(1 << k for k, L in enumerate(labels) if L.is_central)
+    for i, j, k in itertools.combinations_with_replacement(range(len(labels)), 3):
         report.triple_count += 1
-        law = law_triple(*trip)
-        brute = brute_triple_product(T, *trip, kind=kind)
-        if law != brute:
+        got, want = law.triple(i, j, k), brute.triple(i, j, k)
+        trip = (labels[i], labels[j], labels[k])
+        if got != want:
             report.triple_mismatches.append(
-                Mismatch(trip, sort_labels(law), sort_labels(brute)))
-        if triple_containment_expected(F, kind, trip) and not noncentral <= law:
+                Mismatch(trip, sort_labels(C.labels_of(got)),
+                         sort_labels(C.labels_of(want))))
+        if noncentral & ~got and triple_containment_expected(F, kind, trip):
             report.containment_failures.append({
                 "triple": [str(L) for L in trip],
-                "missing": [str(L) for L in sort_labels(noncentral - law)]})
+                "missing": [str(L) for L in sort_labels(C.labels_of(noncentral & ~got))]})
 
     if with_covering:
         report.covering = covering_numbers(F, kind, max_q=max_q)
@@ -375,8 +338,8 @@ def covering_numbers(F: FieldCtx, kind: str, limit: int = 8,
     ecn: least n with C_1...C_n = G for every n-tuple of non-central classes.
     Returns None in a slot not reached within `limit`."""
     P = _product_table(enumerate_sl2(F, max_q=max_q), kind)
-    full = (1 << len(P.labels)) - 1
-    noncentral = [k for k, L in enumerate(P.labels) if not L.is_central]
+    full = P.classes.full
+    noncentral = [k for k, L in enumerate(P.classes.labels) if not L.is_central]
 
     cn = None
     for n in range(1, limit + 1):

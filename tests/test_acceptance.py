@@ -22,10 +22,10 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      psl_pair_product, psl_triple_product,
                      representative, sl2_pair_product, sl2_triple_product,
                      verify_laws)
+from sl2prod.cli import DEFAULT_SUITE
 from sl2prod.oracle import triple_containment_expected
 
-SUITE = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
-FIELDS = [make_field(p, a) for p, a in SUITE]
+FIELDS = [make_field(p, a) for p, a in DEFAULT_SUITE]
 
 
 def test_criterion_1_pairwise_law_certification():

@@ -128,6 +128,10 @@ def test_usage_error_exit_2():
     for jobs in ("0", "-3"):
         code, out, _ = run_cli(["verify", "--field", "5", "--jobs", jobs])
         assert code == 2 and out == "", jobs
+    # a bound below 5 admits no field: the suite would pass having checked nothing
+    for max_q in ("4", "0", "-3"):
+        code, out, _ = run_cli(["verify", "--max-q", max_q])
+        assert code == 2 and out == "", max_q
 
 
 def test_domain_error_exit_3():

@@ -44,6 +44,13 @@ def test_parse_descriptor():
         parse_descriptor("2^3")
 
 
+def test_one_context_per_field():
+    """Every spelling of a field gives the same context, so caches keyed on
+    the field are shared."""
+    assert make_field(7) is make_field(7, 1) is parse_descriptor("7")
+    assert make_field(3, 2) is make_field(p=3, a=2) is parse_descriptor("3^2")
+
+
 def test_field_axioms_exhaustive(small_F):
     F = small_F
     for x in F.elements():

@@ -2,6 +2,7 @@
 commutator sets."""
 
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
@@ -13,7 +14,8 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      classify_sl2, commutator_expressible_psl,
                      covering_numbers, enumerate_sl2, laws, make_field,
                      mat_det, mat_mul, psl_classify, psl_lift_pair,
-                     psl_project, representative, verify_laws)
+                     psl_project, psl_triple_product, representative,
+                     sl2_triple_product, verify_laws)
 from sl2prod.cli import main as cli_main
 
 F5, F7 = make_field(5), make_field(7)
@@ -79,16 +81,33 @@ def test_psl_projection_matches_literal_fibers(F):
 
 
 def test_composed_triple_matches_literal_q5():
-    """Sanity-check the composition shortcut against a literal triple scan."""
+    """The fold over the brute and the law tables against literal triple
+    products, for every ordered SL2 and PSL2 triple at q = 5.  PSL2 triples
+    multiply the fibers over both lifts of each class and project."""
     T = enumerate_sl2(F5)
-    trips = [(SL2Label("U", 1), SL2Label("U", 1), SL2Label("U", 1)),
-             (SL2Label("U", 1), SL2Label("U", 2), SL2Label("NSS", 1)),
-             (SL2Label("NU", 1), SL2Label("SS", 0), SL2Label("U", 2))]
-    for L1, L2, L3 in trips:
-        z = representative(F5, L3)
-        literal = {classify_sl2(F5, mat_mul(F5, mat_mul(F5, x, y), z), check=False)
-                   for x in T.fiber[L1] for y in T.fiber[L2]}
-        assert brute_triple_product(T, L1, L2, L3) == literal
+
+    def literal(lefts, rights, thirds, name):
+        products = {mat_mul(F5, x, y) for x in lefts for y in rights}
+        return {name(classify_sl2(F5, mat_mul(F5, m, z), check=False))
+                for m in products for z in thirds}
+
+    labs = all_classes_sl2(F5)
+    for L1, L2, L3 in itertools.product(labs, repeat=3):
+        want = literal(T.fiber[L1], T.fiber[L2], [representative(F5, L3)],
+                       lambda L: L)
+        assert brute_triple_product(T, L1, L2, L3) == want, (L1, L2, L3)
+        assert sl2_triple_product(F5, L1, L2, L3) == want, (L1, L2, L3)
+
+    def over(P):
+        return [x for D in set(psl_lift_pair(F5, P)) for x in T.fiber[D]]
+
+    project = lambda L: psl_project(F5, L)
+    for P1, P2, P3 in itertools.product(all_classes_psl(F5), repeat=3):
+        want = literal(over(P1), over(P2),
+                       [representative(F5, D) for D in psl_lift_pair(F5, P3)],
+                       project)
+        assert brute_triple_product(T, P1, P2, P3, kind="psl2") == want, (P1, P2, P3)
+        assert psl_triple_product(F5, P1, P2, P3) == want, (P1, P2, P3)
 
 
 def test_verify_reports(small_F):
