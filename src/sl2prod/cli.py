@@ -3,7 +3,8 @@ verification, covering numbers.  JSON output by default, byte-stable for
 fixed inputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (even characteristic, q < 5, malformed label or matrix).
+error (even characteristic, q < 5, malformed label or matrix), 4 internal
+error (a witness construction failed where one is promised).
 """
 
 from __future__ import annotations
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except witness.WitnessError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

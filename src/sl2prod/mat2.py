@@ -170,3 +170,20 @@ def iter_sl2(F: FieldCtx):
             for b in range(q):
                 for c in range(q):
                     yield (a, b, c, F.mul(ainv, F.add(1, F.mul(b, c))))
+
+
+def iter_trace_fiber(F: FieldCtx, t: int):
+    """The q^2 + O(q) elements of SL2(F) with trace t, in the canonical order
+    of iter_sl2: a runs over F, d = t - a, and b*c = a*d - 1 is solved for c."""
+    q = F.q
+    for a in range(q):
+        d = F.sub(t, a)
+        bc = F.sub(F.mul(a, d), 1)
+        if bc == 0:
+            for c in range(q):
+                yield (a, 0, c, d)
+            for b in range(1, q):
+                yield (a, b, 0, d)
+        else:
+            for b in range(1, q):
+                yield (a, b, F.div(bc, b), d)

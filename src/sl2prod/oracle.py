@@ -265,6 +265,20 @@ def _pair_counterexample(T: GroupTable, kind, L1, L2, missing):
     return None
 
 
+def _triple_counterexample(T: GroupTable, kind, brute: ProductTable, i, j, k,
+                           missing):
+    """An element of C_i * C_j * C_k in a class of the mask missing: w * z
+    with z the representative of C_k and w in a class C_m of C_i * C_j (a
+    brute pair cell) whose product with C_k meets missing."""
+    labels = brute.classes.labels
+    for m in bits(brute.pair(i, j)):
+        hit = brute.pair(m, k) & missing
+        if hit:
+            return _pair_counterexample(T, kind, labels[m], labels[k],
+                                        brute.classes.labels_of(hit))
+    return None
+
+
 def triple_containment_expected(F, kind, trip):
     """Where the source results promise G minus centers inside C1*C2*C3."""
     if any(L.is_central for L in trip):
@@ -314,9 +328,10 @@ def verify_laws(F: FieldCtx, kind: str, max_q: int = DEFAULT_MAX_Q,
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
         trip = (labels[i], labels[j], labels[k])
         if got != want:
+            ce = _triple_counterexample(T, kind, brute, i, j, k, want & ~got)
             report.triple_mismatches.append(
                 Mismatch(trip, sort_labels(C.labels_of(got)),
-                         sort_labels(C.labels_of(want))))
+                         sort_labels(C.labels_of(want)), ce))
         if noncentral & ~got and triple_containment_expected(F, kind, trip):
             report.containment_failures.append({
                 "triple": [str(L) for L in trip],

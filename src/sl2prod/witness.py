@@ -1,22 +1,36 @@
 """Constructive certificates for class-product membership.
 
+Every witness is canonical-first: the first matrix, in the row-major
+lexicographic order of mat2.iter_sl2, that meets its conditions, so
+identical inputs yield identical witnesses.  None is found by enumerating
+the group.  Conjugators are the det-1 points of the linear space of
+solutions of h x = y h, found one coordinate at a time from a quadratic;
+the other searches walk a single trace fiber (mat2.iter_trace_fiber) and
+reject candidates by trace before forming a product.  So witnesses exist
+at every q, above the oracle's enumeration bound too.
+
 Every returned witness is re-validated by direct multiplication and
-classification; the searches are deterministic (canonical enumeration
-order), so identical inputs yield identical witnesses.
+classification.  A construction that finds no witness where the laws or
+Macbeath's theorem promise one raises WitnessError.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .field import FieldCtx, eps_shift_solvable
-from .mat2 import (IDENT, Mat, iter_sl2, mat_inv, mat_mul, mat_neg,
-                   mat_trace)
+from .mat2 import (IDENT, Mat, iter_trace_fiber, mat_det, mat_inv, mat_mul,
+                   mat_neg, mat_trace)
 from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
                       inverse_class, negate_class, psl_classify,
                       psl_lift_pair, representative)
 from .laws import commutator_expressible_psl, sl2_pair_product
-from .oracle import enumerate_sl2
+
+
+class WitnessError(RuntimeError):
+    """No witness found where the laws or Macbeath's theorem promise one: a
+    defect in sl2prod, not in its input."""
 
 
 @dataclass(frozen=True)
@@ -48,11 +62,60 @@ class CommutatorCert:
 
 
 def conjugating_element(F: FieldCtx, x: Mat, y: Mat):
-    """First h in canonical order with h x h^-1 = y, or None."""
-    for h in iter_sl2(F):
-        if mat_mul(F, h, x) == mat_mul(F, y, h):
-            return h
-    return None
+    """First h in canonical order with h x h^-1 = y, or None; x, y in SL2."""
+    if mat_det(F, x) != 1 or mat_det(F, y) != 1:
+        raise ValueError("conjugating_element takes two SL2 matrices")
+    if _is_scalar(x):
+        return (0, 1, F.neg(1), 0) if x == y else None    # first of iter_sl2
+    return min(_conjugators(F, x, y), default=None)
+
+
+def _is_scalar(m: Mat) -> bool:
+    return m[1] == 0 and m[2] == 0 and m[0] == m[3]
+
+
+def _trace_of_product(F: FieldCtx, x: Mat, y: Mat) -> int:
+    """tr(x y), with four products instead of mat_mul's eight."""
+    return F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
+                 F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
+
+
+def _cyclic_basis(F: FieldCtx, m: Mat) -> Mat:
+    """The matrix with columns v and m v, for a v that the non-scalar m does
+    not map onto a multiple of itself."""
+    a, b, c, d = m
+    v0, v1 = (1, 0) if c else (0, 1) if b else (1, 1)
+    return (v0, F.add(F.mul(a, v0), F.mul(b, v1)),
+            v1, F.add(F.mul(c, v0), F.mul(d, v1)))
+
+
+def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> list:
+    """Every h in SL2 with h x h^-1 = y, for x, y in SL2 and x not scalar.
+
+    Such h exist iff y has x's trace and is not scalar: then both are cyclic
+    with one characteristic polynomial, and B = P_y P_x^-1 built from cyclic
+    bases has B x = y B.  The solutions of the linear equation h x = y h are
+    s B + t B x, whose determinant is det(B) (s^2 + tr(x) s t + t^2); for
+    each s the det-1 points are the roots of a quadratic in t."""
+    tau = mat_trace(F, x)
+    if mat_trace(F, y) != tau or _is_scalar(y):
+        return []
+    B = mat_mul(F, _cyclic_basis(F, y), mat_inv(F, _cyclic_basis(F, x)))
+    Bx = mat_mul(F, B, x)
+    # t = (-tau s +- r) / 2 with r^2 = (tau^2 - 4) s^2 + 4 / det(B)
+    k = F.sub(F.mul(tau, tau), F.scalar(4))
+    k0 = F.div(F.scalar(4), mat_det(F, B))
+    half = F.inv(F.scalar(2))
+    out = []
+    for s in range(F.q):
+        r = F.sqrt(F.add(F.mul(k, F.mul(s, s)), k0))
+        if r is None:
+            continue
+        mid = F.neg(F.mul(tau, s))
+        for root in ((r, F.neg(r)) if r else (0,)):
+            t = F.mul(F.add(mid, root), half)
+            out.append(tuple(F.add(F.mul(s, b), F.mul(t, bx)) for b, bx in zip(B, Bx)))
+    return out
 
 
 def _complete_column(F: FieldCtx, a: int, c: int) -> Mat:
@@ -113,10 +176,17 @@ def _factor_unipotent_pair(F, g, L1, L2):
 
 
 def _factor_scan(F, g, L1, L2):
-    """Deterministic fallback: first x in the canonical order of L1's fiber
-    with x^-1 g in L2."""
-    T = enumerate_sl2(F)
-    for x in T.fiber[L1]:
+    """Deterministic fallback: first x in the canonical order of L1's class
+    with x^-1 g in L2, walking L1's trace fiber."""
+    t1 = mat_trace(F, representative(F, L1))
+    # y = x^-1 g needs L2's trace t2, and x^-1 = t1 I - x in SL2, so
+    # tr(x g) = t1 tr(g) - t2 rejects x before y is formed
+    want = F.sub(F.mul(t1, mat_trace(F, g)), mat_trace(F, representative(F, L2)))
+    for x in iter_trace_fiber(F, t1):
+        if _trace_of_product(F, x, g) != want:
+            continue
+        if classify_sl2(F, x, check=False) != L1:
+            continue
         y = mat_mul(F, mat_inv(F, x), g)
         if classify_sl2(F, y, check=False) == L2:
             return Factorization(x, y, g, L1, L2)
@@ -146,7 +216,8 @@ def factor_pair(F: FieldCtx, g: Mat, L1: SL2Label, L2: SL2Label):
             if cert.ok(F):
                 return cert
     cert = _factor_scan(F, g, L1, L2)
-    assert cert is not None and cert.ok(F), "law admitted a class with no witness"
+    if cert is None or not cert.ok(F):
+        raise WitnessError("law admitted a class with no witness")
     return cert
 
 
@@ -170,52 +241,47 @@ def macbeath_triple(F: FieldCtx, alpha: int, beta: int, gamma: int):
 
     A starts as the trace-alpha companion matrix; if no B with tr(B) = beta
     and tr(A*B) = gamma exists for it (possible for degenerate central-trace
-    triples), A advances through the trace-alpha fiber in canonical order."""
+    triples), A advances through the trace-alpha fiber in canonical order.
+    Conjugating A and B together keeps both traces, so whether A has a
+    partner depends only on A's class, and a class without one is skipped."""
     for v in (alpha, beta, gamma):
         F.of(v)
     companion = (0, F.neg(1), 1, alpha)
-    for A in _trace_fiber_from(F, companion, alpha):
+    no_partner = set()
+    rest = (A for A in iter_trace_fiber(F, alpha) if A != companion)
+    for A in itertools.chain((companion,), rest):
+        L = classify_sl2(F, A, check=False)
+        if L in no_partner:
+            continue
         B = _find_second(F, A, beta, gamma)
-        if B is not None:
-            C = mat_inv(F, mat_mul(F, A, B))
-            assert mat_mul(F, mat_mul(F, A, B), C) == IDENT
-            return A, B, C
-    raise AssertionError("trace triple not realizable; this should not happen")
-
-
-def _trace_fiber_from(F, first, trace):
-    yield first
-    for m in iter_sl2(F):
-        if m != first and mat_trace(F, m) == trace:
-            yield m
+        if B is None:
+            no_partner.add(L)
+            continue
+        AB = mat_mul(F, A, B)
+        C = mat_inv(F, AB)
+        if mat_mul(F, AB, C) != IDENT:
+            raise WitnessError(f"A*B*C != I for traces {(alpha, beta, gamma)}")
+        return A, B, C
+    raise WitnessError(f"trace triple {(alpha, beta, gamma)} not realizable")
 
 
 def _find_second(F, A, beta, gamma):
-    """First B in scan order with tr(B) = beta, det 1, tr(A*B) = gamma."""
-    q = F.q
-    for a in range(q):
-        d = F.sub(beta, a)
-        ad1 = F.sub(F.mul(a, d), 1)   # required value of b*c
-        for b in range(q):
-            if b == 0:
-                if ad1 != 0:
-                    continue
-                for c in range(q):
-                    B = (a, 0, c, d)
-                    if mat_trace(F, mat_mul(F, A, B)) == gamma:
-                        return B
-            else:
-                c = F.div(ad1, b)
-                B = (a, b, c, d)
-                if mat_trace(F, mat_mul(F, A, B)) == gamma:
-                    return B
+    """First B in canonical order with tr(B) = beta, det 1, tr(A*B) = gamma."""
+    for B in iter_trace_fiber(F, beta):
+        if _trace_of_product(F, A, B) == gamma:
+            return B
     return None
 
 
 def commutator_witness_psl(F: FieldCtx, g: Mat):
     """CommutatorCert for the image of g, or None when the class is not a
     semisimple-unipotent commutator.  The identity gets the degenerate
-    witness u = I."""
+    witness u = I.
+
+    Otherwise u is the first unipotent in canonical order for which some
+    semisimple s has s u s^-1 = +-g u, and s is the first such s.  Since
+    s u s^-1 has trace 2, only u with tr(g u) = +-2 qualify, and the sign
+    is the one that makes +-g u trace 2."""
     P = psl_classify(F, g)
     if not commutator_expressible_psl(F, P):
         return None
@@ -223,20 +289,20 @@ def commutator_witness_psl(F: FieldCtx, g: Mat):
         s = representative(F, _first_semisimple_label(F))
         flipped = g != IDENT
         return CommutatorCert(s, IDENT, g, flipped)
-    T = enumerate_sl2(F)
-    neg_g = mat_neg(F, g)
-    unipotents = [m for m, L in zip(T.elements, T.labels) if L.kind == "U"]
-    semis = [m for m, L in zip(T.elements, T.labels) if L.is_semisimple]
-    for u in unipotents:
-        uinv = mat_inv(F, u)
-        gu, ngu = mat_mul(F, g, u), mat_mul(F, neg_g, u)
-        for s in semis:
-            lhs = mat_mul(F, mat_mul(F, s, u), mat_inv(F, s))
-            if lhs == gu:
-                return CommutatorCert(s, u, g, False)
-            if lhs == ngu:
-                return CommutatorCert(s, u, g, True)
-    raise AssertionError("expressible class with no commutator witness")
+    two, ntwo = F.scalar(2), F.neg(2)
+    for u in iter_trace_fiber(F, two):
+        if u == IDENT:
+            continue
+        t = _trace_of_product(F, g, u)
+        if t not in (two, ntwo):
+            continue
+        flipped = t == ntwo
+        target = mat_mul(F, mat_neg(F, g) if flipped else g, u)
+        s = min((h for h in _conjugators(F, u, target)
+                 if mat_trace(F, h) not in (two, ntwo)), default=None)
+        if s is not None:
+            return CommutatorCert(s, u, g, flipped)
+    raise WitnessError(f"expressible class {P} with no commutator witness")
 
 
 def _first_semisimple_label(F):

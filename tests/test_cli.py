@@ -5,6 +5,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from sl2prod import (SL2Label, make_field, sl2_pair_product_law, sort_labels)
 from sl2prod.cli import main
 
@@ -98,6 +100,12 @@ def test_commutator_command():
     assert code == 0 and json.loads(out) == {"expressible": False}
 
 
+def test_commutator_above_enumeration_bound():
+    code, out, _ = run_cli(["commutator", "--field", "37", "[[1,1],[0,1]]"])
+    data = json.loads(out)
+    assert code == 0 and data["expressible"] and data["check"] == "ok"
+
+
 def test_verify_single_field():
     code, out, _ = run_cli(["verify", "--field", "5", "--group", "psl2"])
     data = json.loads(out)
@@ -147,6 +155,20 @@ def test_domain_error_exit_3():
         code, _, err = run_cli(argv)
         assert code == 3, argv
         assert err.startswith("error:")
+
+
+def test_internal_error_exit_4(monkeypatch):
+    """A construction that finds no witness raises WitnessError, an explicit
+    raise that survives python -O, and the CLI reports it with exit code 4
+    and one line, without a traceback."""
+    from sl2prod import witness
+    monkeypatch.setattr(witness, "_find_second", lambda F, A, beta, gamma: None)
+    with pytest.raises(witness.WitnessError):
+        witness.macbeath_triple(make_field(7), 1, 1, 1)
+    code, out, err = run_cli(["macbeath", "--field", "7", "1", "1", "1"])
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_jobs_flag_output_stable():

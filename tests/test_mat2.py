@@ -9,6 +9,7 @@ from sl2prod import (BigCell, Torus, bruhat_compose, bruhat_decompose,
                      bruhat_product, bruhat_trace, conjugate, enumerate_sl2,
                      iter_sl2, make_field, mat_det, mat_inv, mat_mul, mat_pow,
                      mat_trace, sl2)
+from sl2prod.mat2 import iter_trace_fiber
 
 F7 = make_field(7)
 I2 = (1, 0, 0, 1)
@@ -39,6 +40,15 @@ def test_trace_invariance_exhaustive(small_F):
     for x in iter_sl2(F):
         assert mat_trace(F, mat_inv(F, x)) == mat_trace(F, x)
         assert mat_trace(F, conjugate(F, g, x)) == mat_trace(F, x)
+
+
+def test_trace_fibers_in_canonical_order(small_F):
+    """Each trace fiber is the trace-t part of iter_sl2, in the same order."""
+    F = small_F
+    group = list(iter_sl2(F))
+    for t in F.elements():
+        assert list(iter_trace_fiber(F, t)) == [m for m in group
+                                                if mat_trace(F, m) == t], t
 
 
 def test_group_order(F):

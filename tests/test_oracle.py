@@ -198,3 +198,36 @@ def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped)
     assert [r["group"] for r in failed] == [kind]
     assert [f["where"] for f in failed[0]["pairs"]["failures"]] == \
         [[str(L) for L in where]]
+
+
+@pytest.mark.parametrize("kind,name,where,dropped", [
+    ("sl2", "_sl2_pair", (SL2Label("U", 1), SL2Label("U", 3)), SL2Label("SS", 6)),
+    ("psl2", "_psl_pair", (PSLLabel("PU", 1), PSLLabel("PU", 3)), PSLLabel("PNSS", 3)),
+])
+def test_verify_triple_counterexamples(monkeypatch, kind, name, where, dropped):
+    """laws.<name> drops one class from one q = 7 pair cell, so the law
+    table's triple folds go wrong too; every triple mismatch must carry a
+    product that lies in a class the law missed."""
+    orig = getattr(laws, name)
+    C = laws.class_index(F7, kind)
+
+    def broken(F, a, b):
+        mask, rule = orig(F, a, b)
+        if F.q == 7 and {a, b} == set(where):
+            return mask & ~(1 << C.index[dropped]), rule
+        return mask, rule
+    monkeypatch.setattr(laws, name, broken)
+    laws.law_table.cache_clear()
+    try:
+        rep = verify_laws(F7, kind, with_covering=False)
+    finally:
+        laws.law_table.cache_clear()
+    assert rep.triple_mismatches
+    name_of = (lambda L: L) if kind == "sl2" else (lambda L: psl_project(F7, L))
+    for m in rep.triple_mismatches:
+        missing = set(m.brute) - set(m.law)
+        assert missing and not set(m.law) - set(m.brute), m.where
+        ce = m.counterexample
+        assert ce is not None and mat_det(F7, ce) == 1, m.where
+        assert name_of(classify_sl2(F7, ce)) in missing, m.where
+        assert m.to_dict()["counterexample"] == list(ce)
