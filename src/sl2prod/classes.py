@@ -9,13 +9,14 @@ Inside the library a class is its index in all_classes_sl2(F) or
 all_classes_psl(F) and a set of classes is an int bitmask (ClassIndex).
 The laws and the oracle each fill a ProductTable of pair-product masks, and
 fold triples over it; label sets are built only for public return values.
+The field's memo owns both class indices, and each index its group's tables.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .field import FieldCtx
 from .mat2 import IDENT, Mat, mat_det, mat_mul, minus_ident
@@ -128,9 +129,12 @@ def _check_sc(F: FieldCtx, L) -> int:
     return L.param
 
 
-@lru_cache(maxsize=None)
 def all_classes_sl2(F: FieldCtx) -> tuple[SL2Label, ...]:
     """The q+4 class labels in canonical order."""
+    return class_index(F, "sl2").labels
+
+
+def _sl2_labels(F: FieldCtx) -> tuple[SL2Label, ...]:
     nsr = F.nonsquare_rep
     out = [SL2Label("I"), SL2Label("-I"),
            SL2Label("U", 1), SL2Label("U", nsr),
@@ -194,10 +198,9 @@ def psl_lift_pair(F: FieldCtx, P: PSLLabel) -> tuple[SL2Label, SL2Label]:
     return D, negate_class(F, D)
 
 
-@lru_cache(maxsize=None)
 def all_classes_psl(F: FieldCtx) -> tuple[PSLLabel, ...]:
     """The (q+5)/2 PSL2 class labels in canonical order."""
-    return sort_labels({psl_project(F, L) for L in all_classes_sl2(F)})
+    return class_index(F, "psl2").labels
 
 
 def psl_representative(F: FieldCtx, P: PSLLabel) -> Mat:
@@ -211,8 +214,7 @@ def psl_element_order(F: FieldCtx, P: PSLLabel) -> int:
         return 1
     if P.kind == "PU":
         return F.p
-    m = psl_representative(F, P)
-    mi = minus_ident(F)
+    m, mi = psl_representative(F, P), minus_ident(F)
     x, n = m, 1
     while x != IDENT and x != mi:
         x = mat_mul(F, x, m)
@@ -247,13 +249,10 @@ def parse_label(F: FieldCtx, text: str):
     if param in (F.scalar(2), F.neg(2)):
         raise ValueError(f"trace {param} in {text!r} is central, not semisimple")
     disc = F.sub(F.mul(param, param), F.scalar(4))
-    split = F.is_square(disc)
-    if kind in ("SS", "NSS"):
-        if split != (kind == "SS"):
-            raise ValueError(f"label {text!r} has the wrong split kind for {F!r}")
-        return SL2Label(kind, param)
-    if split != (kind == "PSS"):
+    if F.is_square(disc) != (kind in ("SS", "PSS")):
         raise ValueError(f"label {text!r} has the wrong split kind for {F!r}")
+    if kind in ("SS", "NSS"):
+        return SL2Label(kind, param)
     return PSLLabel(kind, min(param, F.neg(param)))
 
 
@@ -288,20 +287,29 @@ def bits(mask: int):
 
 class ClassIndex:
     """The classes of one group over one field, in canonical order; class k
-    is bit k of a class-set mask."""
+    is bit k of a class-set mask.  Its tables are filled on first use: pairs
+    (the label set and rule of each pair query) and law by laws, brute and
+    (SL2 only) group by the oracle."""
 
     def __init__(self, labels):
+        self.law = self.brute = self.group = None
+        self.pairs: dict[tuple, tuple[frozenset, str]] = {}
         self.labels = labels
-        self.index = {L: k for k, L in enumerate(labels)}
         self.full = (1 << len(labels)) - 1
-        self._bit = {(L.kind, L.param): 1 << k for k, L in enumerate(labels)}
+        self.slot = {(L.kind, L.param): k for k, L in enumerate(labels)}
         self.kind_mask: dict[str, int] = {}
         for k, L in enumerate(labels):
             self.kind_mask[L.kind] = self.kind_mask.get(L.kind, 0) | 1 << k
         self._sets: dict[int, frozenset] = {}
 
+    def at(self, L) -> int:
+        k = self.slot.get((L.kind, L.param))    # cheaper than hashing L
+        if k is None:
+            raise ValueError(f"{L} is not a class of this group")
+        return k
+
     def bit(self, kind: str, param: int = 0) -> int:
-        return self._bit[kind, param]
+        return 1 << self.slot[kind, param]
 
     def labels_of(self, mask: int) -> frozenset:
         out = self._sets.get(mask)
@@ -310,10 +318,13 @@ class ClassIndex:
         return out
 
 
-@lru_cache(maxsize=None)
 def class_index(F: FieldCtx, kind: str) -> ClassIndex:
-    """The class index of SL2(F) (kind "sl2") or PSL2(F) (kind "psl2")."""
-    return ClassIndex(all_classes_sl2(F) if kind == "sl2" else all_classes_psl(F))
+    """The class index of SL2(F) ("sl2") or PSL2(F) ("psl2"), kept in F's memo."""
+    C = F.memo.get(kind)
+    if C is None:
+        C = F.memo[kind] = ClassIndex(_sl2_labels(F) if kind == "sl2" else sort_labels(
+            {psl_project(F, L) for L in class_index(F, "sl2").labels}))
+    return C
 
 
 class ProductTable:
@@ -323,7 +334,7 @@ class ProductTable:
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
         self._fill = fill
-        self._columns = [[None] * len(classes.labels) for _ in classes.labels]
+        self._columns = defaultdict(lambda: [None] * len(classes.labels))   # on first use
 
     def pair(self, i: int, j: int) -> int:
         cell = self._columns[j][i]
@@ -347,8 +358,8 @@ class ProductTable:
 
     def of_labels(self, L1, L2, *more) -> frozenset:
         """Label set of the product of two or more classes given by label."""
-        index = self.classes.index
-        mask = self.pair(index[L1], index[L2])
+        at = self.classes.at
+        mask = self.pair(at(L1), at(L2))
         for L in more:
-            mask = self.compose(mask, index[L])
+            mask = self.compose(mask, at(L))
         return self.classes.labels_of(mask)

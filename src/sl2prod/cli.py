@@ -3,8 +3,8 @@ verification, covering numbers.  JSON output by default, byte-stable for
 fixed inputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (even characteristic, q < 5, malformed label or matrix), 4 internal
-error (a witness construction failed where one is promised).
+error (even characteristic, q < 5 or q > 10^5, malformed label or matrix),
+4 internal error (a witness construction failed where one is promised).
 """
 
 from __future__ import annotations
@@ -19,23 +19,20 @@ from . import laws, oracle, witness
 from .classes import (all_classes_psl, all_classes_sl2, classify_sl2,
                       parse_psl_label, parse_sl2_label, psl_classify,
                       psl_representative, representative, sort_labels)
-from .field import FieldCtx, parse_descriptor
+from .field import FieldCtx, make_field, parse_descriptor
 from .mat2 import Mat, mat_det
 
 DEFAULT_SUITE = ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     pass
 
 
 def _field(args) -> FieldCtx:
     if args.field is None:
         raise DomainError("--field is required for this command")
-    try:
-        return parse_descriptor(args.field)
-    except ValueError as e:
-        raise DomainError(str(e))
+    return parse_descriptor(args.field)
 
 
 def _matrix(F: FieldCtx, text: str) -> Mat:
@@ -43,6 +40,8 @@ def _matrix(F: FieldCtx, text: str) -> Mat:
         rows = json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(f"matrix {text!r} is not valid JSON: {e}")
+    except RecursionError:
+        raise DomainError("matrix JSON is nested too deeply")
     if (not isinstance(rows, list) or len(rows) != 2
             or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
         raise DomainError(f"matrix {text!r} must be [[a,b],[c,d]]")
@@ -57,12 +56,7 @@ def _matrix(F: FieldCtx, text: str) -> Mat:
 
 
 def _label(F, text, group):
-    try:
-        if group == "sl2":
-            return parse_sl2_label(F, text)
-        return parse_psl_label(F, text)
-    except ValueError as e:
-        raise DomainError(str(e))
+    return (parse_sl2_label if group == "sl2" else parse_psl_label)(F, text)
 
 
 def _mat_json(m: Mat):
@@ -102,12 +96,8 @@ def _cmd_classes(args) -> int:
 
 def _cmd_product(args) -> int:
     F = _field(args)
-    L1 = _label(F, args.labels[0], args.group)
-    L2 = _label(F, args.labels[1], args.group)
-    if args.group == "sl2":
-        law = laws.sl2_pair_product_law(F, L1, L2)
-    else:
-        law = laws.psl_pair_product_law(F, L1, L2)
+    pair_law = laws.sl2_pair_product_law if args.group == "sl2" else laws.psl_pair_product_law
+    law = pair_law(F, *(_label(F, t, args.group) for t in args.labels))
     obj = {"classes": [str(L) for L in sort_labels(law.classes)], "rule": law.rule}
     _emit(args, obj, lambda o: [" ".join(o["classes"]), f"rule: {o['rule']}"])
     return 0
@@ -127,12 +117,8 @@ def _cmd_triple(args) -> int:
 def _cmd_witness(args) -> int:
     F = _field(args)
     g = _matrix(F, args.matrix)
-    if args.group == "sl2":
-        cert = witness.factor_pair(F, g, _label(F, args.labels[0], "sl2"),
-                                   _label(F, args.labels[1], "sl2"))
-    else:
-        cert = witness.factor_pair_psl(F, g, _label(F, args.labels[0], "psl2"),
-                                       _label(F, args.labels[1], "psl2"))
+    factor = witness.factor_pair if args.group == "sl2" else witness.factor_pair_psl
+    cert = factor(F, g, *(_label(F, t, args.group) for t in args.labels))
     if cert is None:
         _emit(args, {"found": False}, lambda o: ["no factorization: class not in product"])
         return 0
@@ -170,21 +156,17 @@ def _cmd_commutator(args) -> int:
 
 def _verify_task(spec):
     p, a, kind, max_q = spec
-    from .field import make_field
-    F = make_field(p, a)
-    return oracle.verify_laws(F, kind, max_q=max_q).to_dict()
+    return oracle.verify_laws(make_field(p, a), kind, max_q=max_q).to_dict()
 
 
 def _cmd_verify(args) -> int:
-    max_q = args.max_q
+    kinds = [args.group] if args.group else ["sl2", "psl2"]
     if args.field is not None:
         F = _field(args)
-        kinds = [args.group] if args.group else ["sl2", "psl2"]
-        tasks = [(F.p, F.a, k, max(max_q, F.q)) for k in kinds]
+        tasks = [(F.p, F.a, k, F.q) for k in kinds]
     else:
-        suite = [(p, a) for (p, a) in DEFAULT_SUITE if p ** a <= max_q]
-        kinds = [args.group] if args.group else ["sl2", "psl2"]
-        tasks = [(p, a, k, max_q) for (p, a) in suite for k in kinds]
+        suite = [(p, a) for (p, a) in DEFAULT_SUITE if p ** a <= args.max_q]
+        tasks = [(p, a, k, args.max_q) for (p, a) in suite for k in kinds]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -210,7 +192,7 @@ def _cmd_covering(args) -> int:
     kinds = [args.group] if args.group else ["sl2", "psl2"]
     results = {}
     for kind in kinds:
-        cn, ecn = oracle.covering_numbers(F, kind, max_q=max(args.max_q, F.q))
+        cn, ecn = oracle.covering_numbers(F, kind, max_q=F.q)
         results[kind] = {"cn": cn, "ecn": ecn}
     obj = {"field": F.descriptor, **results}
     _emit(args, obj, lambda o: [f"{k}: cn={v['cn']} ecn={v['ecn']}"
@@ -236,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, group=True):
         sp.add_argument("--field", help="field descriptor p or p^a, q >= 5 odd")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="parallel workers for the verify suite, at most "
-                             "one per task and per CPU")
-        # below 5 no field qualifies, and the verify suite would be empty
-        sp.add_argument("--max-q", type=_int_at_least(5), default=oracle.DEFAULT_MAX_Q,
-                        help="enumeration bound / verify suite cap, at least 5")
         if group:
             sp.add_argument("--group", choices=("sl2", "psl2"), default="sl2")
 
@@ -283,6 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="certify all laws against brute force")
     common(sp)
+    sp.add_argument("--jobs", type=_int_at_least(1), default=1,
+                    help="parallel workers, at most one per task and per CPU")
+    # below 5 no field qualifies, and the suite would be empty
+    sp.add_argument("--max-q", type=_int_at_least(5), default=oracle.DEFAULT_MAX_Q,
+                    help="caps the default suite, at least 5; an explicit "
+                         "--field is always enumerated")
     sp.set_defaults(fn=_cmd_verify, group=None)
 
     sp = sub.add_parser("covering", help="covering and extended covering numbers")
@@ -300,10 +282,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.fn(args)
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
+    except ValueError as e:      # DomainError included
         print(f"error: {e}", file=sys.stderr)
         return 3
     except witness.WitnessError as e:

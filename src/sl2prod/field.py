@@ -1,15 +1,18 @@
-"""Exact arithmetic in GF(q) for odd prime powers q >= 5.
+"""Exact arithmetic in GF(q) for odd prime powers 5 <= q <= 10^5.
 
 Field elements are plain ints in 0..q-1, the canonical encoding
 sum(c_i * p^i) of the coordinate vector (c_0, ..., c_{a-1}) modulo a fixed
 irreducible polynomial.  0 and 1 encode the additive and multiplicative
-identities.  A FieldCtx is immutable after construction and safe to share.
+identities.  A FieldCtx is immutable but for its memo, and safe to share.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product as _cartesian
+
+MAX_FIELD_ORDER = 10 ** 5     # a context takes about 0.35 KB per element
+LIVE_FIELDS = 16              # contexts make_field keeps alive
 
 
 def _is_prime(n: int) -> bool:
@@ -83,15 +86,18 @@ def _smallest_irreducible(p, a):
 class FieldCtx:
     """A fixed finite field F_q, q = p^a odd, with precomputed square data.
 
-    Use make_field(); direct construction is not part of the API.
+    Use make_field(); direct construction is not part of the API.  memo maps
+    "sl2" and "psl2" to their ClassIndex (see classes.class_index), which
+    owns the field's tables; a context pickles as its make_field call.
     """
 
     __slots__ = ("p", "a", "q", "modulus", "square_set", "nonsquare_rep",
-                 "_exp", "_log", "_neg", "_sqrt", "_enc", "_tuples")
+                 "_exp", "_log", "_neg", "_sqrt", "_enc", "_tuples", "memo")
 
     def __init__(self, p: int, a: int):
         q = p ** a
         self.p, self.a, self.q = p, a, q
+        self.memo = {}
         self.modulus = _smallest_irreducible(p, a)
 
         powers = [p ** i for i in range(a)]
@@ -132,6 +138,9 @@ class FieldCtx:
         for x in range(1, q):
             sqrt.setdefault(raw_mul(x, x), x)
         self._sqrt = sqrt
+
+    def __reduce__(self):
+        return make_field, (self.p, self.a)
 
     def _find_generator(self, raw_mul):
         q = self.q
@@ -245,23 +254,26 @@ class FieldCtx:
 def make_field(p: int, a: int = 1) -> FieldCtx:
     """Finite field F_{p^a} with the deterministic modulus and square tables.
 
-    One context per (p, a), however the call spells it, so that every cache
-    keyed on the field is built once.  Rejects even characteristic,
-    non-prime p, a < 1, and q < 5.
+    One context per (p, a) among the last LIVE_FIELDS asked, however spelt;
+    a dropped context that no caller holds takes its tables with it.  Rejects
+    even characteristic, non-prime p, a < 1, and q outside 5..MAX_FIELD_ORDER.
     """
     return _make_field(p, a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LIVE_FIELDS)
 def _make_field(p: int, a: int) -> FieldCtx:
     if p == 2:
         raise ValueError("even characteristic")
+    # checked before p ** a or _is_prime(p) can take long, using q >= 2 ** a
+    if p > MAX_FIELD_ORDER or a >= MAX_FIELD_ORDER.bit_length():
+        raise ValueError(f"q = {p}^{a} exceeds the field bound {MAX_FIELD_ORDER}")
     if not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if a < 1:
         raise ValueError(f"extension degree must be >= 1, got {a}")
-    if p ** a < 5:
-        raise ValueError(f"q = {p ** a} too small, need q >= 5")
+    if not 5 <= p ** a <= MAX_FIELD_ORDER:
+        raise ValueError(f"q = {p ** a} is outside 5..{MAX_FIELD_ORDER}")
     return FieldCtx(p, a)
 
 

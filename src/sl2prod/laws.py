@@ -12,7 +12,6 @@ exact.  The oracle module certifies all of this against brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .field import FieldCtx, eps_shift_solvable
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_psl,
@@ -47,15 +46,26 @@ def _semisimple_by_shift(F, C, shift, cls):
 
 
 def sl2_pair_product_law(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> ProductLaw:
-    mask, rule = _sl2_pair(F, L1, L2)
-    return ProductLaw(L1, L2, class_index(F, "sl2").labels_of(mask), rule)
+    return ProductLaw(L1, L2, *_pair(F, "sl2", L1, L2))
 
 
 def sl2_pair_product(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> frozenset:
-    return class_index(F, "sl2").labels_of(_sl2_pair(F, L1, L2)[0])
+    return _pair(F, "sl2", L1, L2)[0]
 
 
-@lru_cache(maxsize=None)
+def _pair(F, kind, A, B):
+    """(label set, rule) of A * B, kept in C.pairs; ValueError for a foreign label."""
+    C = class_index(F, kind)
+    key = (A.kind, A.param, B.kind, B.param)    # cheaper to hash than (A, B)
+    got = C.pairs.get(key)
+    if got is None:
+        if key[:2] not in C.slot or key[2:] not in C.slot:
+            C.at(A), C.at(B)                    # raises the ValueError
+        mask, rule = (_sl2_pair if kind == "sl2" else _psl_pair)(F, A, B)
+        got = C.pairs[key] = C.labels_of(mask), rule
+    return got
+
+
 def _sl2_pair(F, L1, L2):
     """(mask, rule) of L1 * L2."""
     if L2.sort_key < L1.sort_key:
@@ -63,9 +73,9 @@ def _sl2_pair(F, L1, L2):
     C = class_index(F, "sl2")
     # central factors translate the other class
     if L1.kind == "I":
-        return 1 << C.index[L2], "central_translation"
+        return 1 << C.at(L2), "central_translation"
     if L1.kind == "-I":
-        return 1 << C.index[negate_class(F, L2)], "central_translation"
+        return 1 << C.at(negate_class(F, L2)), "central_translation"
 
     k1, k2 = L1.kind, L2.kind
     units, neg_units = C.kind_mask["U"], C.kind_mask["NU"]
@@ -114,9 +124,7 @@ def _sl2_pair(F, L1, L2):
             if t1 == 0:
                 return C.full, "semisimple_class_square"
             return C.full & ~C.bit("-I"), "semisimple_class_square"
-        drop = C.bit("-I") | units
-        if t1 == 0:
-            drop = units | neg_units
+        drop = units | (neg_units if t1 == 0 else C.bit("-I"))
         return C.full & ~drop, "semisimple_class_square"
     if t1 != F.neg(t2):
         drop = C.bit("I") | C.bit("-I")
@@ -147,13 +155,14 @@ def _semisimple_times_unipotent(F, C, S, L):
     return out, rule
 
 
-@lru_cache(maxsize=None)
 def law_table(F: FieldCtx, kind: str) -> ProductTable:
     """The pairwise laws of SL2(F) (kind "sl2") or PSL2(F) (kind "psl2") as
-    a ProductTable, filled cell by cell as folds ask for them."""
+    a ProductTable on F's class index, filled cell by cell as folds ask."""
     C = class_index(F, kind)
-    pair = _sl2_pair if kind == "sl2" else _psl_pair
-    return ProductTable(C, lambda i, j: pair(F, C.labels[i], C.labels[j])[0])
+    if C.law is None:
+        pair = _sl2_pair if kind == "sl2" else _psl_pair
+        C.law = ProductTable(C, lambda i, j: pair(F, C.labels[i], C.labels[j])[0])
+    return C.law
 
 
 def sl2_triple_product(F: FieldCtx, L1: SL2Label, L2: SL2Label, L3: SL2Label) -> frozenset:
@@ -165,22 +174,20 @@ def sl2_triple_product(F: FieldCtx, L1: SL2Label, L2: SL2Label, L3: SL2Label) ->
 
 
 def psl_pair_product_law(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> ProductLaw:
-    mask, rule = _psl_pair(F, P1, P2)
-    return ProductLaw(P1, P2, class_index(F, "psl2").labels_of(mask), rule)
+    return ProductLaw(P1, P2, *_pair(F, "psl2", P1, P2))
 
 
 def psl_pair_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> frozenset:
-    return class_index(F, "psl2").labels_of(_psl_pair(F, P1, P2)[0])
+    return _pair(F, "psl2", P1, P2)[0]
 
 
-@lru_cache(maxsize=None)
 def _psl_pair(F, P1, P2):
     """(mask, rule) of P1 * P2."""
     if P2.sort_key < P1.sort_key:
         P1, P2 = P2, P1
     C = class_index(F, "psl2")
     if P1.kind == "P1":
-        return 1 << C.index[P2], "psl_central_translation"
+        return 1 << C.at(P2), "psl_central_translation"
 
     units = C.kind_mask["PU"]
 
@@ -199,7 +206,7 @@ def _psl_pair(F, P1, P2):
         t, eps = P2.param, P1.param
         out = C.kind_mask["PSS"] | C.kind_mask["PNSS"]
         if t == 0 and not F.is_square(F.neg(1)):
-            out &= ~(1 << C.index[P2])
+            out &= ~(1 << C.at(P2))
         for s in (1, F.nonsquare_rep):
             cls = F.mul(eps, s)
             if any(F.same_class(v, cls)

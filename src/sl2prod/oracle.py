@@ -6,6 +6,7 @@ any disagreement with the laws module is reported with a counterexample.
 
 Class products come from one ProductTable per group over the shared
 ClassIndex (see classes), whose cell (i, j) is the class mask of C_i * C_j.
+The group table and both product tables live on the field's class indices.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the whole group per
@@ -57,35 +58,30 @@ class GroupTable:
         self.fiber: dict[SL2Label, list[Mat]] = {L: [] for L in all_classes_sl2(F)}
         for m, L in zip(self.elements, self.labels):
             self.fiber[L].append(m)
-        self._products: dict[str, ProductTable] = {}    # by group kind
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-_tables: dict[FieldCtx, GroupTable] = {}
-
-
 def enumerate_sl2(F: FieldCtx, max_q: int = DEFAULT_MAX_Q) -> GroupTable:
-    """Complete group table; refuses q beyond the configured bound."""
+    """Complete group table, kept on F's class index; refuses q > max_q."""
     if F.q > max_q:
         raise ValueError(f"q = {F.q} exceeds the enumeration bound {max_q}")
-    table = _tables.get(F)
-    if table is None:
-        table = _tables[F] = GroupTable(F)
-    return table
+    C = class_index(F, "sl2")
+    if C.group is None:
+        C.group = GroupTable(F)
+    return C.group
 
 
 # -- class-product tables ----------------------------------------------------
 
 
 def _product_table(T: GroupTable, kind: str) -> ProductTable:
-    P = T._products.get(kind)
-    if P is None:
-        P = T._products[kind] = (_sl2_products(T) if kind == "sl2"
-                                 else _psl_products(T))
-    return P
+    C = class_index(T.field, kind)
+    if C.brute is None:
+        C.brute = _sl2_products(T) if kind == "sl2" else _psl_products(T)
+    return C.brute
 
 
 def _sl2_products(T: GroupTable) -> ProductTable:
@@ -143,8 +139,8 @@ def _psl_products(T: GroupTable) -> ProductTable:
     F = T.field
     S = _product_table(T, "sl2")
     C = class_index(F, "psl2")
-    project_bit = [1 << C.index[psl_project(F, L)] for L in S.classes.labels]
-    lift = [S.classes.index[psl_lift_pair(F, P)[0]] for P in C.labels]
+    project_bit = [1 << C.at(psl_project(F, L)) for L in S.classes.labels]
+    lift = [S.classes.at(psl_lift_pair(F, P)[0]) for P in C.labels]
 
     def fill(i, j):
         out = 0

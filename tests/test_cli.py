@@ -140,6 +140,11 @@ def test_usage_error_exit_2():
     for max_q in ("4", "0", "-3"):
         code, out, _ = run_cli(["verify", "--max-q", max_q])
         assert code == 2 and out == "", max_q
+    # --jobs and --max-q belong to verify alone
+    for argv in (["classify", "--field", "7", "--jobs", "2", "[[1,0],[0,1]]"],
+                 ["covering", "--field", "7", "--max-q", "7"]):
+        code, out, _ = run_cli(argv)
+        assert code == 2 and out == "", argv
 
 
 def test_domain_error_exit_3():
@@ -151,6 +156,8 @@ def test_domain_error_exit_3():
                  ["classify", "--field", "7", "[[1,false],[0,1]]"],
                  ["product", "--field", "7", "U[2]", "U[1]"],
                  ["product", "--field", "7", "SS[0]", "U[1]"],
+                 ["classify", "--field", "7", "[" * 100000],
+                 ["classes", "--field", "3^20"],
                  ["classify", "[[1,0],[0,1]]"]]:
         code, _, err = run_cli(argv)
         assert code == 3, argv

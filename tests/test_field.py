@@ -1,10 +1,19 @@
 """Field construction, square classes, and the quadratic solvers."""
 
+import gc
+import importlib
+import pickle
+import pkgutil
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
+import sl2prod
 from sl2prod import (diff_of_squares, eps_shift_solvable, make_field,
-                     parse_descriptor, sum_of_two_nonzero_squares)
+                     parse_descriptor, sum_of_two_nonzero_squares, verify_laws)
+from sl2prod.classes import class_index
+from sl2prod.field import LIVE_FIELDS
 
 
 def test_make_field_golden():
@@ -25,6 +34,10 @@ def test_make_field_rejections():
         make_field(3, 1)  # q = 3 < 5
     with pytest.raises(ValueError):
         make_field(5, 0)
+    # above the field bound, refused before any O(q) or big-integer work
+    for args in ((3, 20), (3, 10 ** 12), (10 ** 18 + 3,)):
+        with pytest.raises(ValueError, match="exceeds the field bound"):
+            make_field(*args)
 
 
 def test_extension_field_modulus_is_lex_smallest():
@@ -49,6 +62,48 @@ def test_one_context_per_field():
     the field are shared."""
     assert make_field(7) is make_field(7, 1) is parse_descriptor("7")
     assert make_field(3, 2) is make_field(p=3, a=2) is parse_descriptor("3^2")
+    F = make_field(7)
+    verify_laws(F, "psl2")      # the memo now holds tables with closures
+    assert pickle.loads(pickle.dumps(F)) is F
+
+
+# more fields than make_field keeps alive
+OTHER_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+assert len(OTHER_PRIMES) > LIVE_FIELDS
+
+
+def _q7_class_indices():
+    """Weak references to the class indices of a fresh q = 7 context after
+    its law tables, brute tables and verification reports are built."""
+    for p in OTHER_PRIMES:      # a context for q = 7 that no one else holds
+        make_field(p)
+    F = make_field(7)
+    refs = []
+    for kind in ("sl2", "psl2"):
+        assert verify_laws(F, kind).ok
+        C = class_index(F, kind)
+        assert C.law is not None and C.brute is not None
+        refs.append(weakref.ref(C))
+    assert class_index(F, "sl2").group is not None
+    return refs
+
+
+def test_tables_die_with_their_field():
+    refs = _q7_class_indices()
+    for p in OTHER_PRIMES:
+        make_field(p)
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_make_field_is_the_only_cache():
+    """No module keeps per-field state beside the bounded field cache."""
+    cached = []
+    for info in pkgutil.iter_modules(sl2prod.__path__):
+        module = importlib.import_module(f"sl2prod.{info.name}")
+        cached += [(info.name, name) for name, obj in vars(module).items()
+                   if hasattr(obj, "cache_info")]
+    assert cached == [("field", "_make_field")]
 
 
 def test_field_axioms_exhaustive(small_F):

@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+from sl2prod import laws
 from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      commutator_expressible_psl, inverse_class, make_field,
                      negate_class, psl_distinct_unipotent_product_by_order,
@@ -16,6 +17,8 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      psl_pair_product_via_lifts, psl_triple_product,
                      sl2_pair_product, sl2_pair_product_law,
                      sl2_triple_product)
+from sl2prod.classes import ProductTable, class_index
+from sl2prod.witness import factor_pair
 
 F5, F7 = make_field(5), make_field(7)
 
@@ -63,6 +66,50 @@ def test_rule_provenance():
         "semisimple_times_unipotent"
     assert psl_pair_product_law(F7, PSLLabel("PU", 1), PSLLabel("PU", 3)).rule == \
         "psl_unipotent_classes"
+
+
+def test_pair_laws_are_computed_once(monkeypatch):
+    """A pair law and its rule are computed once per field, into the class
+    index; repeated asks, with or without the rule, read that entry."""
+    F = make_field(11)
+    C = class_index(F, "sl2")
+    orig, calls = laws._sl2_pair, []
+    monkeypatch.setattr(laws, "_sl2_pair", lambda *a: calls.append(a) or orig(*a))
+    monkeypatch.setattr(C, "pairs", {})
+    U1 = SL2Label("U", 1)
+    law = sl2_pair_product_law(F, U1, U1)
+    assert sl2_pair_product_law(F, U1, U1) == law
+    assert sl2_pair_product(F, U1, U1) == law.classes
+    assert law.rule == "unipotent_class_square" and len(calls) == 1
+
+
+def test_pair_query_at_large_q_builds_no_table():
+    """Pair products at q = 10007 build no (q + 4)^2 table, and a law table
+    allocates a column only when a cell in it is asked for."""
+    F = make_field(10007)
+    C = class_index(F, "sl2")
+    g = (1, 1, 0, 1)
+    for L2 in (SL2Label("U", 1), SL2Label("U", F.nonsquare_rep)):
+        cert = factor_pair(F, g, SL2Label("U", 1), L2)
+        assert cert is None or cert.ok(F)
+    assert C.law is None
+    T = ProductTable(C, lambda i, j: 0)
+    assert T.pair(2, 3) == T.triple(2, 3, 4) == 0
+    assert sorted(T._columns) == [3, 4]
+
+
+def test_pair_products_reject_foreign_labels():
+    """A label that is not a class of the field is a ValueError."""
+    F = F7
+    SS0, PSS0, I = SL2Label("SS", 0), PSLLabel("PSS", 0), SL2Label("I")
+    for call in (lambda: sl2_pair_product(F, SS0, SS0),
+                 lambda: sl2_pair_product_law(F, I, SS0),
+                 lambda: sl2_triple_product(F, I, I, SS0),
+                 lambda: psl_pair_product(F, PSS0, PSS0),
+                 lambda: psl_pair_product_law(F, PSS0, PSLLabel("P1")),
+                 lambda: psl_triple_product(F, PSS0, PSS0, PSS0)):
+        with pytest.raises(ValueError, match="is not a class"):
+            call()
 
 
 def test_pair_symmetry(F):

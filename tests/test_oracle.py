@@ -214,14 +214,14 @@ def test_verify_triple_counterexamples(monkeypatch, kind, name, where, dropped):
     def broken(F, a, b):
         mask, rule = orig(F, a, b)
         if F.q == 7 and {a, b} == set(where):
-            return mask & ~(1 << C.index[dropped]), rule
+            return mask & ~(1 << C.at(dropped)), rule
         return mask, rule
     monkeypatch.setattr(laws, name, broken)
-    laws.law_table.cache_clear()
+    C.law = None        # the field's law table is refilled from the broken law
     try:
         rep = verify_laws(F7, kind, with_covering=False)
     finally:
-        laws.law_table.cache_clear()
+        C.law = None
     assert rep.triple_mismatches
     name_of = (lambda L: L) if kind == "sl2" else (lambda L: psl_project(F7, L))
     for m in rep.triple_mismatches:
