@@ -20,10 +20,10 @@ from .laws import (ProductLaw, commutator_expressible_psl,
                    psl_pair_product, psl_pair_product_law,
                    psl_pair_product_via_lifts, psl_triple_product,
                    sl2_pair_product, sl2_pair_product_law, sl2_triple_product)
-from .oracle import (GroupTable, VerificationReport, brute_commutator_set,
-                     brute_pair_product, brute_pair_product_psl,
-                     brute_triple_product, covering_numbers, enumerate_sl2,
-                     verify_laws)
+from .oracle import (EnumerationBoundError, GroupTable, VerificationReport,
+                     brute_commutator_set, brute_pair_product,
+                     brute_pair_product_psl, brute_triple_product,
+                     covering_numbers, enumerate_sl2, verify_laws)
 from .witness import (CommutatorCert, Factorization, commutator_witness_psl,
                       conjugating_element, factor_pair, factor_pair_psl,
                       macbeath_triple)

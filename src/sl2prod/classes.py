@@ -329,12 +329,14 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
 
 class ProductTable:
     """Class products of one group: cell (i, j) is the mask of C_i * C_j,
-    computed by fill(i, j) on first use."""
+    computed by fill(i, j) on first use, and each fold compose(mask, j) is
+    kept in composed."""
 
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
         self._fill = fill
         self._columns = defaultdict(lambda: [None] * len(classes.labels))   # on first use
+        self.composed: dict[tuple[int, int], int] = {}
 
     def pair(self, i: int, j: int) -> int:
         cell = self._columns[j][i]
@@ -344,11 +346,14 @@ class ProductTable:
 
     def compose(self, mask: int, j: int) -> int:
         """Mask of S * C_j for the class set S given by mask."""
-        column = self._columns[j]
-        out = 0
-        for i in bits(mask):
-            cell = column[i]
-            out |= self.pair(i, j) if cell is None else cell
+        out = self.composed.get((mask, j))
+        if out is None:
+            column = self._columns[j]
+            out = 0
+            for i in bits(mask):
+                cell = column[i]
+                out |= self.pair(i, j) if cell is None else cell
+            self.composed[mask, j] = out
         return out
 
     def triple(self, i: int, j: int, k: int) -> int:

@@ -10,41 +10,51 @@ The group table and both product tables live on the field's class indices.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the whole group per
-  representative y fills column j, on first use.  tr(x * y) = ae + bg +
-  cf + dh is read from q x q add and mul tables, and a trace other than +-2
-  fixes the class (SS[t] or NSS[t]).  Only products of trace +-2 get their
+  representative y can fill column j.  tr(x * y) = ae + bg + cf + dh is
+  read from q x q add and mul tables, and a trace other than +-2 fixes the
+  class (SS[t] or NSS[t]).  Only products of trace +-2 get their
   off-diagonal entries formed, which tell +-I and the (negative) unipotent
-  classes apart exactly as classify_sl2 does.
+  classes apart exactly as classify_sl2 does.  Such a pass fills only the
+  column of the least class of each orbit under class negation and two
+  automorphisms, sigma and phi (see _symmetries); the rest of the orbit is
+  derived from it, and the column of I is C_i * I = C_i.  That is (q+1)/2
+  passes at prime q, and 6 instead of 31 at q = 27.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
   D1 * D2.
-- Triple products and covering numbers are OR-folds over table cells;
-  verify_laws compares them with the same folds over the laws' table.
+- Triple products and covering numbers are OR-folds over table cells, each
+  distinct (mask, class) folded once (ProductTable.compose); verify_laws
+  compares them with the same folds over the laws' table.
 
 brute_pair_product(..., paranoid=True) is the literal double loop over both
 fibers with mat_mul and classify_sl2, kept as the independent reference the
 tests compare the table against.
 
-On a shared 2-core host (Python 3.11, in-process), `sl2prod verify --field
-3^3` takes 0.4-0.5 s and `--field 31` 0.6-0.7 s, against 10.9 s and 7.4 s
-with per-cell mat_mul and classify_sl2 loops and label-set laws.
+On a shared 2-core host (Python 3.11, in-process, group enumeration
+included), `sl2prod verify --field 3^3` takes 0.27-0.35 s and `--field 31`
+0.38-0.46 s, against 0.50-0.64 s and 0.74-0.86 s with a pass per column and
+no fold memo, and 10.9 s and 7.4 s with per-cell mat_mul and classify_sl2
+loops and label-set laws.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 from .field import FieldCtx
 from .mat2 import Mat, iter_sl2, mat_inv, mat_mul
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
-                      bits, class_index, classify_sl2, psl_lift_pair,
-                      psl_project, representative, sort_labels)
+                      bits, class_index, classify_sl2, negate_class,
+                      psl_lift_pair, psl_project, representative, sort_labels)
 from . import laws
 
 DEFAULT_MAX_Q = 31
+
+
+class EnumerationBoundError(ValueError):
+    """q is above the bound up to which the oracle may enumerate SL2(F_q)."""
 
 
 class GroupTable:
@@ -67,7 +77,7 @@ class GroupTable:
 def enumerate_sl2(F: FieldCtx, max_q: int = DEFAULT_MAX_Q) -> GroupTable:
     """Complete group table, kept on F's class index; refuses q > max_q."""
     if F.q > max_q:
-        raise ValueError(f"q = {F.q} exceeds the enumeration bound {max_q}")
+        raise EnumerationBoundError(f"q = {F.q} exceeds the enumeration bound {max_q}")
     C = class_index(F, "sl2")
     if C.group is None:
         C.group = GroupTable(F)
@@ -80,11 +90,15 @@ def enumerate_sl2(F: FieldCtx, max_q: int = DEFAULT_MAX_Q) -> GroupTable:
 def _product_table(T: GroupTable, kind: str) -> ProductTable:
     C = class_index(T.field, kind)
     if C.brute is None:
-        C.brute = _sl2_products(T) if kind == "sl2" else _psl_products(T)
+        C.brute = (_sl2_products(T) if kind == "sl2"
+                   else _psl_products(T.field, _product_table(T, "sl2")))
     return C.brute
 
 
-def _sl2_products(T: GroupTable) -> ProductTable:
+def _direct_columns(T: GroupTable):
+    """The base case of the SL2 table: column(j) is the list of the masks of
+    C_i * C_j over all i, from one pass over the group with the representative
+    of C_j."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
@@ -104,7 +118,6 @@ def _sl2_products(T: GroupTable) -> ProductTable:
     top = [[a * q + b for a, b, _, _ in fib] for fib in fibers]
     bottom = [[c * q + d for _, _, c, d in fib] for fib in fibers]
 
-    @lru_cache(maxsize=None)
     def column(j):
         e, f, g, h = representative(F, C.labels[j])
         me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in (e, f, g, h))
@@ -131,23 +144,68 @@ def _sl2_products(T: GroupTable) -> ProductTable:
                                 upper if lower == 0 else F.neg(lower))]
             masks.append(mask)
         return masks
+    return column
 
-    return ProductTable(C, lambda i, j: column(j)[i])
+
+def _image(perm, mask: int) -> int:
+    """Mask of the classes perm[k] for the classes k in mask."""
+    out = 0
+    for k in bits(mask):
+        out |= 1 << perm[k]
+    return out
 
 
-def _psl_products(T: GroupTable) -> ProductTable:
-    F = T.field
-    S = _product_table(T, "sl2")
+def _symmetries(F: FieldCtx, C) -> list:
+    """(classes, cells) maps for negation, sigma and phi: column classes[r]
+    has as cell cells[i] the cell i of column r with each class k moved to
+    classes[k].
+
+    C_i * (-C_r) = -(C_i * C_r), so negation leaves cells in place.  sigma
+    (conjugation by diag(nu, 1)) swaps U[1] with U[nu] and NU[1] with NU[nu];
+    phi (entrywise x -> x^p) sends SS/NSS[t] to SS/NSS[t^p].  Both are
+    automorphisms of SL2(F_q), so they move cells as they move classes."""
+    n = len(C.labels)
+    neg = [C.at(negate_class(F, L)) for L in C.labels]
+    sigma = list(range(n))
+    for kind in ("U", "NU"):
+        u, v = C.slot[kind, 1], C.slot[kind, F.nonsquare_rep]
+        sigma[u], sigma[v] = v, u
+    phi = [C.slot[L.kind, F.power(L.param, F.p)] if L.is_semisimple else k
+           for k, L in enumerate(C.labels)]
+    return [(neg, range(n)), (sigma, sigma), (phi, phi)]
+
+
+def _sl2_products(T: GroupTable) -> ProductTable:
+    """The SL2 table.  Filled in class order, a class whose column is
+    missing is the least of its orbit under _symmetries: one pass fills its
+    column (none for I, as C_i * I = C_i), and the rest of the orbit is
+    derived from it."""
+    C = class_index(T.field, "sl2")
+    n = len(C.labels)
+    direct, moves = _direct_columns(T), _symmetries(T.field, C)
+    columns: dict[int, list[int]] = {}
+    for r in range(n):
+        if r in columns:
+            continue
+        columns[r] = [1 << i for i in range(n)] if C.labels[r].is_central else direct(r)
+        todo = [r]
+        while todo:
+            s = todo.pop()
+            for perm, cells in moves:
+                if perm[s] not in columns:
+                    out = columns[perm[s]] = [0] * n
+                    for i, mask in enumerate(columns[s]):
+                        out[cells[i]] = _image(perm, mask)
+                    todo.append(perm[s])
+    return ProductTable(C, lambda i, j: columns[j][i])
+
+
+def _psl_products(F: FieldCtx, S: ProductTable) -> ProductTable:
+    """PSL2 cells projected from the SL2 table S."""
     C = class_index(F, "psl2")
-    project_bit = [1 << C.at(psl_project(F, L)) for L in S.classes.labels]
+    project = [C.at(psl_project(F, L)) for L in S.classes.labels]
     lift = [S.classes.at(psl_lift_pair(F, P)[0]) for P in C.labels]
-
-    def fill(i, j):
-        out = 0
-        for k in bits(S.pair(lift[i], lift[j])):
-            out |= project_bit[k]
-        return out
-    return ProductTable(C, fill)
+    return ProductTable(C, lambda i, j: _image(project, S.pair(lift[i], lift[j])))
 
 
 def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
@@ -352,28 +410,18 @@ def covering_numbers(F: FieldCtx, kind: str, limit: int = 8,
     full = P.classes.full
     noncentral = [k for k, L in enumerate(P.classes.labels) if not L.is_central]
 
-    cn = None
-    for n in range(1, limit + 1):
-        good = True
-        for C in noncentral:
-            S = 1 << C
-            for _ in range(n - 1):
-                S = P.compose(S, C)
-            if S != full:
-                good = False
-                break
-        if good:
-            cn = n
-            break
-
-    ecn = None
-    level = {1 << C for C in noncentral}
-    if all(S == full for S in level):
-        ecn = 1
-    else:
-        for n in range(2, limit + 1):
-            level = {P.compose(S, C) for S in level for C in noncentral}
+    def least(level, step):
+        """Least n <= limit at which every mask of level, after n - 1 steps,
+        is the whole group; None if there is none."""
+        for n in range(1, limit + 1):
+            if n > 1:
+                level = step(level)
             if all(S == full for S in level):
-                ecn = n
-                break
+                return n
+        return None
+
+    cn = least([1 << C for C in noncentral],       # C^n for each class C
+               lambda level: [P.compose(S, C) for S, C in zip(level, noncentral)])
+    ecn = least({1 << C for C in noncentral},      # every n-fold product
+                lambda level: {P.compose(S, C) for S in level for C in noncentral})
     return cn, ecn

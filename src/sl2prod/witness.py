@@ -17,6 +17,7 @@ Macbeath's theorem promise one raises WitnessError.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .field import FieldCtx, eps_shift_solvable
@@ -89,8 +90,8 @@ def _cyclic_basis(F: FieldCtx, m: Mat) -> Mat:
             v1, F.add(F.mul(c, v0), F.mul(d, v1)))
 
 
-def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> list:
-    """Every h in SL2 with h x h^-1 = y, for x, y in SL2 and x not scalar.
+def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> Iterator[Mat]:
+    """Yield every h in SL2 with h x h^-1 = y, for x, y in SL2 and x not scalar.
 
     Such h exist iff y has x's trace and is not scalar: then both are cyclic
     with one characteristic polynomial, and B = P_y P_x^-1 built from cyclic
@@ -99,14 +100,13 @@ def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> list:
     each s the det-1 points are the roots of a quadratic in t."""
     tau = mat_trace(F, x)
     if mat_trace(F, y) != tau or _is_scalar(y):
-        return []
+        return
     B = mat_mul(F, _cyclic_basis(F, y), mat_inv(F, _cyclic_basis(F, x)))
     Bx = mat_mul(F, B, x)
     # t = (-tau s +- r) / 2 with r^2 = (tau^2 - 4) s^2 + 4 / det(B)
     k = F.sub(F.mul(tau, tau), F.scalar(4))
     k0 = F.div(F.scalar(4), mat_det(F, B))
     half = F.inv(F.scalar(2))
-    out = []
     for s in range(F.q):
         r = F.sqrt(F.add(F.mul(k, F.mul(s, s)), k0))
         if r is None:
@@ -114,8 +114,7 @@ def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> list:
         mid = F.neg(F.mul(tau, s))
         for root in ((r, F.neg(r)) if r else (0,)):
             t = F.mul(F.add(mid, root), half)
-            out.append(tuple(F.add(F.mul(s, b), F.mul(t, bx)) for b, bx in zip(B, Bx)))
-    return out
+            yield tuple(F.add(F.mul(s, b), F.mul(t, bx)) for b, bx in zip(B, Bx))
 
 
 def _complete_column(F: FieldCtx, a: int, c: int) -> Mat:

@@ -13,6 +13,9 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      parse_label, parse_psl_label, parse_sl2_label,
                      psl_classify, psl_element_order, psl_lift_pair,
                      psl_project, representative)
+from sl2prod import classes
+from sl2prod.classes import ProductTable, bits, class_index
+from sl2prod.laws import law_table
 
 F5, F7 = make_field(5), make_field(7)
 
@@ -185,3 +188,33 @@ def test_canonical_label_order(F):
     labs = all_classes_sl2(F)
     assert [L.sort_key for L in labs] == sorted(L.sort_key for L in labs)
     assert str(labs[0]) == "I" and str(labs[1]) == "-I"
+
+
+def test_compose_memo(monkeypatch):
+    """compose(mask, j) equals the OR-fold of the cells (i, j) over the bits
+    i of mask, and a repeated (mask, j) neither fills a cell nor walks the
+    mask again."""
+    F = make_field(13)
+    C, law = class_index(F, "sl2"), law_table(F, "sl2")
+    fills = []
+
+    def fill(i, j):
+        fills.append((i, j))
+        return law.pair(i, j)
+    P = ProductTable(C, fill)
+    rng = random.Random(13)
+    masks = [rng.randrange(1, C.full + 1) for _ in range(30)] + [1, C.full]
+    n = len(C.labels)
+    for mask in masks:
+        for j in range(n):
+            want = 0
+            for i in bits(mask):
+                want |= law.pair(i, j)
+            assert P.compose(mask, j) == want, (mask, j)
+    assert len(P.composed) == len(set(masks)) * n
+    filled, walks = len(fills), []
+    monkeypatch.setattr(classes, "bits", lambda mask: walks.append(mask) or bits(mask))
+    for mask in masks:
+        for j in range(n):
+            P.compose(mask, j)
+    assert len(fills) == filled and walks == []

@@ -72,9 +72,10 @@ OTHER_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 
 assert len(OTHER_PRIMES) > LIVE_FIELDS
 
 
-def _q7_class_indices():
-    """Weak references to the class indices of a fresh q = 7 context after
-    its law tables, brute tables and verification reports are built."""
+def _q7_tables():
+    """Weak references to the class indices of a fresh q = 7 context and to
+    their law and brute tables, after the tables, their compose memos and
+    the verification reports are built."""
     for p in OTHER_PRIMES:      # a context for q = 7 that no one else holds
         make_field(p)
     F = make_field(7)
@@ -82,18 +83,18 @@ def _q7_class_indices():
     for kind in ("sl2", "psl2"):
         assert verify_laws(F, kind).ok
         C = class_index(F, kind)
-        assert C.law is not None and C.brute is not None
-        refs.append(weakref.ref(C))
+        assert C.law.composed and C.brute.composed
+        refs += [weakref.ref(C), weakref.ref(C.law), weakref.ref(C.brute)]
     assert class_index(F, "sl2").group is not None
     return refs
 
 
 def test_tables_die_with_their_field():
-    refs = _q7_class_indices()
+    refs = _q7_tables()
     for p in OTHER_PRIMES:
         make_field(p)
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None] * 6
 
 
 def test_make_field_is_the_only_cache():

@@ -8,14 +8,16 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
-                     brute_commutator_set, brute_pair_product,
-                     brute_pair_product_psl, brute_triple_product,
-                     classify_sl2, commutator_expressible_psl,
-                     covering_numbers, enumerate_sl2, laws, make_field,
-                     mat_det, mat_mul, psl_classify, psl_lift_pair,
-                     psl_project, psl_triple_product, representative,
-                     sl2_triple_product, verify_laws)
+from sl2prod import (EnumerationBoundError, PSLLabel, SL2Label,
+                     all_classes_psl, all_classes_sl2, brute_commutator_set,
+                     brute_pair_product, brute_pair_product_psl,
+                     brute_triple_product, classify_sl2,
+                     commutator_expressible_psl, covering_numbers,
+                     enumerate_sl2, laws, make_field, mat_det, mat_mul,
+                     oracle, psl_classify, psl_lift_pair, psl_project,
+                     psl_triple_product, representative, sl2_triple_product,
+                     verify_laws)
+from sl2prod.classes import ProductTable, class_index
 from sl2prod.cli import main as cli_main
 
 F5, F7 = make_field(5), make_field(7)
@@ -28,8 +30,14 @@ def test_enumeration_counts():
 
 
 def test_enumeration_bound():
-    with pytest.raises(ValueError):
-        enumerate_sl2(make_field(37), max_q=31)
+    F37 = make_field(37)
+    with pytest.raises(EnumerationBoundError):
+        enumerate_sl2(F37, max_q=31)
+    with pytest.raises(EnumerationBoundError):
+        verify_laws(F37, "sl2")
+    with pytest.raises(EnumerationBoundError):
+        covering_numbers(F37, "psl2")
+    assert issubclass(EnumerationBoundError, ValueError)
 
 
 def test_fibers_partition(F):
@@ -48,6 +56,61 @@ def test_brute_pair_golden():
     assert out == set(all_classes_sl2(F7)) - {SL2Label("-I")}
     for L in all_classes_sl2(F7):
         assert brute_pair_product(T7, SL2Label("I"), L) == {L}
+
+
+def _count_passes(monkeypatch):
+    """Record the class of every column that takes a group pass."""
+    passes, direct_columns = [], oracle._direct_columns
+
+    def counted(T):
+        direct = direct_columns(T)
+
+        def column(j):
+            passes.append(j)
+            return direct(j)
+        return column
+    monkeypatch.setattr(oracle, "_direct_columns", counted)
+    return passes
+
+
+# column passes of the symmetric fill: one per orbit of the classes under
+# negation, sigma and phi, but none for {I, -I}; (q+1)/2 at prime q
+SYMMETRIC_PASSES = {(5, 1): 3, (7, 1): 4, (3, 2): 4, (13, 1): 7, (5, 2): 9,
+                    (3, 3): 6}
+
+
+@pytest.mark.parametrize("pa", SYMMETRIC_PASSES, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
+    """Every SL2 column filled by its own group pass equals the column the
+    symmetric fill gives, and so do the PSL2 cells projected from each."""
+    F = make_field(*pa)
+    T = enumerate_sl2(F, max_q=F.q)
+    n = len(all_classes_sl2(F))
+    direct = oracle._direct_columns(T)
+    want = [direct(j) for j in range(n)]
+    passes = _count_passes(monkeypatch)
+    S = oracle._sl2_products(T)
+    assert [[S.pair(i, j) for i in range(n)] for j in range(n)] == want
+    assert len(passes) == SYMMETRIC_PASSES[pa]
+    if F.a == 1:
+        assert len(passes) == (F.q + 1) // 2
+    got = oracle._psl_products(F, S)
+    ref = oracle._psl_products(F, ProductTable(S.classes, lambda i, j: want[j][i]))
+    m = len(all_classes_psl(F))
+    assert [[got.pair(i, j) for i in range(m)] for j in range(m)] == \
+        [[ref.pair(i, j) for i in range(m)] for j in range(m)]
+
+
+def test_certify_column_passes(monkeypatch):
+    """verify at q = 27 and 31, both groups and covering included, makes
+    6 + 16 column passes, where a pass per column made 31 + 35."""
+    passes = _count_passes(monkeypatch)
+    for F in (make_field(3, 3), make_field(31)):
+        for kind in ("sl2", "psl2"):
+            class_index(F, kind).brute = None
+        for kind in ("sl2", "psl2"):
+            assert verify_laws(F, kind, max_q=F.q).ok
+    assert len(passes) == 22
 
 
 def test_brute_pair_symmetric(small_F):

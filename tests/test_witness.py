@@ -3,6 +3,7 @@ commutator certificates."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,21 @@ def test_conjugating_element_golden():
         from sl2prod import parse_sl2_label
         x = representative(F5, parse_sl2_label(F5, L))
         assert conjugating_element(F5, x, x) == (1, 0, 0, 1)
+
+
+def test_conjugating_element_keeps_a_running_minimum():
+    """The about 2q conjugators at q = 10007 are generated one at a time,
+    never held in a list (2.9 MB when they were)."""
+    F = make_field(10007)
+    u = representative(F, SL2Label("U", 1))
+    tracemalloc.start()
+    try:
+        h = conjugating_element(F, u, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == (1, 0, 0, 1)
+    assert peak < 0.5 * 2 ** 20
 
 
 def test_conjugating_element_validates():
