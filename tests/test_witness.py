@@ -197,11 +197,11 @@ def scan_conjugators(F, x):
 
 
 def scan_commutator(F, g):
-    """(s, u, sign_flipped) with s u s^-1 = +-g u over the enumerated group,
-    for g outside the center."""
-    T = enumerate_sl2(F)
-    unipotents = [m for m, L in zip(T.elements, T.labels) if L.kind == "U"]
-    semis = [m for m, L in zip(T.elements, T.labels) if L.is_semisimple]
+    """(s, u, sign_flipped) with s u s^-1 = +-g u, first in the order of
+    iter_sl2, for g outside the center."""
+    classified = [(m, classify_sl2(F, m, check=False)) for m in iter_sl2(F)]
+    unipotents = [m for m, L in classified if L.kind == "U"]
+    semis = [m for m, L in classified if L.is_semisimple]
     for u in unipotents:
         gu, ngu = mat_mul(F, g, u), mat_mul(F, mat_neg(F, g), u)
         for s in semis:
@@ -250,7 +250,7 @@ def degenerate_traces(F):
 @pytest.mark.parametrize("F", [F5, F7, F9], ids=["q5", "q7", "q9"])
 def test_conjugating_element_matches_scan(F):
     rng = random.Random(F.q)
-    G = enumerate_sl2(F).elements
+    G = list(iter_sl2(F))
     reps = [representative(F, L) for L in all_classes_sl2(F)]
     for x in reps:
         first = scan_conjugators(F, x)
@@ -262,7 +262,7 @@ def test_conjugating_element_matches_scan(F):
 @pytest.mark.parametrize("F", [F5, F7, F9], ids=["q5", "q7", "q9"])
 def test_commutator_witness_matches_scan(F):
     rng = random.Random(F.q)
-    G = enumerate_sl2(F).elements
+    G = list(iter_sl2(F))
     targets = [psl_representative(F, P) for P in all_classes_psl(F)]
     targets += [rng.choice(G) for _ in range(4)]
     for g in targets:
