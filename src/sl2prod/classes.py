@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .field import FieldCtx
-from .mat2 import IDENT, Mat, mat_det, mat_mul, minus_ident
+from .mat2 import IDENT, Mat, mat_mul, minus_ident, sl2
 
 _KIND_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5}
 _PSL_KIND_RANK = {"P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}
@@ -75,10 +75,10 @@ _LABEL_RE = re.compile(r"^(I|-I|P1)$|^(U|NU|SS|NSS|PU|PSS|PNSS)\[(\d+)\]$")
 
 
 def classify_sl2(F: FieldCtx, m: Mat, check: bool = True) -> SL2Label:
-    """Label of the SL2 conjugacy class of m."""
-    if check and mat_det(F, m) != 1:
-        raise ValueError(f"matrix {m} is not in SL2: det != 1")
+    """Label of the SL2 conjugacy class of m, validated by mat2.sl2 if check."""
     a, b, c, d = m
+    if check:
+        sl2(F, a, b, c, d)
     t = F.add(a, d)
     two, ntwo = F.scalar(2), F.neg(2)
     if t == two:
@@ -242,10 +242,9 @@ def parse_label(F: FieldCtx, text: str):
         return PSLLabel("P1") if m.group(1) == "P1" else SL2Label(m.group(1))
     kind, param = m.group(2), F.of(int(m.group(3)))
     if kind in ("U", "NU", "PU"):
-        if param not in (1, F.nonsquare_rep):
-            raise ValueError(
-                f"square-class parameter in {text!r} must be 1 or {F.nonsquare_rep}")
-        return PSLLabel(kind, param) if kind == "PU" else SL2Label(kind, param)
+        L = PSLLabel(kind, param) if kind == "PU" else SL2Label(kind, param)
+        _check_sc(F, L)
+        return L
     if param in (F.scalar(2), F.neg(2)):
         raise ValueError(f"trace {param} in {text!r} is central, not semisimple")
     disc = F.sub(F.mul(param, param), F.scalar(4))

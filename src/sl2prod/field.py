@@ -172,8 +172,8 @@ class FieldCtx:
     # -- basic arithmetic ------------------------------------------------
 
     def of(self, v: int) -> int:
-        if not 0 <= v < self.q:
-            raise ValueError(f"element {v} out of range for {self!r}")
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.q:
+            raise ValueError(f"element {v!r} is not an integer in 0..{self.q - 1}")
         return v
 
     def scalar(self, k: int) -> int:

@@ -31,8 +31,9 @@ brute_pair_product(..., paranoid=True) is the literal double loop over both
 fibers with mat_mul and classify_sl2, kept as the independent reference the
 tests compare the table against.
 
-On a shared 2-core host (Python 3.11, in-process, enumeration included),
-`sl2prod verify --field 3^3` takes 0.09-0.14 s and `--field 31` 0.20-0.24 s.
+enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
+(Python 3.11, in-process), `sl2prod verify --field 3^3` takes 0.09-0.14 s,
+`--field 31` 0.20-0.24 s, `--field 61` 2.4-2.5 s and `--field 127` 36 s.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
                       psl_lift_pair, psl_project, representative, sort_labels)
 from . import laws
 
-DEFAULT_MAX_Q = 31
+ENUMERATION_BOUND = 127
 
 
 class EnumerationBoundError(ValueError):
@@ -73,10 +74,12 @@ class GroupTable:
         return self.field.q * (self.field.q ** 2 - 1)
 
 
-def enumerate_sl2(F: FieldCtx, max_q: int = DEFAULT_MAX_Q) -> GroupTable:
-    """Every class fiber of SL2(F), kept on F's class index; refuses q > max_q."""
-    if F.q > max_q:
-        raise EnumerationBoundError(f"q = {F.q} exceeds the enumeration bound {max_q}")
+def enumerate_sl2(F: FieldCtx) -> GroupTable:
+    """Every class fiber of SL2(F), kept on F's class index; the one reader
+    of ENUMERATION_BOUND, checked before anything is built."""
+    if F.q > ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"q = {F.q} exceeds the enumeration bound {ENUMERATION_BOUND}")
     C = class_index(F, "sl2")
     if C.group is None:
         C.group = GroupTable(F)
@@ -281,7 +284,7 @@ class VerificationReport:
     triple_count: int = 0
     triple_mismatches: list = dc_field(default_factory=list)
     containment_failures: list = dc_field(default_factory=list)
-    covering: tuple | None = None
+    covering: tuple = ()        # (cn, ecn), filled last by verify_laws
 
     @property
     def ok(self) -> bool:
@@ -297,8 +300,7 @@ class VerificationReport:
             "triples": {"checked": self.triple_count,
                         "failures": [m.to_dict() for m in self.triple_mismatches],
                         "containment_failures": self.containment_failures},
-            "covering": (None if self.covering is None
-                         else {"cn": self.covering[0], "ecn": self.covering[1]}),
+            "covering": {"cn": self.covering[0], "ecn": self.covering[1]},
             "ok": self.ok,
         }
 
@@ -354,11 +356,10 @@ def triple_containment_expected(F, kind, trip):
 _PAIR_LAWS = {"sl2": "sl2_pair_product", "psl2": "psl_pair_product"}
 
 
-def verify_laws(F: FieldCtx, kind: str, max_q: int = DEFAULT_MAX_Q,
-                with_covering: bool = True) -> VerificationReport:
-    """Compare every pairwise and triple law with brute force."""
+def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
+    """Every pairwise and triple law against brute force, plus covering numbers."""
     C = class_index(F, kind)        # rejects a bad kind before enumerating
-    T = enumerate_sl2(F, max_q=max_q)
+    T = enumerate_sl2(F)
     report = VerificationReport(q=F.q, kind=kind)
     # read at run time, so that the law being certified is the one in place
     law_pair = getattr(laws, _PAIR_LAWS[kind])
@@ -390,29 +391,30 @@ def verify_laws(F: FieldCtx, kind: str, max_q: int = DEFAULT_MAX_Q,
                 "triple": [str(L) for L in trip],
                 "missing": [str(L) for L in sort_labels(C.labels_of(noncentral & ~got))]})
 
-    if with_covering:
-        report.covering = covering_numbers(F, kind, max_q=max_q)
+    report.covering = covering_numbers(F, kind)
     return report
 
 
 # -- covering numbers --------------------------------------------------------
 
 
-def covering_numbers(F: FieldCtx, kind: str, limit: int = 8,
-                     max_q: int = DEFAULT_MAX_Q) -> tuple:
+COVERING_LIMIT = 8
+
+
+def covering_numbers(F: FieldCtx, kind: str) -> tuple:
     """(cn, ecn) computed from literal brute n-fold class products.
 
     cn: least n with C^n = G for every non-central class C.
     ecn: least n with C_1...C_n = G for every n-tuple of non-central classes.
-    Returns None in a slot not reached within `limit`."""
+    Returns None in a slot not reached within COVERING_LIMIT factors."""
     C = class_index(F, kind)        # rejects a bad kind before enumerating
-    P = _product_table(enumerate_sl2(F, max_q=max_q), kind)
+    P = _product_table(enumerate_sl2(F), kind)
     noncentral = [k for k, L in enumerate(C.labels) if not L.is_central]
 
     def least(level, step):
-        """Least n <= limit at which every mask of level, after n - 1 steps,
-        is the whole group; None if there is none."""
-        for n in range(1, limit + 1):
+        """Least n <= COVERING_LIMIT at which every mask of level, after
+        n - 1 steps, is the whole group; None if there is none."""
+        for n in range(1, COVERING_LIMIT + 1):
             if n > 1:
                 level = step(level)
             if all(S == C.full for S in level):

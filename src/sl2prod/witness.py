@@ -1,13 +1,14 @@
 """Constructive certificates for class-product membership.
 
-Every witness is canonical-first: the first matrix, in the row-major
-lexicographic order of mat2.iter_sl2, that meets its conditions, so
-identical inputs yield identical witnesses.  None is found by enumerating
-the group.  Conjugators are the det-1 points of the linear space of
-solutions of h x = y h, found one coordinate at a time from a quadratic;
-the other searches walk a single trace fiber (mat2.iter_trace_fiber) and
-reject candidates by trace before forming a product.  So witnesses exist
-at every q, above the oracle's enumeration bound too.
+Identical inputs yield identical witnesses, and most are the first match
+in the row-major lexicographic order of mat2.iter_sl2.  Two are not: a
+factorization across two U/NU classes (see factor_pair), and Macbeath's A,
+the companion matrix whenever that has a partner.  None is found by
+enumerating the group.  Conjugators are the det-1 points of the linear
+space of solutions of h x = y h, found one coordinate at a time from a
+quadratic; the other searches walk a single trace fiber and reject
+candidates by trace before forming a product.  So witnesses exist at every
+q, above the oracle's enumeration bound too.
 
 Every returned witness is re-validated by direct multiplication and
 classification.  A construction that finds no witness where the laws or
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .field import FieldCtx, eps_shift_solvable
 from .mat2 import (IDENT, Mat, iter_trace_fiber, mat_det, mat_inv, mat_mul,
-                   mat_neg, mat_trace)
+                   mat_neg, mat_trace, sl2)
 from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
                       inverse_class, negate_class, psl_classify,
                       psl_lift_pair, representative)
@@ -64,8 +65,8 @@ class CommutatorCert:
 
 def conjugating_element(F: FieldCtx, x: Mat, y: Mat):
     """First h in canonical order with h x h^-1 = y, or None; x, y in SL2."""
-    if mat_det(F, x) != 1 or mat_det(F, y) != 1:
-        raise ValueError("conjugating_element takes two SL2 matrices")
+    for a, b, c, d in (x, y):
+        sl2(F, a, b, c, d)
     if _is_scalar(x):
         return (0, 1, F.neg(1), 0) if x == y else None    # first of iter_sl2
     return min(_conjugators(F, x, y), default=None)
@@ -194,7 +195,9 @@ def _factor_scan(F, g, L1, L2):
 
 def factor_pair(F: FieldCtx, g: Mat, L1: SL2Label, L2: SL2Label):
     """Factor g as x*y with x in L1, y in L2, or None when the product law
-    excludes g's class."""
+    excludes g's class.  For two U/NU classes it is an observation product
+    conjugated onto g by the first conjugator, in general not the first x
+    in canonical order; otherwise x is the first that fits (_factor_scan)."""
     if classify_sl2(F, g) not in sl2_pair_product(F, L1, L2):
         return None
     # unipotent-family pairs reduce to the U x U construction by sign moves

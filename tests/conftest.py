@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sl2prod import make_field
+from sl2prod import make_field, oracle
 from sl2prod.cli import DEFAULT_SUITE
 
 pytest_plugins = ["pytester"]
@@ -26,3 +26,12 @@ def F(request):
 @pytest.fixture(params=SMALL_FIELDS, ids=_qid)
 def small_F(request):
     return make_field(*request.param)
+
+
+@pytest.fixture
+def no_group_table(monkeypatch):
+    """Building an oracle group table fails the test; forked --jobs workers
+    inherit the patch."""
+    def fail(F):
+        raise AssertionError(f"group table built at q = {F.q}")
+    monkeypatch.setattr(oracle, "GroupTable", fail)

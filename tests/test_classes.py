@@ -30,6 +30,16 @@ def test_classify_golden():
         classify_sl2(F7, (1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("classify", [classify_sl2, psl_classify])
+@pytest.mark.parametrize("q,m", [(7, (1, 7, 0, 1)), (7, (1, 0.5, 0, 1)),
+                                 (7, (8, 0, 0, 1)), (9, (1, -2, 0, 1))])
+def test_classify_rejects_non_elements(classify, q, m):
+    """Entries must be integer encodings in 0..q-1, as for mat2.sl2; each of
+    these has determinant 1 modulo q yet is not a matrix over GF(q)."""
+    with pytest.raises(ValueError):
+        classify(make_field(q), m)
+
+
 def test_representative_golden():
     assert representative(F5, SL2Label("U", 1)) == (1, 1, 0, 1)
     assert representative(F7, SL2Label("SS", 1)) == (3, 0, 0, 5)

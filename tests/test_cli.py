@@ -101,7 +101,7 @@ def test_commutator_command():
 
 
 def test_commutator_above_enumeration_bound():
-    code, out, _ = run_cli(["commutator", "--field", "37", "[[1,1],[0,1]]"])
+    code, out, _ = run_cli(["commutator", "--field", "131", "[[1,1],[0,1]]"])
     data = json.loads(out)
     assert code == 0 and data["expressible"] and data["check"] == "ok"
 
@@ -154,7 +154,10 @@ def test_usage_error_exit_2():
         assert code == 2 and out == "", argv
 
 
-def test_domain_error_exit_3():
+def test_domain_error_exit_3(no_group_table):
+    """Bad input exits 3 with one error line and nothing on stdout.  verify
+    and covering above the oracle's enumeration bound are refused before a
+    group table is built."""
     for argv in [["classify", "--field", "4", "[[1,0],[0,1]]"],
                  ["classify", "--field", "3", "[[1,0],[0,1]]"],
                  ["classify", "--field", "7", "[[1,0],[0,2]]"],
@@ -165,10 +168,14 @@ def test_domain_error_exit_3():
                  ["product", "--field", "7", "SS[0]", "U[1]"],
                  ["classify", "--field", "7", "[" * 100000],
                  ["classes", "--field", "3^20"],
-                 ["classify", "[[1,0],[0,1]]"]]:
-        code, _, err = run_cli(argv)
-        assert code == 3, argv
-        assert err.startswith("error:")
+                 ["classify", "[[1,0],[0,1]]"],
+                 ["verify", "--field", "131"],
+                 ["verify", "--field", "131", "--jobs", "2"],
+                 ["covering", "--field", "131"],
+                 ["covering", "--field", "1009"]]:
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, argv
 
 
 def test_internal_error_exit_4(monkeypatch):

@@ -48,6 +48,14 @@ def test_extension_field_modulus_is_lex_smallest():
     assert F9.q == 9
 
 
+def test_element_check():
+    F7 = make_field(7)
+    assert [F7.of(v) for v in (0, 6)] == [0, 6]
+    for v in (True, False, 0.5, 1.0, -1, 7, "1", None):
+        with pytest.raises(ValueError):
+            F7.of(v)
+
+
 def test_parse_descriptor():
     assert parse_descriptor("7").q == 7
     assert parse_descriptor("3^2").q == 9

@@ -29,15 +29,24 @@ def test_enumeration_counts():
     assert enumerate_sl2(make_field(3, 2)).order == 720
 
 
-def test_enumeration_bound():
-    F37 = make_field(37)
-    with pytest.raises(EnumerationBoundError):
-        enumerate_sl2(F37, max_q=31)
-    with pytest.raises(EnumerationBoundError):
-        verify_laws(F37, "sl2")
-    with pytest.raises(EnumerationBoundError):
-        covering_numbers(F37, "psl2")
+def test_enumeration_bound(no_group_table):
+    """Above oracle.ENUMERATION_BOUND every entry point that enumerates
+    raises EnumerationBoundError before a group table is built."""
+    F131 = make_field(131)
+    for call in (lambda: enumerate_sl2(F131), lambda: verify_laws(F131, "sl2"),
+                 lambda: covering_numbers(F131, "psl2")):
+        with pytest.raises(EnumerationBoundError, match="131"):
+            call()
+    assert class_index(F131, "sl2").group is None
     assert issubclass(EnumerationBoundError, ValueError)
+
+
+def test_enumeration_bound_boundary(monkeypatch):
+    """q equal to the bound enumerates; the next odd prime above it does not."""
+    monkeypatch.setattr(oracle, "ENUMERATION_BOUND", 7)
+    assert enumerate_sl2(F7).order == 336
+    with pytest.raises(EnumerationBoundError):
+        enumerate_sl2(make_field(11))
 
 
 def test_fibers_partition(F):
@@ -110,7 +119,7 @@ def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
     """Every SL2 column filled by its own group pass equals the column the
     symmetric fill gives, and so do the PSL2 cells projected from each."""
     F = make_field(*pa)
-    T = enumerate_sl2(F, max_q=F.q)
+    T = enumerate_sl2(F)
     n = len(all_classes_sl2(F))
     direct = oracle._direct_columns(T)
     want = [direct(j) for j in range(n)]
@@ -135,7 +144,7 @@ def test_certify_column_passes(monkeypatch):
         for kind in ("sl2", "psl2"):
             class_index(F, kind).brute = None
         for kind in ("sl2", "psl2"):
-            assert verify_laws(F, kind, max_q=F.q).ok
+            assert verify_laws(F, kind).ok
     assert len(passes) == 22
 
 
@@ -201,7 +210,7 @@ def test_composed_triple_matches_literal_q5():
 
 def test_verify_reports(small_F):
     for kind in ("sl2", "psl2"):
-        rep = verify_laws(small_F, kind, with_covering=False)
+        rep = verify_laws(small_F, kind)
         assert rep.ok
         n = len(all_classes_sl2(small_F)) if kind == "sl2" \
             else len(all_classes_psl(small_F))
@@ -211,7 +220,7 @@ def test_verify_reports(small_F):
 
 
 def test_verify_pair_count_example():
-    assert verify_laws(F7, "sl2", with_covering=False).pair_count == 121
+    assert verify_laws(F7, "sl2").pair_count == 121
 
 
 def test_covering_numbers_golden():
@@ -264,7 +273,7 @@ def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped)
             return out - {dropped}
         return out
     monkeypatch.setattr(laws, name, broken)
-    rep = verify_laws(F7, kind, with_covering=False)
+    rep = verify_laws(F7, kind)
     assert not rep.ok
     assert len(rep.pair_mismatches) == 1
     assert rep.triple_mismatches == [] and rep.containment_failures == []
@@ -308,7 +317,7 @@ def test_verify_triple_counterexamples(monkeypatch, kind, name, where, dropped):
     monkeypatch.setattr(laws, name, broken)
     C.law = None        # the field's law table is refilled from the broken law
     try:
-        rep = verify_laws(F7, kind, with_covering=False)
+        rep = verify_laws(F7, kind)
     finally:
         C.law = None
     assert rep.triple_mismatches

@@ -52,6 +52,8 @@ def test_conjugating_element_validates():
     assert conjugating_element(F7, x, y) is None  # different traces
     with pytest.raises(ValueError):
         conjugating_element(F7, (1, 0, 0, 2), (1, 0, 0, 2))  # not in SL2
+    with pytest.raises(ValueError):
+        conjugating_element(F7, (1, 7, 0, 1), (1, 0, 0, 1))  # 7 is not in GF(7)
     h = conjugating_element(F7, x, (3, 1, 4, 4))
     if h is not None:
         from sl2prod import conjugate
@@ -292,10 +294,10 @@ def test_factor_scan_matches_scan_q5():
         assert got == scan_factor(F5, representative(F5, Lg), L1, L2), (Lg, L1, L2)
 
 
-# -- above the enumeration bound --------------------------------------------
+# -- large q: witnesses need no enumeration, up to and above its bound ------
 
 
-@pytest.mark.parametrize("q", [37, 101])
+@pytest.mark.parametrize("q", [37, 101, 131])
 def test_commutator_witness_above_enumeration_bound(q):
     F = make_field(q)
     for P in all_classes_psl(F):
@@ -306,7 +308,7 @@ def test_commutator_witness_above_enumeration_bound(q):
             assert cert is None, P
 
 
-def test_factor_pair_above_enumeration_bound():
+def test_factor_pair_at_q37():
     F = make_field(37)
     ss = [L for L in all_classes_sl2(F) if L.is_semisimple]
     for L1, L2 in [(ss[0], ss[-1]), (SL2Label("U", 1), SL2Label("U", F.nonsquare_rep))]:
