@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldCtx
 from .mat2 import IDENT, Mat, mat_mul, minus_ident, sl2
@@ -25,8 +25,7 @@ _KIND_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5}
 _PSL_KIND_RANK = {"P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}
 
 
-@dataclass(frozen=True)
-class SL2Label:
+class SL2Label(NamedTuple):
     kind: str          # one of I, -I, U, NU, SS, NSS
     param: int = 0     # square-class rep for U/NU, trace for SS/NSS
 
@@ -48,8 +47,7 @@ class SL2Label:
         return (_KIND_RANK[self.kind], self.param)
 
 
-@dataclass(frozen=True)
-class PSLLabel:
+class PSLLabel(NamedTuple):
     kind: str          # one of P1, PU, PSS, PNSS
     param: int = 0
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import laws, oracle, witness
 from .classes import (all_classes_psl, all_classes_sl2, classify_sl2,
@@ -162,6 +161,8 @@ def _cmd_verify(args) -> int:
     tasks = [(p, a, k) for (p, a) in fields for k in kinds]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, about 40 ms of every start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_task, tasks))
     else:

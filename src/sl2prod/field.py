@@ -115,6 +115,8 @@ class FieldCtx:
             return sum(c * powers[i] for i, c in enumerate(poly))
 
         def raw_mul(x, y):
+            if a == 1:
+                return x * y % p
             f = _poly_mod(_poly_mul(_poly_trim(tuples[x]), _poly_trim(tuples[y]), p),
                           self.modulus, p)
             return as_int(f)
@@ -135,8 +137,8 @@ class FieldCtx:
         self.nonsquare_rep = min(x for x in range(1, q) if x not in self.square_set)
 
         sqrt = {}
-        for x in range(1, q):
-            sqrt.setdefault(raw_mul(x, x), x)
+        for x in range(1, q):       # x runs upward, so the smaller root wins
+            sqrt.setdefault(exp[2 * log[x] % (q - 1)], x)
         self._sqrt = sqrt
 
     def __reduce__(self):

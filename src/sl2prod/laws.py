@@ -11,7 +11,7 @@ exact.  The oracle module certifies all of this against brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_psl,
@@ -19,8 +19,7 @@ from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_psl,
                       psl_project)
 
 
-@dataclass(frozen=True)
-class ProductLaw:
+class ProductLaw(NamedTuple):
     left: object
     right: object
     classes: frozenset

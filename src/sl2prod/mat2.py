@@ -7,7 +7,7 @@ helpers assume well-formed input and do not re-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldCtx
 
@@ -86,14 +86,12 @@ def minus_ident(F: FieldCtx) -> Mat:
 # (the Borel cell, c = 0) or X12(tau) n(alpha) X12(psi) (the big cell).
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(NamedTuple):
     alpha: int
     psi: int
 
 
-@dataclass(frozen=True)
-class BigCell:
+class BigCell(NamedTuple):
     tau: int
     alpha: int
     psi: int

@@ -39,7 +39,7 @@ enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .field import FieldCtx
 from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul
@@ -261,8 +261,7 @@ def brute_commutator_set(T: GroupTable, kind: str = "psl2") -> frozenset:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass
-class Mismatch:
+class Mismatch(NamedTuple):
     where: tuple
     law: tuple
     brute: tuple
@@ -275,16 +274,15 @@ class Mismatch:
                 "counterexample": list(self.counterexample) if self.counterexample else None}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     q: int
     kind: str
-    pair_count: int = 0
-    pair_mismatches: list = dc_field(default_factory=list)
-    triple_count: int = 0
-    triple_mismatches: list = dc_field(default_factory=list)
-    containment_failures: list = dc_field(default_factory=list)
-    covering: tuple = ()        # (cn, ecn), filled last by verify_laws
+    pair_count: int
+    pair_mismatches: list
+    triple_count: int
+    triple_mismatches: list
+    containment_failures: list
+    covering: tuple             # (cn, ecn)
 
     @property
     def ok(self) -> bool:
@@ -360,39 +358,39 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
     """Every pairwise and triple law against brute force, plus covering numbers."""
     C = class_index(F, kind)        # rejects a bad kind before enumerating
     T = enumerate_sl2(F)
-    report = VerificationReport(q=F.q, kind=kind)
     # read at run time, so that the law being certified is the one in place
     law_pair = getattr(laws, _PAIR_LAWS[kind])
     law, brute = laws.law_table(F, kind), _product_table(T, kind)
-    labels = C.labels
+    labels, n = C.labels, len(C.labels)
+    pair_mismatches, triple_mismatches, containment_failures = [], [], []
 
     for i, L1 in enumerate(labels):
         for j, L2 in enumerate(labels):
-            report.pair_count += 1
             got, want = law_pair(F, L1, L2), C.labels_of(brute.pair(i, j))
             if got != want:
                 missing = want - got
                 ce = _pair_counterexample(T, kind, L1, L2, missing) if missing else None
-                report.pair_mismatches.append(
+                pair_mismatches.append(
                     Mismatch((L1, L2), sort_labels(got), sort_labels(want), ce))
 
     noncentral = C.full & ~sum(1 << k for k, L in enumerate(labels) if L.is_central)
-    for i, j, k in itertools.combinations_with_replacement(range(len(labels)), 3):
-        report.triple_count += 1
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
         trip = (labels[i], labels[j], labels[k])
         if got != want:
             ce = _triple_counterexample(T, kind, brute, i, j, k, want & ~got)
-            report.triple_mismatches.append(
+            triple_mismatches.append(
                 Mismatch(trip, sort_labels(C.labels_of(got)),
                          sort_labels(C.labels_of(want)), ce))
         if noncentral & ~got and triple_containment_expected(F, kind, trip):
-            report.containment_failures.append({
+            containment_failures.append({
                 "triple": [str(L) for L in trip],
                 "missing": [str(L) for L in sort_labels(C.labels_of(noncentral & ~got))]})
 
-    report.covering = covering_numbers(F, kind)
-    return report
+    return VerificationReport(F.q, kind, n * n, pair_mismatches,
+                              n * (n + 1) * (n + 2) // 6,   # the triples above
+                              triple_mismatches, containment_failures,
+                              covering_numbers(F, kind))
 
 
 # -- covering numbers --------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
 from .mat2 import (IDENT, Mat, iter_trace_fiber, mat_det, mat_inv, mat_mul,
@@ -35,8 +35,7 @@ class WitnessError(RuntimeError):
     defect in sl2prod, not in its input."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     x: Mat
     y: Mat
     target: Mat
@@ -49,8 +48,7 @@ class Factorization:
                 and classify_sl2(F, self.y) == self.right)
 
 
-@dataclass(frozen=True)
-class CommutatorCert:
+class CommutatorCert(NamedTuple):
     s: Mat
     u: Mat
     target: Mat

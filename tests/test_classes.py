@@ -1,21 +1,24 @@
 """Class taxonomy: classification, representatives, negation, inversion,
 PSL projection, element orders."""
 
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
-                     classify_sl2, conjugate, inverse_class, is_q_good,
-                     iter_sl2, make_field, mat_inv, mat_neg, negate_class,
-                     parse_label, parse_psl_label, parse_sl2_label,
-                     psl_classify, psl_element_order, psl_lift_pair,
-                     psl_project, representative)
+from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
+                     ProductLaw, SL2Label, Torus, VerificationReport,
+                     all_classes_psl, all_classes_sl2, classify_sl2, conjugate,
+                     inverse_class, is_q_good, iter_sl2, make_field, mat_inv,
+                     mat_neg, negate_class, parse_label, parse_psl_label,
+                     parse_sl2_label, psl_classify, psl_element_order,
+                     psl_lift_pair, psl_project, representative)
 from sl2prod import classes
 from sl2prod.classes import ProductTable, bits, class_index
 from sl2prod.laws import law_table
+from sl2prod.oracle import Mismatch
 
 F5, F7 = make_field(5), make_field(7)
 
@@ -191,6 +194,58 @@ def test_label_parse_errors():
     with pytest.raises(ValueError):
         parse_label(F7, "Q[1]")
     assert parse_label(F7, "PSS[6]") == PSLLabel("PSS", 1)  # canonicalized
+
+
+U1, ONE = SL2Label("U", 1), SL2Label("I")
+# each record with its repr as a dataclass printed it
+RECORDS = [
+    (U1, "SL2Label(kind='U', param=1)"),
+    (PSLLabel("PU", 3), "PSLLabel(kind='PU', param=3)"),
+    (Torus(2, 3), "Torus(alpha=2, psi=3)"),
+    (BigCell(1, 2, 3), "BigCell(tau=1, alpha=2, psi=3)"),
+    (ProductLaw(ONE, U1, frozenset({U1}), "central_translation"),
+     "ProductLaw(left=SL2Label(kind='I', param=0), right=SL2Label(kind='U', param=1),"
+     " classes=frozenset({SL2Label(kind='U', param=1)}), rule='central_translation')"),
+    (Factorization((1, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), U1, ONE),
+     "Factorization(x=(1, 1, 0, 1), y=(1, 0, 0, 1), target=(1, 1, 0, 1),"
+     " left=SL2Label(kind='U', param=1), right=SL2Label(kind='I', param=0))"),
+    (CommutatorCert((3, 0, 0, 5), (1, 1, 0, 1), (1, 2, 0, 1), False),
+     "CommutatorCert(s=(3, 0, 0, 5), u=(1, 1, 0, 1), target=(1, 2, 0, 1),"
+     " sign_flipped=False)"),
+    (Mismatch((U1, U1), (ONE,), (ONE, U1)),
+     "Mismatch(where=(SL2Label(kind='U', param=1), SL2Label(kind='U', param=1)),"
+     " law=(SL2Label(kind='I', param=0),), brute=(SL2Label(kind='I', param=0),"
+     " SL2Label(kind='U', param=1)), counterexample=None)"),
+    (VerificationReport(5, "sl2", 81, [], 165, [], [], (3, 4)),
+     "VerificationReport(q=5, kind='sl2', pair_count=81, pair_mismatches=[],"
+     " triple_count=165, triple_mismatches=[], containment_failures=[],"
+     " covering=(3, 4))"),
+]
+
+
+@pytest.mark.parametrize("record,text", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_semantics(record, text):
+    """Set order and printed output rest on these: a record hashes as the
+    tuple of its fields, prints as it did as a dataclass, cannot be
+    assigned to, and pickles."""
+    fields = tuple(getattr(record, name) for name in record._fields)
+    if type(record) is not VerificationReport:     # holds lists
+        assert hash(record) == hash(fields)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_label_group_checked():
+    with pytest.raises(ValueError, match="PSL2 label, SL2 expected"):
+        parse_sl2_label(F7, "PU[1]")
+    with pytest.raises(ValueError, match="PSL2 label, SL2 expected"):
+        parse_sl2_label(F7, "P1")
+    with pytest.raises(ValueError, match="SL2 label, PSL2 expected"):
+        parse_psl_label(F7, "U[1]")
+    with pytest.raises(ValueError, match="SL2 label, PSL2 expected"):
+        parse_psl_label(F7, "-I")
 
 
 def test_canonical_label_order(F):

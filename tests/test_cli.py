@@ -3,10 +3,15 @@ library."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import sl2prod
 from sl2prod import (SL2Label, make_field, sl2_pair_product_law, sort_labels)
 from sl2prod.cli import main
 
@@ -198,10 +203,31 @@ def test_verify_jobs_flag_output_stable():
     assert a == b
 
 
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports this sl2prod."""
+    src = str(Path(sl2prod.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cold_start_imports():
+    """A CLI process loads the process pool only for verify --jobs N > 1,
+    and dataclasses never."""
+    done = run_fresh("import sys, sl2prod.cli; print(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] in ('concurrent', 'multiprocessing',"
+                     " 'dataclasses')))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    done = run_fresh("import sys, sl2prod.cli; sys.exit(sl2prod.cli.main("
+                     "['verify', '--field', '5', '--jobs', '2']))")
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(["verify", "--field", "5"])
+
+
 def test_verify_workers_clamped(monkeypatch):
     """The pool gets at most one worker per task and per CPU; a single
     worker runs in-process.  A fake pool records the request instead of
     starting processes."""
+    import concurrent.futures
     import sl2prod.cli as cli
     asked = []
 
@@ -218,7 +244,7 @@ def test_verify_workers_clamped(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     serial = run_cli(["verify", "--field", "5"])
     assert run_cli(["verify", "--field", "5", "--jobs", "3"]) == serial

@@ -13,7 +13,8 @@ import sl2prod
 from sl2prod import (diff_of_squares, eps_shift_solvable, make_field,
                      parse_descriptor, sum_of_two_nonzero_squares, verify_laws)
 from sl2prod.classes import class_index
-from sl2prod.field import LIVE_FIELDS
+from sl2prod.field import (LIVE_FIELDS, _poly_mod, _poly_mul, _poly_trim,
+                           _smallest_irreducible)
 
 
 def test_make_field_golden():
@@ -46,6 +47,50 @@ def test_extension_field_modulus_is_lex_smallest():
     F9 = make_field(3, 2)
     assert F9.modulus == (1, 0, 1)
     assert F9.q == 9
+
+
+def _polynomial_tables(p, a):
+    """A context's tables built the slow way: every product is a polynomial
+    product reduced modulo the modulus, and the generator is the least
+    element of order q - 1."""
+    q = p ** a
+    modulus = _smallest_irreducible(p, a)
+    tuples = [tuple(v // p ** i % p for i in range(a)) for v in range(q)]
+    enc = {t: v for v, t in enumerate(tuples)}
+
+    def mul(x, y):
+        f = _poly_mod(_poly_mul(_poly_trim(tuples[x]), _poly_trim(tuples[y]), p),
+                      modulus, p)
+        return sum(c * p ** i for i, c in enumerate(f))
+
+    def powers(g):
+        out = [1, g]
+        while out[-1] != 1:
+            out.append(mul(out[-1], g))
+        return out[:-1]
+
+    exp = next(e for e in map(powers, range(2, q)) if len(e) == q - 1)
+    log = [0] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    squares = [mul(x, x) for x in range(1, q)]
+    sqrt = {}
+    for x, sq in zip(range(1, q), squares):
+        sqrt.setdefault(sq, x)
+    return {"modulus": modulus, "_exp": exp, "_log": log,
+            "_neg": [enc[tuple(-c % p for c in t)] for t in tuples],
+            "_sqrt": sqrt, "square_set": frozenset(squares),
+            "nonsquare_rep": min(set(range(1, q)) - set(squares))}
+
+
+@pytest.mark.parametrize("p,a", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (31, 1),
+                                 (7, 2), (3, 4), (11, 2), (5, 3), (211, 1),
+                                 (3, 5), (7, 3)])
+def test_tables_match_polynomial_construction(p, a):
+    F = make_field(p, a)
+    assert {name: getattr(F, name) for name in
+            ("modulus", "_exp", "_log", "_neg", "_sqrt", "square_set",
+             "nonsquare_rep")} == _polynomial_tables(p, a)
 
 
 def test_element_check():
