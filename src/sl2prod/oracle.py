@@ -361,11 +361,13 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
     # read at run time, so that the law being certified is the one in place
     law_pair = getattr(laws, _PAIR_LAWS[kind])
     law, brute = laws.law_table(F, kind), _product_table(T, kind)
-    labels, n = C.labels, len(C.labels)
+    labels = C.labels
+    pairs = triples = 0
     pair_mismatches, triple_mismatches, containment_failures = [], [], []
 
     for i, L1 in enumerate(labels):
         for j, L2 in enumerate(labels):
+            pairs += 1
             got, want = law_pair(F, L1, L2), C.labels_of(brute.pair(i, j))
             if got != want:
                 missing = want - got
@@ -374,7 +376,8 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
                     Mismatch((L1, L2), sort_labels(got), sort_labels(want), ce))
 
     noncentral = C.full & ~sum(1 << k for k, L in enumerate(labels) if L.is_central)
-    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+    for i, j, k in itertools.combinations_with_replacement(range(len(labels)), 3):
+        triples += 1
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
         trip = (labels[i], labels[j], labels[k])
         if got != want:
@@ -387,8 +390,7 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
                 "triple": [str(L) for L in trip],
                 "missing": [str(L) for L in sort_labels(C.labels_of(noncentral & ~got))]})
 
-    return VerificationReport(F.q, kind, n * n, pair_mismatches,
-                              n * (n + 1) * (n + 2) // 6,   # the triples above
+    return VerificationReport(F.q, kind, pairs, pair_mismatches, triples,
                               triple_mismatches, containment_failures,
                               covering_numbers(F, kind))
 

@@ -212,15 +212,12 @@ def run_fresh(code):
 
 
 def test_cold_start_imports():
-    """A CLI process loads the process pool only for verify --jobs N > 1,
-    and dataclasses never."""
+    """Importing the CLI loads neither the process pool nor dataclasses;
+    the pool is imported by verify --jobs N > 1 alone."""
     done = run_fresh("import sys, sl2prod.cli; print(sorted(m for m in sys.modules"
                      " if m.split('.')[0] in ('concurrent', 'multiprocessing',"
                      " 'dataclasses')))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
-    done = run_fresh("import sys, sl2prod.cli; sys.exit(sl2prod.cli.main("
-                     "['verify', '--field', '5', '--jobs', '2']))")
-    assert (done.returncode, done.stdout, done.stderr) == run_cli(["verify", "--field", "5"])
 
 
 def test_verify_workers_clamped(monkeypatch):
