@@ -285,11 +285,12 @@ def bits(mask: int):
 class ClassIndex:
     """The classes of one group over one field, in canonical order; class k
     is bit k of a class-set mask.  Its tables are filled on first use: pairs
-    (the label set and rule of each pair query) and law by laws, brute and
-    (SL2 only) group by the oracle."""
+    (the label set and rule of each pair query), shifts (the semisimple masks
+    of laws._semisimple_by_shift) and law by laws, brute and (SL2 only) group
+    by the oracle."""
 
     def __init__(self, labels):
-        self.law = self.brute = self.group = None
+        self.law = self.brute = self.group = self.shifts = None
         self.pairs: dict[tuple, tuple[frozenset, str]] = {}
         self.labels = labels
         self.full = (1 << len(labels)) - 1
@@ -329,7 +330,8 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
 class ProductTable:
     """Class products of one group: cell (i, j) is the mask of C_i * C_j,
     computed by fill(i, j) on first use, and each fold compose(mask, j) is
-    kept in composed."""
+    kept in composed.  A fold stops once it is the whole group, so the cells
+    of mask past that point stay unfilled."""
 
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
@@ -347,11 +349,13 @@ class ProductTable:
         """Mask of S * C_j for the class set S given by mask."""
         out = self.composed.get((mask, j))
         if out is None:
-            column = self._columns[j]
+            column, full = self._columns[j], self.classes.full
             out = 0
             for i in bits(mask):
                 cell = column[i]
                 out |= self.pair(i, j) if cell is None else cell
+                if out == full:     # no further cell can change the fold
+                    break
             self.composed[mask, j] = out
         return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _cartesian
 
-MAX_FIELD_ORDER = 10 ** 5     # a context takes about 0.35 KB per element
+MAX_FIELD_ORDER = 10 ** 5     # a context takes up to about 0.35 KB per element
 LIVE_FIELDS = 16              # contexts make_field keeps alive
 
 
@@ -101,15 +101,19 @@ class FieldCtx:
         self.modulus = _smallest_irreducible(p, a)
 
         powers = [p ** i for i in range(a)]
-        tuples = []
-        for v in range(q):
-            rest, coeffs = v, []
-            for _ in range(a):
-                rest, c = divmod(rest, p)
-                coeffs.append(c)
-            tuples.append(tuple(coeffs))
-        self._tuples = tuples
-        self._enc = {t: i for i, t in enumerate(tuples)}
+        # coefficient tuples and their encodings; a prime field's add and
+        # neg are plain integer arithmetic and need neither
+        self._tuples = self._enc = tuples = None
+        if a > 1:
+            tuples = []
+            for v in range(q):
+                rest, coeffs = v, []
+                for _ in range(a):
+                    rest, c = divmod(rest, p)
+                    coeffs.append(c)
+                tuples.append(tuple(coeffs))
+            self._tuples = tuples
+            self._enc = {t: i for i, t in enumerate(tuples)}
 
         def as_int(poly):
             return sum(c * powers[i] for i, c in enumerate(poly))
@@ -131,7 +135,8 @@ class FieldCtx:
             log[acc] = k
         self._exp, self._log = exp, log
 
-        self._neg = [self._enc[tuple((-c) % p for c in t)] for t in tuples]
+        self._neg = ([(-x) % p for x in range(q)] if a == 1 else
+                     [self._enc[tuple((-c) % p for c in t)] for t in tuples])
 
         self.square_set = frozenset(exp[k] for k in range(0, q - 1, 2))
         self.nonsquare_rep = min(x for x in range(1, q) if x not in self.square_set)

@@ -34,14 +34,18 @@ def _solvable_unipotents(F, C, kind, e1, e2):
 
 
 def _semisimple_by_shift(F, C, shift, cls):
-    """Mask of the semisimple classes with class(shift - t) == class(cls)."""
-    out = 0
-    for k, L in enumerate(C.labels):
-        if L.is_semisimple:
-            v = F.sub(shift, L.param)
-            if v and F.same_class(v, cls):
-                out |= 1 << k
-    return out
+    """Mask of the semisimple classes with class(shift - t) == class(cls),
+    for shift = 2 or -2.  The four masks, one per shift and square class,
+    are built in one pass over the classes and kept on C; a semisimple
+    trace t is never +-2, so shift - t is a unit."""
+    if C.shifts is None:
+        shifts = (F.scalar(2), F.neg(F.scalar(2)))
+        C.shifts = {(s, square): 0 for s in shifts for square in (True, False)}
+        for k, L in enumerate(C.labels):
+            if L.is_semisimple:
+                for s in shifts:
+                    C.shifts[s, F.is_square(F.sub(s, L.param))] |= 1 << k
+    return C.shifts[shift, F.is_square(cls)]
 
 
 def sl2_pair_product_law(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> ProductLaw:

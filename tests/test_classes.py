@@ -257,7 +257,8 @@ def test_canonical_label_order(F):
 def test_compose_memo(monkeypatch):
     """compose(mask, j) equals the OR-fold of the cells (i, j) over the bits
     i of mask, and a repeated (mask, j) neither fills a cell nor walks the
-    mask again."""
+    mask again.  A fold stops at the whole group: a mask whose first cell is
+    the whole group fills that one cell."""
     F = make_field(13)
     C, law = class_index(F, "sl2"), law_table(F, "sl2")
     fills = []
@@ -282,3 +283,10 @@ def test_compose_memo(monkeypatch):
         for j in range(n):
             P.compose(mask, j)
     assert len(fills) == filled and walks == []
+
+    fills.clear()
+    P = ProductTable(C, fill)
+    i, j = next((i, j) for j in range(n) for i in range(n)
+                if law.pair(i, j) == C.full)
+    assert P.compose(C.full >> i << i, j) == C.full
+    assert fills == [(i, j)]

@@ -91,6 +91,8 @@ def test_tables_match_polynomial_construction(p, a):
     assert {name: getattr(F, name) for name in
             ("modulus", "_exp", "_log", "_neg", "_sqrt", "square_set",
              "nonsquare_rep")} == _polynomial_tables(p, a)
+    # a prime field's add and neg read no coefficient tuples, so it has none
+    assert (F._tuples is None and F._enc is None) == (a == 1)
 
 
 def test_element_check():

@@ -83,6 +83,33 @@ def test_pair_laws_are_computed_once(monkeypatch):
     assert law.rule == "unipotent_class_square" and len(calls) == 1
 
 
+def _semisimple_by_shift_scan(F, C, shift, cls):
+    """The reference for laws._semisimple_by_shift: a scan over the classes
+    for every ask."""
+    out = 0
+    for k, L in enumerate(C.labels):
+        if L.is_semisimple:
+            v = F.sub(shift, L.param)
+            if v and F.same_class(v, cls):
+                out |= 1 << k
+    return out
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (3, 3), (31, 1), (211, 1),
+                                (3, 5)], ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_shift_masks_match_scan(pa):
+    """The four masks kept for _semisimple_by_shift give the scan's mask at
+    both shifts and every unit, in both groups."""
+    F = make_field(*pa)
+    for kind in ("sl2", "psl2"):
+        C = class_index(F, kind)
+        for shift in (F.scalar(2), F.neg(F.scalar(2))):
+            for cls in F.units():
+                assert laws._semisimple_by_shift(F, C, shift, cls) == \
+                    _semisimple_by_shift_scan(F, C, shift, cls), (kind, shift, cls)
+        assert len(C.shifts) == 4
+
+
 def test_pair_query_at_large_q_builds_no_table():
     """Pair products at q = 10007 build no (q + 4)^2 table, and a law table
     allocates a column only when a cell in it is asked for."""

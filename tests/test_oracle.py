@@ -94,15 +94,17 @@ def test_brute_pair_golden():
 
 
 def _count_passes(monkeypatch):
-    """Record the class of every column that takes a group pass."""
+    """Record (class, fiber rows walked) for every column that takes a
+    group pass; the rows given as known are not walked."""
     passes, direct_columns = [], oracle._direct_columns
 
     def counted(T):
         direct = direct_columns(T)
+        n = len(T.fiber)
 
-        def column(j):
-            passes.append(j)
-            return direct(j)
+        def column(j, known=None):
+            passes.append((j, n - len(known or {})))
+            return direct(j, known)
         return column
     monkeypatch.setattr(oracle, "_direct_columns", counted)
     return passes
@@ -138,7 +140,9 @@ def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
 
 def test_certify_column_passes(monkeypatch):
     """verify at q = 27 and 31, both groups and covering included, makes
-    6 + 16 column passes, where a pass per column made 31 + 35."""
+    6 + 16 column passes, where a pass per column made 31 + 35.  Those
+    passes walk 369 fiber rows, where walking every row took 6 * 31 +
+    16 * 35 = 746."""
     passes = _count_passes(monkeypatch)
     for F in (make_field(3, 3), make_field(31)):
         for kind in ("sl2", "psl2"):
@@ -146,6 +150,7 @@ def test_certify_column_passes(monkeypatch):
         for kind in ("sl2", "psl2"):
             assert verify_laws(F, kind).ok
     assert len(passes) == 22
+    assert sum(rows for _, rows in passes) == 369
 
 
 def test_brute_pair_symmetric(small_F):
