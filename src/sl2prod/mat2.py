@@ -1,12 +1,16 @@
-"""2x2 matrices over GF(q) and the sharp Bruhat decomposition.
+"""2x2 matrices over GF(q), the sharp Bruhat decomposition, and trace fibers.
 
 Matrices are row-major 4-tuples (a, b, c, d) of canonical field encodings.
 The SL2 constructor validates entries and the determinant; the arithmetic
-helpers assume well-formed input and do not re-check.
+helpers assume well-formed input and do not re-check.  iter_trace_fiber
+walks the elements of one trace in canonical order, and fiber_solutions
+yields, in the same order, those x of a fiber with tr(x y) in a given set,
+solving one quadratic per row instead of walking the fiber.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 from .field import FieldCtx
@@ -174,6 +178,7 @@ def iter_trace_fiber(F: FieldCtx, t: int):
     """The q^2 + O(q) elements of SL2(F) with trace t, in the canonical order
     of iter_sl2: a runs over F, d = t - a, and b*c = a*d - 1 is solved for c."""
     q = F.q
+    invs = [0] + [F.inv(b) for b in range(1, q)]
     for a in range(q):
         d = F.sub(t, a)
         bc = F.sub(F.mul(a, d), 1)
@@ -184,4 +189,50 @@ def iter_trace_fiber(F: FieldCtx, t: int):
                 yield (a, b, 0, d)
         else:
             for b in range(1, q):
-                yield (a, b, F.div(bc, b), d)
+                yield (a, b, F.mul(bc, invs[b]), d)
+
+
+def fiber_solutions(F: FieldCtx, t: int, y: Mat, rs):
+    """The x of iter_trace_fiber(F, t) with tr(x y) in rs (distinct values),
+    in the same order.  For x = [[a, b], [c, t - a]] and y = [[e, f], [g, h]],
+    tr(x y) = a (e - h) + t h + g b + f c, so each row a is bc_solutions
+    for m = a (t - a) - 1 and R = r - t h - a (e - h)."""
+    e, f, g, h = y
+    eh = F.sub(e, h)
+    r0s = [F.sub(r, F.mul(t, h)) for r in rs]
+    for a in range(F.q):
+        d = F.sub(t, a)
+        m = F.sub(F.mul(a, d), 1)
+        k = F.mul(a, eh)
+        row = [bc_solutions(F, m, g, f, F.sub(r0, k)) for r0 in r0s]
+        for b, c in row[0] if len(row) == 1 else heapq.merge(*row):
+            yield (a, b, c, d)
+
+
+def bc_solutions(F: FieldCtx, m: int, g: int, f: int, R: int):
+    """The (b, c) with b c = m and g b + f c = R, in increasing order.  Most
+    cases have at most two, the roots of g b^2 - R b + f m = 0; the
+    degenerate ones (m = 0, or g = 0 with f = R = 0) have about q, and
+    those are yielded lazily, so a first-match search stops early."""
+    if m == 0:      # b = 0 with f c = R, then c = 0 with g b = R and b != 0
+        if f:
+            yield 0, F.div(R, f)
+        elif R == 0:
+            yield from ((0, c) for c in range(F.q))
+        if g and R:
+            yield F.div(R, g), 0
+        elif g == R == 0:
+            yield from ((b, 0) for b in range(1, F.q))
+    elif g == 0:    # R b = f m, with b != 0, so c = R / f
+        if R and f:
+            yield F.div(F.mul(f, m), R), F.div(R, f)
+        elif R == f == 0:
+            yield from ((b, F.div(m, b)) for b in range(1, F.q))
+    else:           # b = (R +- root) / 2g, root^2 = R^2 - 4 g f m
+        root = F.sqrt(F.sub(F.mul(R, R), F.mul(F.scalar(4), F.mul(g, F.mul(f, m)))))
+        if root is None:
+            return
+        half_g = F.inv(F.add(g, g))
+        bs = {F.mul(F.add(R, root), half_g), F.mul(F.sub(R, root), half_g)}
+        for b in sorted(bs - {0}):
+            yield b, F.div(m, b)

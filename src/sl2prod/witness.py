@@ -6,9 +6,10 @@ factorization across two U/NU classes (see factor_pair), and Macbeath's A,
 the companion matrix whenever that has a partner.  None is found by
 enumerating the group.  Conjugators are the det-1 points of the linear
 space of solutions of h x = y h, found one coordinate at a time from a
-quadratic; the other searches walk a single trace fiber and reject
-candidates by trace before forming a product.  So witnesses exist at every
-q, above the oracle's enumeration bound too.
+quadratic; the other searches ask mat2.fiber_solutions for the elements of
+one trace fiber with a prescribed tr(x y), a quadratic per row of the
+fiber, and test only those.  So witnesses exist at every q, above the
+oracle's enumeration bound too.
 
 Every returned witness is re-validated by direct multiplication and
 classification.  A construction that finds no witness where the laws or
@@ -22,8 +23,8 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
-from .mat2 import (IDENT, Mat, iter_trace_fiber, mat_det, mat_inv, mat_mul,
-                   mat_neg, mat_trace, sl2)
+from .mat2 import (IDENT, Mat, fiber_solutions, iter_trace_fiber, mat_det,
+                   mat_inv, mat_mul, mat_neg, mat_trace, sl2)
 from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
                       inverse_class, negate_class, psl_classify,
                       psl_lift_pair, representative)
@@ -72,12 +73,6 @@ def conjugating_element(F: FieldCtx, x: Mat, y: Mat):
 
 def _is_scalar(m: Mat) -> bool:
     return m[1] == 0 and m[2] == 0 and m[0] == m[3]
-
-
-def _trace_of_product(F: FieldCtx, x: Mat, y: Mat) -> int:
-    """tr(x y), with four products instead of mat_mul's eight."""
-    return F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
-                 F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
 
 
 def _cyclic_basis(F: FieldCtx, m: Mat) -> Mat:
@@ -175,14 +170,12 @@ def _factor_unipotent_pair(F, g, L1, L2):
 
 def _factor_scan(F, g, L1, L2):
     """Deterministic fallback: first x in the canonical order of L1's class
-    with x^-1 g in L2, walking L1's trace fiber."""
+    with x^-1 g in L2, among the x of L1's trace fiber with that tr(x g)."""
     t1 = mat_trace(F, representative(F, L1))
     # y = x^-1 g needs L2's trace t2, and x^-1 = t1 I - x in SL2, so
     # tr(x g) = t1 tr(g) - t2 rejects x before y is formed
     want = F.sub(F.mul(t1, mat_trace(F, g)), mat_trace(F, representative(F, L2)))
-    for x in iter_trace_fiber(F, t1):
-        if _trace_of_product(F, x, g) != want:
-            continue
+    for x in fiber_solutions(F, t1, g, (want,)):
         if classify_sl2(F, x, check=False) != L1:
             continue
         y = mat_mul(F, mat_inv(F, x), g)
@@ -253,7 +246,8 @@ def macbeath_triple(F: FieldCtx, alpha: int, beta: int, gamma: int):
         L = classify_sl2(F, A, check=False)
         if L in no_partner:
             continue
-        B = _find_second(F, A, beta, gamma)
+        # first B in canonical order with tr(B) = beta and tr(B A) = gamma
+        B = next(fiber_solutions(F, beta, A, (gamma,)), None)
         if B is None:
             no_partner.add(L)
             continue
@@ -263,14 +257,6 @@ def macbeath_triple(F: FieldCtx, alpha: int, beta: int, gamma: int):
             raise WitnessError(f"A*B*C != I for traces {(alpha, beta, gamma)}")
         return A, B, C
     raise WitnessError(f"trace triple {(alpha, beta, gamma)} not realizable")
-
-
-def _find_second(F, A, beta, gamma):
-    """First B in canonical order with tr(B) = beta, det 1, tr(A*B) = gamma."""
-    for B in iter_trace_fiber(F, beta):
-        if _trace_of_product(F, A, B) == gamma:
-            return B
-    return None
 
 
 def commutator_witness_psl(F: FieldCtx, g: Mat):
@@ -290,14 +276,14 @@ def commutator_witness_psl(F: FieldCtx, g: Mat):
         flipped = g != IDENT
         return CommutatorCert(s, IDENT, g, flipped)
     two, ntwo = F.scalar(2), F.neg(2)
-    for u in iter_trace_fiber(F, two):
+    for u in fiber_solutions(F, two, g, (two, ntwo)):
         if u == IDENT:
             continue
-        t = _trace_of_product(F, g, u)
-        if t not in (two, ntwo):
-            continue
-        flipped = t == ntwo
-        target = mat_mul(F, mat_neg(F, g) if flipped else g, u)
+        gu = mat_mul(F, g, u)
+        flipped = mat_trace(F, gu) == ntwo
+        target = mat_neg(F, gu) if flipped else gu
+        if classify_sl2(F, target, check=False) != classify_sl2(F, u, check=False):
+            continue    # not conjugate, so no s at all
         s = min((h for h in _conjugators(F, u, target)
                  if mat_trace(F, h) not in (two, ntwo)), default=None)
         if s is not None:

@@ -188,7 +188,7 @@ def test_internal_error_exit_4(monkeypatch):
     raise that survives python -O, and the CLI reports it with exit code 4
     and one line, without a traceback."""
     from sl2prod import witness
-    monkeypatch.setattr(witness, "_find_second", lambda F, A, beta, gamma: None)
+    monkeypatch.setattr(witness, "fiber_solutions", lambda F, t, y, rs: iter(()))
     with pytest.raises(witness.WitnessError):
         witness.macbeath_triple(make_field(7), 1, 1, 1)
     code, out, err = run_cli(["macbeath", "--field", "7", "1", "1", "1"])

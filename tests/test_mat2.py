@@ -1,5 +1,6 @@
 """Matrix arithmetic and the sharp Bruhat decomposition."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from sl2prod import (BigCell, Torus, bruhat_compose, bruhat_decompose,
                      bruhat_product, bruhat_trace, conjugate, iter_sl2,
                      make_field, mat_det, mat_inv, mat_mul, mat_pow,
                      mat_trace, sl2)
-from sl2prod.mat2 import iter_trace_fiber
+from sl2prod.mat2 import bc_solutions, fiber_solutions, iter_trace_fiber
 
 F7 = make_field(7)
 I2 = (1, 0, 0, 1)
@@ -49,6 +50,43 @@ def test_trace_fibers_in_canonical_order(small_F):
     for t in F.elements():
         assert list(iter_trace_fiber(F, t)) == [m for m in group
                                                 if mat_trace(F, m) == t], t
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2)], ids=["q5", "q7", "q9"])
+def test_bc_solutions_match_enumeration(pa):
+    """Every (m, g, f, R) in F^4: the (b, c) with b c = m and g b + f c = R,
+    against a literal enumeration of all (b, c) in lexicographic order."""
+    F = make_field(*pa)
+    pairs = {m: [(b, c) for b in F.elements() for c in F.elements()
+                 if F.mul(b, c) == m] for m in F.elements()}
+    for m, g, f, R in itertools.product(F.elements(), repeat=4):
+        want = [(b, c) for b, c in pairs[m]
+                if F.add(F.mul(g, b), F.mul(f, c)) == R]
+        assert list(bc_solutions(F, m, g, f, R)) == want, (m, g, f, R)
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (11, 1)],
+                         ids=["q5", "q7", "q9", "q11"])
+def test_fiber_solutions_match_filtered_walk(pa):
+    """fiber_solutions is iter_trace_fiber filtered by tr(x y), for every t,
+    every single r and the pair (2, -2), over seeded y: random ones, diagonal
+    ones (f = g = 0) and triangular ones (f or g = 0)."""
+    F = make_field(*pa)
+    rng = random.Random(F.q)
+    G = list(iter_sl2(F))
+    diagonal = [m for m in G if m[1] == 0 and m[2] == 0]
+    upper = [m for m in G if m[2] == 0 and m[1]]
+    lower = [m for m in G if m[1] == 0 and m[2]]
+    ys = (rng.sample(G, 4) + rng.sample(diagonal, 3) + rng.sample(upper, 2)
+          + rng.sample(lower, 2))
+    rss = [(r,) for r in F.elements()] + [(F.scalar(2), F.neg(2))]
+    for y in ys:
+        for t in F.elements():
+            walk = [(x, mat_trace(F, mat_mul(F, x, y)))
+                    for x in iter_trace_fiber(F, t)]
+            for rs in rss:
+                want = [x for x, r in walk if r in rs]
+                assert list(fiber_solutions(F, t, y, rs)) == want, (y, t, rs)
 
 
 def test_group_order(F):

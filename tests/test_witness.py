@@ -15,6 +15,7 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      mat_trace, psl_classify, psl_element_order,
                      psl_representative, representative, sl2_pair_product,
                      witness)
+from sl2prod.mat2 import IDENT, fiber_solutions, iter_trace_fiber
 
 F5, F7, F9 = make_field(5), make_field(7), make_field(3, 2)
 
@@ -288,10 +289,143 @@ def test_macbeath_matches_scan(F):
 
 def test_factor_scan_matches_scan_q5():
     labs = all_classes_sl2(F5)
-    for Lg, L1, L2 in itertools.product(labs, repeat=3):
-        cert = witness._factor_scan(F5, representative(F5, Lg), L1, L2)
+    for g, L1, L2 in itertools.product(seeded_targets(F5, labs), labs, labs):
+        cert = witness._factor_scan(F5, g, L1, L2)
         got = None if cert is None else (cert.x, cert.y)
-        assert got == scan_factor(F5, representative(F5, Lg), L1, L2), (Lg, L1, L2)
+        assert got == scan_factor(F5, g, L1, L2), (g, L1, L2)
+
+
+# -- the trace-fiber walks that fiber_solutions replaced --------------------
+
+
+def random_sl2(F, rng):
+    """A seeded element of SL2(F) with a nonzero top-left entry."""
+    a, b, c = rng.randrange(1, F.q), rng.randrange(F.q), rng.randrange(F.q)
+    return (a, b, c, F.div(F.add(1, F.mul(b, c)), a))
+
+
+def seeded_targets(F, labels, rep=representative):
+    """Each class representative, then one seeded conjugate of each."""
+    rng = random.Random(F.q)
+    reps = [rep(F, L) for L in labels]
+    return reps + [conjugate(F, random_sl2(F, rng), g) for g in reps]
+
+
+def trace_of_product(F, x, y):
+    """tr(x y), with four products instead of mat_mul's eight."""
+    return F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
+                 F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
+
+
+def walk_factor_scans(F, g, L1, labels):
+    """{L2: (x, y) or None} by the walk _factor_scan made before it solved
+    for x: L1's trace fiber in canonical order, each x rejected by tr(x g)
+    before its class and x^-1 g are checked.  One walk serves every L2."""
+    t1 = mat_trace(F, representative(F, L1))
+    walk = [(x, trace_of_product(F, x, g)) for x in iter_trace_fiber(F, t1)]
+    out = dict.fromkeys(labels)
+    for L2 in labels:
+        want = F.sub(F.mul(t1, mat_trace(F, g)),
+                     mat_trace(F, representative(F, L2)))
+        for x, t in walk:
+            if t != want or classify_sl2(F, x, check=False) != L1:
+                continue
+            y = mat_mul(F, mat_inv(F, x), g)
+            if classify_sl2(F, y, check=False) == L2:
+                out[L2] = (x, y)
+                break
+    return out
+
+
+def walk_partners(F, A, beta):
+    """{gamma: first B of the trace-beta fiber with tr(A B) = gamma}, the walk
+    that found Macbeath's B before fiber_solutions, one pass for every gamma."""
+    first = {}
+    for B in iter_trace_fiber(F, beta):
+        first.setdefault(trace_of_product(F, A, B), B)
+    return first
+
+
+def walk_commutator(F, g):
+    """(s, u, sign_flipped) by the u loop of commutator_witness_psl before
+    fiber_solutions: the trace-2 fiber in canonical order, I skipped, each u
+    rejected by tr(g u) before its conjugators are searched."""
+    two, ntwo = F.scalar(2), F.neg(2)
+    for u in iter_trace_fiber(F, two):
+        if u == IDENT:
+            continue
+        t = trace_of_product(F, g, u)
+        if t not in (two, ntwo):
+            continue
+        flipped = t == ntwo
+        target = mat_mul(F, mat_neg(F, g) if flipped else g, u)
+        s = min((h for h in witness._conjugators(F, u, target)
+                 if mat_trace(F, h) not in (two, ntwo)), default=None)
+        if s is not None:
+            return s, u, flipped
+    return None
+
+
+WALKED = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+SAMPLED = [(5, 2), (3, 3), (31, 1)]
+
+
+def _ids(fields):
+    return [f"q{p ** a}" for p, a in fields]
+
+
+def sample(F, population, k):
+    population = list(population)
+    return random.Random(F.q).sample(population, min(k, len(population)))
+
+
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+def test_factor_scan_matches_walk(pa):
+    """Every (g, L1, L2) with g a class representative or a seeded conjugate
+    of one at q <= 13; a seeded sample of (g, L1), with every L2, above."""
+    F = make_field(*pa)
+    labs = all_classes_sl2(F)
+    cases = list(itertools.product(seeded_targets(F, labs), labs))
+    if pa in SAMPLED:
+        cases = sample(F, cases, 15)
+    for g, L1 in cases:
+        walk = walk_factor_scans(F, g, L1, labs)
+        for L2 in labs:
+            cert = witness._factor_scan(F, g, L1, L2)
+            got = None if cert is None else (cert.x, cert.y)
+            assert got == walk[L2], (g, L1, L2)
+
+
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+def test_macbeath_partner_matches_walk(pa):
+    """Macbeath's B for every (A, beta, gamma), A a class representative or
+    a seeded conjugate of one, at q <= 13; a seeded sample of (A, beta),
+    with every gamma, above."""
+    F = make_field(*pa)
+    cases = list(itertools.product(seeded_targets(F, all_classes_sl2(F)),
+                                   F.elements()))
+    if pa in SAMPLED:
+        cases = sample(F, cases, 12)
+    for A, beta in cases:
+        first = walk_partners(F, A, beta)
+        for gamma in F.elements():
+            got = next(fiber_solutions(F, beta, A, (gamma,)), None)
+            assert got == first.get(gamma), (A, beta, gamma)
+
+
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+def test_commutator_witness_matches_walk(pa):
+    """Every expressible non-central class, as its representative and as a
+    seeded conjugate, at q <= 13; a seeded sample of them above."""
+    F = make_field(*pa)
+    labs = [P for P in all_classes_psl(F)
+            if commutator_expressible_psl(F, P) and not P.is_central]
+    targets = seeded_targets(F, labs, psl_representative)
+    if pa in SAMPLED:
+        targets = sample(F, targets, 6)
+    for g in targets:
+        cert = commutator_witness_psl(F, g)
+        assert (cert.s, cert.u, cert.sign_flipped) == walk_commutator(F, g), g
 
 
 # -- large q: witnesses need no enumeration, up to and above its bound ------
@@ -321,3 +455,25 @@ def test_factor_pair_at_q37():
         assert mat_mul(F, mat_mul(F, A, B), C) == (1, 0, 0, 1)
         assert (mat_trace(F, A), mat_trace(F, B), mat_trace(F, C)) == triple
 
+
+@pytest.mark.parametrize("q", [1009, 10007])
+def test_solved_searches_at_large_q(q):
+    """The three searches that walked a whole trace fiber (two factor_pair
+    cases, the commutator, a degenerate Macbeath triple), on inputs where the
+    walk was longest: a diagonal target puts every solution of tr(x g) = r in
+    a single row of the fiber.  Correctness only; nothing is timed."""
+    F = make_field(q)
+    labs = all_classes_sl2(F)
+    ss = [L for L in labs if L.kind == "SS"]
+    nss = [L for L in labs if L.kind == "NSS"]
+    for L1, L2 in [(ss[1], nss[0]), (SL2Label("U", 1), ss[1])]:
+        admitted = sl2_pair_product(F, L1, L2)
+        Lg = [L for L in ss if L in admitted][-1]
+        cert = factor_pair(F, representative(F, Lg), L1, L2)
+        assert cert is not None and cert.ok(F), (L1, L2)
+    cert = commutator_witness_psl(F, representative(F, ss[1]))
+    assert cert is not None and cert.ok(F)
+    triple = degenerate_traces(F)[0]
+    A, B, C = macbeath_triple(F, *triple)
+    assert mat_mul(F, mat_mul(F, A, B), C) == (1, 0, 0, 1)
+    assert (mat_trace(F, A), mat_trace(F, B), mat_trace(F, C)) == triple
