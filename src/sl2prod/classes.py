@@ -7,6 +7,9 @@ the two lift traces {t, -t}.
 
 Inside the library a class is its index in all_classes_sl2(F) or
 all_classes_psl(F) and a set of classes is an int bitmask (ClassIndex).
+The class index judges every label: each function that takes one from
+outside asks class_index(F, kind).at first, and the label-to-label maps
+(negate_class, inverse_class, psl_project, laws.psl_inverse_class) do not.
 The laws and the oracle each fill a ProductTable of pair-product masks, and
 fold triples over it; label sets are built only for public return values.
 The field's memo owns both class indices, and each index its group's tables.
@@ -23,6 +26,7 @@ from .mat2 import IDENT, Mat, mat_mul, minus_ident, sl2
 
 _KIND_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5}
 _PSL_KIND_RANK = {"P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}
+_LIFT_KIND = {"P1": "I", "PU": "U", "PSS": "SS", "PNSS": "NSS"}
 
 
 class SL2Label(NamedTuple):
@@ -30,7 +34,7 @@ class SL2Label(NamedTuple):
     param: int = 0     # square-class rep for U/NU, trace for SS/NSS
 
     def __str__(self) -> str:
-        if self.kind in ("I", "-I"):
+        if self.kind in ("I", "-I") and not self.param:
             return self.kind
         return f"{self.kind}[{self.param}]"
 
@@ -52,7 +56,7 @@ class PSLLabel(NamedTuple):
     param: int = 0
 
     def __str__(self) -> str:
-        if self.kind == "P1":
+        if self.kind == "P1" and not self.param:
             return "P1"
         return f"{self.kind}[{self.param}]"
 
@@ -93,38 +97,24 @@ def classify_sl2(F: FieldCtx, m: Mat, check: bool = True) -> SL2Label:
 
 
 def representative(F: FieldCtx, L: SL2Label) -> Mat:
-    """The table representative of L, deterministic per field."""
-    n1 = F.neg(1)
+    """The table representative of the class L of SL2(F), deterministic per
+    field."""
+    class_index(F, "sl2").at(L)
+    n1, t = F.neg(1), L.param
     if L.kind == "I":
         return IDENT
     if L.kind == "-I":
         return minus_ident(F)
     if L.kind == "U":
-        return (1, _check_sc(F, L), 0, 1)
+        return (1, t, 0, 1)
     if L.kind == "NU":
-        return (n1, _check_sc(F, L), 0, n1)
-    t = F.of(L.param)
-    disc = F.sub(F.mul(t, t), F.scalar(4))
-    if L.kind == "SS":
-        r = F.sqrt(disc)
-        if r is None or disc == 0:
-            raise ValueError(f"{L} is not split over {F!r}")
-        half = F.inv(F.scalar(2))
-        roots = sorted((F.mul(F.add(t, r), half), F.mul(F.sub(t, r), half)))
-        alpha = roots[0]
-        return (alpha, 0, 0, F.inv(alpha))
+        return (n1, t, 0, n1)
     if L.kind == "NSS":
-        if disc == 0 or F.is_square(disc):
-            raise ValueError(f"{L} is not non-split over {F!r}")
         return (0, n1, 1, t)
-    raise ValueError(f"unknown label kind {L.kind!r}")
-
-
-def _check_sc(F: FieldCtx, L) -> int:
-    if L.param not in (1, F.nonsquare_rep):
-        raise ValueError(
-            f"square-class parameter of {L} must be 1 or {F.nonsquare_rep}")
-    return L.param
+    r = F.sqrt(F.sub(F.mul(t, t), F.scalar(4)))
+    half = F.inv(F.scalar(2))
+    alpha = min(F.mul(F.add(t, r), half), F.mul(F.sub(t, r), half))
+    return (alpha, 0, 0, F.inv(alpha))
 
 
 def all_classes_sl2(F: FieldCtx) -> tuple[SL2Label, ...]:
@@ -150,7 +140,7 @@ def _sl2_labels(F: FieldCtx) -> tuple[SL2Label, ...]:
 
 
 def negate_class(F: FieldCtx, L: SL2Label) -> SL2Label:
-    """Label of -x for x in L."""
+    """Label of -x for x in the class L of SL2(F)."""
     if L.kind == "I":
         return SL2Label("-I")
     if L.kind == "-I":
@@ -163,13 +153,14 @@ def negate_class(F: FieldCtx, L: SL2Label) -> SL2Label:
 
 
 def inverse_class(F: FieldCtx, L: SL2Label) -> SL2Label:
-    """Label of x^-1 for x in L; semisimple and central classes are real."""
+    """Label of x^-1 for x in the class L of SL2(F); SS, NSS, I, -I are real."""
     if L.kind in ("U", "NU"):
         return SL2Label(L.kind, F.square_class(F.neg(L.param)))
     return L
 
 
 def psl_project(F: FieldCtx, L: SL2Label) -> PSLLabel:
+    """The PSL2 class of the image of the class L of SL2(F)."""
     if L.is_central:
         return PSLLabel("P1")
     if L.kind == "U":
@@ -185,14 +176,9 @@ def psl_classify(F: FieldCtx, m: Mat, check: bool = True) -> PSLLabel:
 
 
 def psl_lift_pair(F: FieldCtx, P: PSLLabel) -> tuple[SL2Label, SL2Label]:
-    """The two SL2 classes over P, as (D, negate_class(D))."""
-    if P.kind == "P1":
-        D = SL2Label("I")
-    elif P.kind == "PU":
-        D = SL2Label("U", _check_sc(F, P))
-    else:
-        D = SL2Label("SS" if P.kind == "PSS" else "NSS", F.of(P.param))
-        representative(F, D)  # validates split/non-split against the field
+    """The two SL2 classes over the class P of PSL2(F), as (D, negate_class(D))."""
+    class_index(F, "psl2").at(P)
+    D = SL2Label(_LIFT_KIND[P.kind], P.param)
     return D, negate_class(F, D)
 
 
@@ -208,6 +194,7 @@ def psl_representative(F: FieldCtx, P: PSLLabel) -> Mat:
 
 def psl_element_order(F: FieldCtx, P: PSLLabel) -> int:
     """Order of the class elements in PSL2, by repeated multiplication."""
+    class_index(F, "psl2").at(P)
     if P.kind == "P1":
         return 1
     if P.kind == "PU":
@@ -222,9 +209,9 @@ def psl_element_order(F: FieldCtx, P: PSLLabel) -> int:
 
 def is_q_good(F: FieldCtx, P: PSLLabel) -> bool:
     """Divisibility test on the order of a semisimple PSL class."""
+    t = psl_element_order(F, P)
     if not P.is_semisimple:
         raise ValueError(f"is_q_good is defined on semisimple classes, got {P}")
-    t = psl_element_order(F, P)
     bound = F.q - 1 if P.kind == "PSS" else F.q + 1
     if t % 2 == 1:
         return bound % t == 0
@@ -232,25 +219,17 @@ def is_q_good(F: FieldCtx, P: PSLLabel) -> bool:
 
 
 def parse_label(F: FieldCtx, text: str):
-    """Parse an SL2 or PSL2 label string; PSS/PNSS traces are canonicalized."""
+    """Parse an SL2 or PSL2 label string; PSS/PNSS traces are canonicalized.
+    ValueError unless the label is a class of its group over F."""
     m = _LABEL_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad label {text!r}")
-    if m.group(1):
-        return PSLLabel("P1") if m.group(1) == "P1" else SL2Label(m.group(1))
-    kind, param = m.group(2), F.of(int(m.group(3)))
-    if kind in ("U", "NU", "PU"):
-        L = PSLLabel(kind, param) if kind == "PU" else SL2Label(kind, param)
-        _check_sc(F, L)
-        return L
-    if param in (F.scalar(2), F.neg(2)):
-        raise ValueError(f"trace {param} in {text!r} is central, not semisimple")
-    disc = F.sub(F.mul(param, param), F.scalar(4))
-    if F.is_square(disc) != (kind in ("SS", "PSS")):
-        raise ValueError(f"label {text!r} has the wrong split kind for {F!r}")
-    if kind in ("SS", "NSS"):
-        return SL2Label(kind, param)
-    return PSLLabel(kind, min(param, F.neg(param)))
+    kind, param = m.group(1) or m.group(2), F.of(int(m.group(3) or 0))
+    if kind in ("PSS", "PNSS"):
+        param = min(param, F.neg(param))
+    L = (PSLLabel if kind.startswith("P") else SL2Label)(kind, param)
+    class_index(F, "psl2" if isinstance(L, PSLLabel) else "sl2").at(L)
+    return L
 
 
 def parse_sl2_label(F: FieldCtx, text: str) -> SL2Label:
@@ -289,21 +268,23 @@ class ClassIndex:
     of laws._semisimple_by_shift) and law by laws, brute and (SL2 only) group
     by the oracle."""
 
-    def __init__(self, labels):
+    def __init__(self, labels, name: str):
         self.law = self.brute = self.group = self.shifts = None
         self.pairs: dict[tuple, tuple[frozenset, str]] = {}
-        self.labels = labels
+        self.labels, self.name = labels, name
         self.full = (1 << len(labels)) - 1
         self.slot = {(L.kind, L.param): k for k, L in enumerate(labels)}
-        self.kind_mask: dict[str, int] = {}
-        for k, L in enumerate(labels):
-            self.kind_mask[L.kind] = self.kind_mask.get(L.kind, 0) | 1 << k
+        # the labels come grouped by kind, so each kind's mask is one run of bits
+        ends = {L.kind: k + 1 for k, L in enumerate(labels)}
+        self.kind_mask = {kind: (1 << hi) - (1 << lo)
+                          for (kind, hi), lo in zip(ends.items(), (0, *ends.values()))}
         self._sets: dict[int, frozenset] = {}
 
     def at(self, L) -> int:
+        """Index of the class L; ValueError if L is not a class of the group."""
         k = self.slot.get((L.kind, L.param))    # cheaper than hashing L
         if k is None:
-            raise ValueError(f"{L} is not a class of this group")
+            raise ValueError(f"{L} is not a class of {self.name}")
         return k
 
     def bit(self, kind: str, param: int = 0) -> int:
@@ -323,7 +304,8 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
         if kind not in ("sl2", "psl2"):
             raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
         C = F.memo[kind] = ClassIndex(_sl2_labels(F) if kind == "sl2" else sort_labels(
-            {psl_project(F, L) for L in class_index(F, "sl2").labels}))
+            {psl_project(F, L) for L in class_index(F, "sl2").labels}),
+            f"{kind.upper()}({F!r})")
     return C
 
 

@@ -235,6 +235,7 @@ def psl_pair_product_via_lifts(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> froze
 
 
 def psl_inverse_class(F: FieldCtx, P: PSLLabel) -> PSLLabel:
+    """Label of x^-1 for x in the class P of PSL2(F)."""
     if P.kind == "PU":
         return PSLLabel("PU", F.square_class(F.neg(P.param)))
     return P
@@ -263,6 +264,7 @@ def psl_distinct_unipotent_product_by_order(F: FieldCtx) -> frozenset:
 def commutator_expressible_psl(F: FieldCtx, P: PSLLabel) -> bool:
     """Whether the class elements are commutators of a semisimple and a
     unipotent element of PSL2(q) (the identity via a degenerate witness)."""
+    class_index(F, "psl2").at(P)
     if not P.is_semisimple:
         return True
     if F.q % 4 == 1:

@@ -231,6 +231,8 @@ def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
     if not paranoid:
         return _product_table(T, "sl2").of_labels(L1, L2)
     F = T.field
+    C = class_index(F, "sl2")
+    C.at(L1), C.at(L2)      # raises the ValueError for a label of no class
     return frozenset(classify_sl2(F, mat_mul(F, x, y), check=False)
                      for x in T.fiber[L1] for y in T.fiber[L2])
 
@@ -363,15 +365,12 @@ def triple_containment_expected(F, kind, trip):
     return sum(L.is_semisimple for L in trip) != 1
 
 
-_PAIR_LAWS = {"sl2": "sl2_pair_product", "psl2": "psl_pair_product"}
-
-
 def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
     """Every pairwise and triple law against brute force, plus covering numbers."""
     C = class_index(F, kind)        # rejects a bad kind before enumerating
     T = enumerate_sl2(F)
     # read at run time, so that the law being certified is the one in place
-    law_pair = getattr(laws, _PAIR_LAWS[kind])
+    law_pair = laws.sl2_pair_product if kind == "sl2" else laws.psl_pair_product
     law, brute = laws.law_table(F, kind), _product_table(T, kind)
     labels = C.labels
     pairs = triples = 0

@@ -11,9 +11,10 @@ one trace fiber with a prescribed tr(x y), a quadratic per row of the
 fiber, and test only those.  So witnesses exist at every q, above the
 oracle's enumeration bound too.
 
-Every returned witness is re-validated by direct multiplication and
-classification.  A construction that finds no witness where the laws or
-Macbeath's theorem promise one raises WitnessError.
+Every returned witness is re-validated: factorizations and commutator
+certificates by direct multiplication and classification, Macbeath triples
+(C is (A*B)^-1) by their traces.  A construction that finds no witness
+where the laws or Macbeath's theorem promise one raises WitnessError.
 """
 
 from __future__ import annotations
@@ -251,10 +252,9 @@ def macbeath_triple(F: FieldCtx, alpha: int, beta: int, gamma: int):
         if B is None:
             no_partner.add(L)
             continue
-        AB = mat_mul(F, A, B)
-        C = mat_inv(F, AB)
-        if mat_mul(F, AB, C) != IDENT:
-            raise WitnessError(f"A*B*C != I for traces {(alpha, beta, gamma)}")
+        C = mat_inv(F, mat_mul(F, A, B))
+        if tuple(mat_trace(F, m) for m in (A, B, C)) != (alpha, beta, gamma):
+            raise WitnessError(f"A, B, C miss the traces {(alpha, beta, gamma)}")
         return A, B, C
     raise WitnessError(f"trace triple {(alpha, beta, gamma)} not realizable")
 
@@ -271,10 +271,16 @@ def commutator_witness_psl(F: FieldCtx, g: Mat):
     P = psl_classify(F, g)
     if not commutator_expressible_psl(F, P):
         return None
+    cert = _commutator_cert(F, g, P)
+    if not cert.ok(F):
+        raise WitnessError(f"commutator witness for {P} fails its check")
+    return cert
+
+
+def _commutator_cert(F, g, P):
     if P.kind == "P1":
         s = representative(F, _first_semisimple_label(F))
-        flipped = g != IDENT
-        return CommutatorCert(s, IDENT, g, flipped)
+        return CommutatorCert(s, IDENT, g, g != IDENT)
     two, ntwo = F.scalar(2), F.neg(2)
     for u in fiber_solutions(F, two, g, (two, ntwo)):
         if u == IDENT:

@@ -3,6 +3,7 @@ PSL projection, element orders."""
 
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,7 +15,14 @@ from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
                      inverse_class, is_q_good, iter_sl2, make_field, mat_inv,
                      mat_neg, negate_class, parse_label, parse_psl_label,
                      parse_sl2_label, psl_classify, psl_element_order,
-                     psl_lift_pair, psl_project, representative)
+                     psl_lift_pair, psl_project, psl_representative,
+                     representative)
+from sl2prod import (brute_pair_product, brute_pair_product_psl,
+                     brute_triple_product, commutator_expressible_psl,
+                     enumerate_sl2, factor_pair, factor_pair_psl,
+                     psl_pair_product, psl_pair_product_law,
+                     psl_pair_product_via_lifts, psl_triple_product,
+                     sl2_pair_product, sl2_pair_product_law, sl2_triple_product)
 from sl2prod import classes
 from sl2prod.classes import ProductTable, bits, class_index
 from sl2prod.laws import law_table
@@ -196,7 +204,75 @@ def test_label_parse_errors():
     assert parse_label(F7, "PSS[6]") == PSLLabel("PSS", 1)  # canonicalized
 
 
-U1, ONE = SL2Label("U", 1), SL2Label("I")
+U1, PU1 = SL2Label("U", 1), PSLLabel("PU", 1)
+# labels that are no class at q = 7: a parameter on a central kind, a
+# square-class parameter other than 1 and 3, a trace of the wrong split kind,
+# a central trace, an unknown kind, and an uncanonical PSS trace
+NOT_CLASSES_Q7 = [SL2Label("I", 5), SL2Label("U", 2), SL2Label("SS", 0),
+                  SL2Label("SS", 2), SL2Label("Q", 1), PSLLabel("PSS", 6),
+                  PSLLabel("PU", 5), PSLLabel("P1", 3)]
+# each public function that takes a label, with the group it judges it in
+LABEL_CONSUMERS = {
+    "parse_label": (None, lambda F, L: parse_label(F, str(L))),    # L's own group
+    "representative": ("SL2", representative),
+    "sl2_pair_product": ("SL2", lambda F, L: sl2_pair_product(F, U1, L)),
+    "sl2_pair_product_law": ("SL2", lambda F, L: sl2_pair_product_law(F, L, U1)),
+    "sl2_triple_product": ("SL2", lambda F, L: sl2_triple_product(F, U1, L, U1)),
+    "factor_pair": ("SL2", lambda F, L: factor_pair(F, (1, 1, 0, 1), L, U1)),
+    "brute_pair_product": ("SL2", lambda F, L: brute_pair_product(enumerate_sl2(F), U1, L)),
+    "brute_pair_product_paranoid": ("SL2", lambda F, L: brute_pair_product(
+        enumerate_sl2(F), L, U1, paranoid=True)),
+    "brute_triple_product": ("SL2", lambda F, L: brute_triple_product(
+        enumerate_sl2(F), L, U1, U1)),
+    "psl_representative": ("PSL2", psl_representative),
+    "psl_lift_pair": ("PSL2", psl_lift_pair),
+    "psl_element_order": ("PSL2", psl_element_order),
+    "is_q_good": ("PSL2", is_q_good),
+    "commutator_expressible_psl": ("PSL2", commutator_expressible_psl),
+    "psl_pair_product": ("PSL2", lambda F, L: psl_pair_product(F, PU1, L)),
+    "psl_pair_product_law": ("PSL2", lambda F, L: psl_pair_product_law(F, L, PU1)),
+    "psl_pair_product_via_lifts": ("PSL2", lambda F, L: psl_pair_product_via_lifts(F, PU1, L)),
+    "psl_triple_product": ("PSL2", lambda F, L: psl_triple_product(F, PU1, PU1, L)),
+    "factor_pair_psl": ("PSL2", lambda F, L: factor_pair_psl(F, (1, 1, 0, 1), PU1, L)),
+    "brute_pair_product_psl": ("PSL2", lambda F, L: brute_pair_product_psl(
+        enumerate_sl2(F), L, PU1)),
+    "brute_triple_product_psl": ("PSL2", lambda F, L: brute_triple_product(
+        enumerate_sl2(F), PU1, L, PU1, "psl2")),
+}
+
+
+@pytest.mark.parametrize("name,L", [
+    (name, L) for name in LABEL_CONSUMERS for L in NOT_CLASSES_Q7
+    # as text, PSS[6] is the class PSS[1] (test_label_parse_errors)
+    if (name, L) != ("parse_label", PSLLabel("PSS", 6))],
+    ids=lambda v: v if isinstance(v, str) else str(v))
+def test_label_consumers_reject_non_classes(name, L):
+    """The class index judges every label: each function that takes one
+    refuses a label that is no class of the field, with the index's message
+    naming the label with its parameter, the group and the field."""
+    group, call = LABEL_CONSUMERS[name]
+    group = group or ("PSL2" if isinstance(L, PSLLabel) else "SL2")
+    want = "^" + re.escape(f"{L} is not a class of {group}(GF(7))") + "$"
+    if name == "parse_label":
+        want += "|^bad label"   # I[5], Q[1] and P1[3] are outside the grammar
+    with pytest.raises(ValueError, match=want):
+        call(F7, L)
+
+
+@pytest.mark.parametrize("pa", [(7, 1), (3, 2), (3, 3), (211, 1)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_kind_masks(pa):
+    """Each kind mask is the OR of the bits of that kind's classes."""
+    F = make_field(*pa)
+    for kind in ("sl2", "psl2"):
+        C = class_index(F, kind)
+        want = {}
+        for k, L in enumerate(C.labels):
+            want[L.kind] = want.get(L.kind, 0) | 1 << k
+        assert C.kind_mask == want
+
+
+ONE = SL2Label("I")
 # each record with its repr as a dataclass printed it
 RECORDS = [
     (U1, "SL2Label(kind='U', param=1)"),

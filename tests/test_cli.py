@@ -197,6 +197,31 @@ def test_internal_error_exit_4(monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+def test_commutator_cert_revalidated(monkeypatch):
+    """A commutator certificate that fails its check is a WitnessError, and
+    the CLI exits 4 for it."""
+    from sl2prod import witness
+    F, g = make_field(7), (1, 1, 0, 1)
+    monkeypatch.setattr(witness, "_conjugators", lambda F, x, y: iter([(2, 0, 0, 4)]))
+    with pytest.raises(witness.WitnessError, match="fails its check"):
+        witness.commutator_witness_psl(F, g)
+    code, out, err = run_cli(["commutator", "--field", "7", "[[1,1],[0,1]]"])
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:") and len(err.splitlines()) == 1
+
+
+def test_label_error_names_the_group():
+    """A label that is no class of the field exits 3 with the class index's
+    message as the one error line."""
+    code, out, err = run_cli(["product", "--field", "7", "U[2]", "U[1]"])
+    assert (code, out) == (3, "")
+    assert err == "error: U[2] is not a class of SL2(GF(7))\n"
+    code, out, err = run_cli(["triple", "--field", "3^2", "--group", "psl2",
+                              "PU[1]", "PU[1]", "PU[2]"])
+    assert (code, out) == (3, "")
+    assert err == "error: PU[2] is not a class of PSL2(GF(3^2))\n"
+
+
 def test_verify_jobs_flag_output_stable():
     a = run_cli(["verify", "--field", "5"])
     b = run_cli(["verify", "--field", "5", "--jobs", "2"])

@@ -15,6 +15,7 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      mat_trace, psl_classify, psl_element_order,
                      psl_representative, representative, sl2_pair_product,
                      witness)
+from sl2prod.cli import DEFAULT_SUITE
 from sl2prod.mat2 import IDENT, fiber_solutions, iter_trace_fiber
 
 F5, F7, F9 = make_field(5), make_field(7), make_field(3, 2)
@@ -137,6 +138,15 @@ def test_macbeath_degenerate_triples():
         A, B, C = macbeath_triple(F7, *triple)
         assert mat_mul(F7, mat_mul(F7, A, B), C) == (1, 0, 0, 1)
         assert (mat_trace(F7, A), mat_trace(F7, B), mat_trace(F7, C)) == triple
+
+
+def test_macbeath_checks_traces(monkeypatch):
+    """A solver answering another trace question is caught by the traces;
+    A*B*C = I alone cannot catch it, since C is (A*B)^-1."""
+    monkeypatch.setattr(witness, "fiber_solutions",
+                        lambda F, t, y, rs: fiber_solutions(F, 2, y, (4,)))
+    with pytest.raises(witness.WitnessError, match="miss the traces"):
+        macbeath_triple(F7, 3, 5, 6)
 
 
 def test_macbeath_exhaustive_q5():
@@ -366,8 +376,8 @@ def walk_commutator(F, g):
     return None
 
 
-WALKED = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
-SAMPLED = [(5, 2), (3, 3), (31, 1)]
+WALKED = DEFAULT_SUITE
+SAMPLED = ((5, 2), (3, 3), (31, 1))
 
 
 def _ids(fields):
