@@ -139,6 +139,13 @@ def _sl2_labels(F: FieldCtx) -> tuple[SL2Label, ...]:
     return tuple(out)
 
 
+def _psl_labels(F: FieldCtx) -> tuple[PSLLabel, ...]:
+    """The SL2 labels I, U[s] and SS/NSS[t] with t <= -t, projected in SL2
+    order."""
+    return tuple(psl_project(F, L) for L in class_index(F, "sl2").labels
+                 if L.kind in ("I", "U") or L.is_semisimple and L.param <= F.neg(L.param))
+
+
 def negate_class(F: FieldCtx, L: SL2Label) -> SL2Label:
     """Label of -x for x in the class L of SL2(F)."""
     if L.kind == "I":
@@ -303,9 +310,8 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
     if C is None:
         if kind not in ("sl2", "psl2"):
             raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
-        C = F.memo[kind] = ClassIndex(_sl2_labels(F) if kind == "sl2" else sort_labels(
-            {psl_project(F, L) for L in class_index(F, "sl2").labels}),
-            f"{kind.upper()}({F!r})")
+        C = F.memo[kind] = ClassIndex(
+            _sl2_labels(F) if kind == "sl2" else _psl_labels(F), f"{kind.upper()}({F!r})")
     return C
 
 

@@ -12,9 +12,9 @@ The class fibers and both product tables live on the field's class indices.
   and y a fixed representative of C_j, so one pass over the whole group per
   representative y can fill column j.  tr(x * y) = ae + bg + cf + dh is
   read from q x q add and mul tables, and a trace other than +-2 fixes the
-  class (SS[t] or NSS[t]).  Only products of trace +-2 get their
-  off-diagonal entries formed, which tell +-I and the (negative) unipotent
-  classes apart exactly as classify_sl2 does.  Such a pass fills only the
+  class (SS[t] or NSS[t]).  A class D of trace +-2 comes by duality: D is
+  in C_i * C_j iff C_i meets D * y^-1, so it is read from the traces of
+  z * y^-1, z in D, through the same tables.  Such a pass fills only the
   column of the least class of each orbit under class negation and two
   automorphisms, sigma and phi (see _symmetries); the rest of the orbit is
   derived from it, and the column of I is C_i * I = C_i.  That is (q+1)/2
@@ -36,8 +36,8 @@ fibers with mat_mul and classify_sl2, kept as the independent reference the
 tests compare the table against.
 
 enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
-(Python 3.11, in-process), `sl2prod verify --field 3^3` takes 0.10-0.16 s,
-`--field 31` 0.17-0.20 s, `--field 61` 1.4-1.7 s and `--field 127` 21 s.
+(Python 3.11, in-process), `sl2prod verify --field 3^3` takes 0.06-0.11 s,
+`--field 31` 0.10-0.14 s, `--field 61` 0.8-1.1 s and `--field 127` 11 s.
 """
 
 from __future__ import annotations
@@ -104,56 +104,50 @@ def _product_table(T: GroupTable, kind: str) -> ProductTable:
 def _direct_columns(T: GroupTable):
     """The base case of the SL2 table: column(j, known) is the list of the
     masks of C_i * C_j over all i, from one pass over the group with the
-    representative of C_j; a row i in the dict known is its mask there, and
-    its fiber is not walked."""
+    representative y of C_j; a row i in the dict known is its mask there,
+    and its fiber is not walked.  A walked row takes the semisimple classes
+    of the traces tr(x y), x in C_i.  A class D of trace +-2 goes in by
+    duality: into a semisimple row when tr(z y^-1) = tr(C_i) for some z in
+    D, and into a row of trace +-2 (walked only in the pass of U[1]) when
+    classify_sl2 puts some z y^-1 there."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
     ADD = [F.add(x, y) for x in range(q) for y in range(q)]    # ADD[x*q + y]
     MUL = [F.mul(x, y) for x in range(q) for y in range(q)]
-
-    trace_bit = [0] * q        # semisimple class of each trace; 0 at +-2
-    for k, L in enumerate(C.labels):
-        if L.is_semisimple:
-            trace_bit[L.param] = 1 << k
-    nsr = F.nonsquare_rep
-    # trace +-2 -> (central class, square class -> unipotent class)
-    pm2 = {F.scalar(2): (C.bit("I"), {1: C.bit("U", 1), nsr: C.bit("U", nsr)}),
-           F.neg(2): (C.bit("-I"), {1: C.bit("NU", 1), nsr: C.bit("NU", nsr)})}
-
+    row = {L.param: k for k, L in enumerate(C.labels) if L.is_semisimple}
+    pm2 = [k for k, L in enumerate(C.labels) if not L.is_semisimple]
     fibers = [T.fiber[L] for L in C.labels]
     top = [[a * q + b for a, b, _, _ in fib] for fib in fibers]
     bottom = [[c * q + d for _, _, c, d in fib] for fib in fibers]
 
-    def column(j, known=None):
-        known = known or {}
-        e, f, g, h = representative(F, C.labels[j])
-        me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in (e, f, g, h))
-        # tr(x y) = ADD[left[a*q + b] + right[c*q + d]]
+    def traces(w):
+        """traces(w)(i) lists tr(x w) = ae + bg + cf + dh over x in C_i."""
+        me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in w)
         left = [ADD[me[a] * q + mg[b]] * q for a in range(q) for b in range(q)]
         right = [ADD[mf[c] * q + mh[d]] for c in range(q) for d in range(q)]
-        masks = []
-        for i, fib in enumerate(fibers):
-            if i in known:
-                masks.append(known[i])
-                continue
-            traces = [ADD[left[u] + right[v]] for u, v in zip(top[i], bottom[i])]
-            seen = set(traces)
-            mask = 0
-            for t in seen:
-                mask |= trace_bit[t]
-            if not seen.isdisjoint(pm2):
-                for (a, b, c, d), t in zip(fib, traces):
-                    if t in pm2:
-                        upper = ADD[mf[a] * q + mh[b]]     # (x y)_12
-                        lower = ADD[me[c] * q + mg[d]]     # (x y)_21
-                        central, unipotent = pm2[t]
-                        if upper == 0 and lower == 0:
-                            mask |= central
-                        else:
-                            mask |= unipotent[F.square_class(
-                                upper if lower == 0 else F.neg(lower))]
-            masks.append(mask)
+        return lambda i: [ADD[left[u] + right[v]] for u, v in zip(top[i], bottom[i])]
+
+    def column(j, known=None):
+        known = known or {}
+        y = representative(F, C.labels[j])
+        y_inv = mat_inv(F, y)
+        of_y, of_y_inv = traces(y), traces(y_inv)
+        masks = [known.get(i, 0) for i in range(len(fibers))]
+        walked = set(range(len(fibers))) - known.keys()
+        for i in walked:
+            masks[i] = sum(1 << row[t] for t in set(of_y(i)) if t in row)
+        for k in pm2:
+            duals = of_y_inv(k)         # tr(z y^-1) for z in C_k
+            for t in set(duals):
+                if row.get(t) in walked:
+                    masks[row[t]] |= 1 << k
+            if not walked.isdisjoint(pm2):
+                for z, t in zip(fibers[k], duals):
+                    if t not in row:
+                        i = C.at(classify_sl2(F, mat_mul(F, z, y_inv), check=False))
+                        if i in walked:
+                            masks[i] |= 1 << k
         return masks
     return column
 

@@ -16,7 +16,7 @@ from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
                      mat_neg, negate_class, parse_label, parse_psl_label,
                      parse_sl2_label, psl_classify, psl_element_order,
                      psl_lift_pair, psl_project, psl_representative,
-                     representative)
+                     representative, sort_labels)
 from sl2prod import (brute_pair_product, brute_pair_product_psl,
                      brute_triple_product, commutator_expressible_psl,
                      enumerate_sl2, factor_pair, factor_pair_psl,
@@ -129,6 +129,17 @@ def test_psl_projection(F):
     ps = all_classes_psl(F)
     assert len(ps) == len(set(ps))
     assert {psl_project(F, L) for L in all_classes_sl2(F)} == set(ps)
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3),
+                                (211, 1), (3, 5), (10007, 1)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_psl_labels_filtered_in_sl2_order(pa):
+    """The PSL2 labels, filtered from the SL2 labels in their order, are the
+    projections of every SL2 label, sorted."""
+    F = make_field(*pa)
+    want = sort_labels({psl_project(F, L) for L in all_classes_sl2(F)})
+    assert all_classes_psl(F) == want
 
 
 def test_psl_lift_pair(F):

@@ -93,10 +93,16 @@ def test_brute_pair_golden():
         assert brute_pair_product(T7, SL2Label("I"), L) == {L}
 
 
-def _count_passes(monkeypatch):
+def _count_passes(monkeypatch, classified=None):
     """Record (class, fiber rows walked) for every column that takes a
-    group pass; the rows given as known are not walked."""
+    group pass; the rows given as known are not walked.  The list
+    classified, if given, gets (class, classify_sl2 calls) for each pass."""
     passes, direct_columns = [], oracle._direct_columns
+    calls, classify = [0], oracle.classify_sl2
+
+    def counted_classify(*args, **kwargs):
+        calls[0] += 1
+        return classify(*args, **kwargs)
 
     def counted(T):
         direct = direct_columns(T)
@@ -104,9 +110,14 @@ def _count_passes(monkeypatch):
 
         def column(j, known=None):
             passes.append((j, n - len(known or {})))
-            return direct(j, known)
+            before = calls[0]
+            out = direct(j, known)
+            if classified is not None:
+                classified.append((j, calls[0] - before))
+            return out
         return column
     monkeypatch.setattr(oracle, "_direct_columns", counted)
+    monkeypatch.setattr(oracle, "classify_sl2", counted_classify)
     return passes
 
 
@@ -151,6 +162,62 @@ def test_certify_column_passes(monkeypatch):
             assert verify_laws(F, kind).ok
     assert len(passes) == 22
     assert sum(rows for _, rows in passes) == 369
+
+
+@pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
+def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
+    """Of the symmetric fill's passes, only the pass of U[1] walks rows of
+    trace +-2, so only it classifies products, at most 4q of them (the
+    z y^-1 of trace +-2 over the classes z of trace +-2)."""
+    F = make_field(*pa)
+    T = enumerate_sl2(F)
+    classified = []
+    _count_passes(monkeypatch, classified)
+    oracle._sl2_products(T)
+    u1 = class_index(F, "sl2").at(SL2Label("U", 1))
+    assert [j for j, calls in classified if calls] == [u1]
+    assert dict(classified)[u1] <= 4 * F.q
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_direct_columns_match_literal_products(pa):
+    """Each column of the direct pass, with no rows known, is row by row the
+    class mask of x * y over x in C_i, y the representative of C_j; so
+    the rows of trace +-2 against semisimple columns are checked too."""
+    F = make_field(*pa)
+    T = enumerate_sl2(F)
+    C = class_index(F, "sl2")
+    direct = oracle._direct_columns(T)
+    for j, L in enumerate(C.labels):
+        y = representative(F, L)
+        want = [0] * len(C.labels)
+        for i, D in enumerate(C.labels):
+            for x in T.fiber[D]:
+                want[i] |= 1 << C.at(classify_sl2(F, mat_mul(F, x, y), check=False))
+        assert direct(j) == want, str(L)
+
+
+@pytest.mark.parametrize("F", [F7, make_field(3, 2)], ids=["q7", "q9"])
+@pytest.mark.parametrize("semisimple", [False, True], ids=["U1", "SS"])
+def test_known_rows_stay_as_given(F, semisimple):
+    """Rows given as known come back as given, and every other row as the
+    pass with no rows known fills it.  The column is U[1] or the first
+    semisimple class; the known rows are every row of trace +-2 and every
+    other semisimple row, or I and -I alone, as in the pass of U[1]."""
+    T = enumerate_sl2(F)
+    C = class_index(F, "sl2")
+    n = len(C.labels)
+    direct = oracle._direct_columns(T)
+    j = next(k for k, L in enumerate(C.labels) if L.is_semisimple) if semisimple \
+        else C.at(SL2Label("U", 1))
+    want = direct(j)
+    for rows in ([i for i, L in enumerate(C.labels) if not L.is_semisimple or i % 2],
+                 [C.at(SL2Label("I")), C.at(SL2Label("-I"))]):
+        known = {i: 1 << (n + i) for i in rows}     # outside every class mask
+        got = direct(j, known)
+        for i in range(n):
+            assert got[i] == known.get(i, want[i]), (rows, str(C.labels[i]))
 
 
 def test_brute_pair_symmetric(small_F):
