@@ -3,7 +3,8 @@
 Field elements are plain ints in 0..q-1, the canonical encoding
 sum(c_i * p^i) of the coordinate vector (c_0, ..., c_{a-1}) modulo a fixed
 irreducible polynomial.  0 and 1 encode the additive and multiplicative
-identities.  A FieldCtx is immutable but for its memo, and safe to share.
+identities.  Arithmetic is table lookups, the same for every q.  A FieldCtx
+is immutable but for its memo, and safe to share.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _cartesian
 
-MAX_FIELD_ORDER = 10 ** 5     # a context takes up to about 0.35 KB per element
+MAX_FIELD_ORDER = 10 ** 5     # a context takes up to about 0.18 KB per element
 LIVE_FIELDS = 16              # contexts make_field keeps alive
 
 
@@ -56,7 +57,8 @@ def _poly_mod(f, m, p):
         if lead:
             shift = len(r) - 1 - dm
             for i, mi in enumerate(m):
-                r[shift + i] = (r[shift + i] - lead * mi) % p
+                if mi:      # the moduli are sparse
+                    r[shift + i] = (r[shift + i] - lead * mi) % p
         r.pop()
     return _poly_trim(r)
 
@@ -86,13 +88,16 @@ def _smallest_irreducible(p, a):
 class FieldCtx:
     """A fixed finite field F_q, q = p^a odd, with precomputed square data.
 
-    Use make_field(); direct construction is not part of the API.  memo maps
-    "sl2" and "psl2" to their ClassIndex (see classes.class_index), which
-    owns the field's tables; a context pickles as its make_field call.
+    Arithmetic works on logarithms to the least generator g: _exp[k] = g^k
+    and _log inverts it, so x * y adds logarithms, and x + y = x (1 + y/x)
+    reads log(1 + g^k) from the Zech table _zech[k].  Use make_field();
+    direct construction is not part of the API.  memo maps "sl2" and "psl2"
+    to their ClassIndex (see classes.class_index), which owns the field's
+    tables; a context pickles as its make_field call.
     """
 
     __slots__ = ("p", "a", "q", "modulus", "square_set", "nonsquare_rep",
-                 "_exp", "_log", "_neg", "_sqrt", "_enc", "_tuples", "memo")
+                 "_exp", "_log", "_zech", "_neg", "_sqrt", "memo")
 
     def __init__(self, p: int, a: int):
         q = p ** a
@@ -101,29 +106,14 @@ class FieldCtx:
         self.modulus = _smallest_irreducible(p, a)
 
         powers = [p ** i for i in range(a)]
-        # coefficient tuples and their encodings; a prime field's add and
-        # neg are plain integer arithmetic and need neither
-        self._tuples = self._enc = tuples = None
-        if a > 1:
-            tuples = []
-            for v in range(q):
-                rest, coeffs = v, []
-                for _ in range(a):
-                    rest, c = divmod(rest, p)
-                    coeffs.append(c)
-                tuples.append(tuple(coeffs))
-            self._tuples = tuples
-            self._enc = {t: i for i, t in enumerate(tuples)}
 
-        def as_int(poly):
-            return sum(c * powers[i] for i, c in enumerate(poly))
-
-        def raw_mul(x, y):
+        def raw_mul(x, y):      # used only to build exp
             if a == 1:
                 return x * y % p
-            f = _poly_mod(_poly_mul(_poly_trim(tuples[x]), _poly_trim(tuples[y]), p),
-                          self.modulus, p)
-            return as_int(f)
+            # coefficient lists, trimmed: no power of p above v
+            fx, fy = ([v // w % p for w in powers if w <= v] for v in (x, y))
+            f = _poly_mod(_poly_mul(fx, fy, p), self.modulus, p)
+            return sum(c * w for c, w in zip(f, powers))
 
         gen = self._find_generator(raw_mul)
         exp = [1] * (q - 1)
@@ -135,8 +125,12 @@ class FieldCtx:
             log[acc] = k
         self._exp, self._log = exp, log
 
-        self._neg = ([(-x) % p for x in range(q)] if a == 1 else
-                     [self._enc[tuple((-c) % p for c in t)] for t in tuples])
+        # g^half = -1, so 1 + g^k = 0 exactly at k = half, and -x = x g^half;
+        # adding 1 to an encoding changes only its constant coefficient
+        half = (q - 1) // 2
+        self._zech = [log[v - v % p + (v + 1) % p] for v in exp]
+        self._zech[half] = None
+        self._neg = [0] + [exp[log[x] - half] for x in range(1, q)]
 
         self.square_set = frozenset(exp[k] for k in range(0, q - 1, 2))
         self.nonsquare_rep = min(x for x in range(1, q) if x not in self.square_set)
@@ -188,11 +182,13 @@ class FieldCtx:
         return k % self.p
 
     def add(self, x: int, y: int) -> int:
-        if self.a == 1:
-            return (x + y) % self.q
-        p = self.p
-        tx, ty = self._tuples[x], self._tuples[y]
-        return self._enc[tuple((u + v) % p for u, v in zip(tx, ty))]
+        if x == 0:
+            return y
+        if y == 0:
+            return x
+        lx = self._log[x]
+        z = self._zech[self._log[y] - lx]       # a negative index wraps mod q - 1
+        return 0 if z is None else self._exp[(lx + z) % (self.q - 1)]
 
     def neg(self, x: int) -> int:
         return self._neg[x]

@@ -19,13 +19,12 @@ where the laws or Macbeath's theorem promise one raises WitnessError.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
-from .mat2 import (IDENT, Mat, fiber_solutions, iter_trace_fiber, mat_det,
-                   mat_inv, mat_mul, mat_neg, mat_trace, sl2)
+from .mat2 import (IDENT, Mat, fiber_solutions, mat_det, mat_inv, mat_mul,
+                   mat_neg, mat_trace, sl2)
 from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
                       inverse_class, negate_class, psl_classify,
                       psl_lift_pair, representative)
@@ -233,30 +232,31 @@ def factor_pair_psl(F: FieldCtx, g: Mat, P1: PSLLabel, P2: PSLLabel):
 def macbeath_triple(F: FieldCtx, alpha: int, beta: int, gamma: int):
     """(A, B, C) with the given traces and A*B*C = I.
 
-    A starts as the trace-alpha companion matrix; if no B with tr(B) = beta
-    and tr(A*B) = gamma exists for it (possible for degenerate central-trace
-    triples), A advances through the trace-alpha fiber in canonical order.
-    Conjugating A and B together keeps both traces, so whether A has a
-    partner depends only on A's class, and a class without one is skipped."""
+    A is the companion matrix if it has a partner B (tr(B) = beta and
+    tr(A*B) = gamma), else the first element of the trace-alpha fiber, in
+    canonical order, that has one; B is the first partner.  At alpha other
+    than +-2 the fiber is one class, so every A has a partner or none has.
+    At alpha = 2s, s = +-1, a non-central A is s(I + N) with N = v w^T,
+    w^T v = 0, and it needs tr(N B) = w^T B v = s gamma - beta.  Some B of
+    trace beta meets a nonzero right side; a zero one needs v to be an
+    eigenvector of B, and whether a B of trace beta has one does not depend
+    on A.  So when the companion has no partner, no non-central A has one,
+    and A is the scalar sI."""
     for v in (alpha, beta, gamma):
         F.of(v)
-    companion = (0, F.neg(1), 1, alpha)
-    no_partner = set()
-    rest = (A for A in iter_trace_fiber(F, alpha) if A != companion)
-    for A in itertools.chain((companion,), rest):
-        L = classify_sl2(F, A, check=False)
-        if L in no_partner:
-            continue
-        # first B in canonical order with tr(B) = beta and tr(B A) = gamma
+    A = (0, F.neg(1), 1, alpha)
+    # first B in canonical order with tr(B) = beta and tr(B A) = gamma
+    B = next(fiber_solutions(F, beta, A, (gamma,)), None)
+    if B is None and alpha in (F.scalar(2), F.neg(2)):
+        s = F.div(alpha, 2)
+        A = (s, 0, 0, s)
         B = next(fiber_solutions(F, beta, A, (gamma,)), None)
-        if B is None:
-            no_partner.add(L)
-            continue
-        C = mat_inv(F, mat_mul(F, A, B))
-        if tuple(mat_trace(F, m) for m in (A, B, C)) != (alpha, beta, gamma):
-            raise WitnessError(f"A, B, C miss the traces {(alpha, beta, gamma)}")
-        return A, B, C
-    raise WitnessError(f"trace triple {(alpha, beta, gamma)} not realizable")
+    if B is None:
+        raise WitnessError(f"trace triple {(alpha, beta, gamma)} not realizable")
+    C = mat_inv(F, mat_mul(F, A, B))
+    if tuple(mat_trace(F, m) for m in (A, B, C)) != (alpha, beta, gamma):
+        raise WitnessError(f"A, B, C miss the traces {(alpha, beta, gamma)}")
+    return A, B, C
 
 
 def commutator_witness_psl(F: FieldCtx, g: Mat):

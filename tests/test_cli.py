@@ -4,6 +4,7 @@ library."""
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -287,3 +288,43 @@ def test_verify_failure_exit_1(monkeypatch):
     code, out, _ = run_cli(["verify", "--field", "5", "--group", "sl2"])
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, expected) for every `sl2prod` line of README's sh blocks, with
+    a `> file` redirect dropped.  expected is the `#` comment after the
+    command, continued on the `#` lines below it, when that parses as JSON,
+    and None otherwise."""
+    examples, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("sl2prod "):
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)
+            examples.append([argv[1:argv.index(">")] if ">" in argv else argv[1:],
+                             [comment]])
+        elif in_sh and line.startswith("#") and examples:
+            examples[-1][1].append(line[1:])
+    out = []
+    for argv, comments in examples:
+        try:
+            expected = json.loads(" ".join(comments))
+        except ValueError:
+            expected = None
+        out.append((argv, expected))
+    return out
+
+
+def test_readme_examples():
+    examples = readme_examples()
+    assert len(examples) >= 10
+    assert sum(expected is not None for _, expected in examples) >= 2
+    for argv, expected in examples:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        if expected is not None:
+            assert json.loads(out) == expected, argv

@@ -2,8 +2,10 @@
 
 import gc
 import importlib
+import itertools
 import pickle
 import pkgutil
+import random
 import weakref
 
 import pytest
@@ -49,13 +51,18 @@ def test_extension_field_modulus_is_lex_smallest():
     assert F9.q == 9
 
 
+def _coefficients(p, a):
+    """Coefficient tuple of every encoding, lowest degree first."""
+    return [tuple(v // p ** i % p for i in range(a)) for v in range(p ** a)]
+
+
 def _polynomial_tables(p, a):
     """A context's tables built the slow way: every product is a polynomial
     product reduced modulo the modulus, and the generator is the least
     element of order q - 1."""
     q = p ** a
     modulus = _smallest_irreducible(p, a)
-    tuples = [tuple(v // p ** i % p for i in range(a)) for v in range(q)]
+    tuples = _coefficients(p, a)
     enc = {t: v for v, t in enumerate(tuples)}
 
     def mul(x, y):
@@ -91,8 +98,28 @@ def test_tables_match_polynomial_construction(p, a):
     assert {name: getattr(F, name) for name in
             ("modulus", "_exp", "_log", "_neg", "_sqrt", "square_set",
              "nonsquare_rep")} == _polynomial_tables(p, a)
-    # a prime field's add and neg read no coefficient tuples, so it has none
-    assert (F._tuples is None and F._enc is None) == (a == 1)
+    _assert_coefficientwise(F, itertools.product(F.elements(), repeat=2))
+    # 1 + g^k = 0 only where g^k = -1; no field keeps coefficient tuples
+    assert [k for k, z in enumerate(F._zech) if z is None] == [(F.q - 1) // 2]
+    assert not hasattr(F, "_tuples") and not hasattr(F, "_enc")
+
+
+def _assert_coefficientwise(F, pairs):
+    """add and sub agree with the sum and difference of coefficient tuples."""
+    tuples = _coefficients(F.p, F.a)
+    enc = {t: v for v, t in enumerate(tuples)}
+    for x, y in pairs:
+        tx, ty = tuples[x], tuples[y]
+        assert F.add(x, y) == enc[tuple((u + v) % F.p for u, v in zip(tx, ty))], (x, y)
+        assert F.sub(x, y) == enc[tuple((u - v) % F.p for u, v in zip(tx, ty))], (x, y)
+
+
+@pytest.mark.parametrize("p,a", [(7, 5), (3, 9)])
+def test_add_matches_coefficients_sampled(p, a):
+    F = make_field(p, a)
+    rng = random.Random(F.q)
+    _assert_coefficientwise(F, [(rng.randrange(F.q), rng.randrange(F.q))
+                                for _ in range(5000)])
 
 
 def test_element_check():

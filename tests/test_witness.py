@@ -19,6 +19,7 @@ from sl2prod.cli import DEFAULT_SUITE
 from sl2prod.mat2 import IDENT, fiber_solutions, iter_trace_fiber
 
 F5, F7, F9 = make_field(5), make_field(7), make_field(3, 2)
+F11, F13 = make_field(11), make_field(13)
 
 
 def test_conjugating_element_golden():
@@ -288,10 +289,12 @@ def test_commutator_witness_matches_scan(F):
             assert cert is None, g
 
 
-@pytest.mark.parametrize("F", [F5, F7, F9], ids=["q5", "q7", "q9"])
+@pytest.mark.parametrize("F", [F5, F7, F9, F11, F13],
+                         ids=["q5", "q7", "q9", "q11", "q13"])
 def test_macbeath_matches_scan(F):
-    """Every trace triple at q = 5 and 7, every degenerate one at q = 9."""
-    triples = (degenerate_traces(F) if F.q == 9
+    """Every trace triple at q = 5 and 7, every degenerate one at q = 9, 11
+    and 13."""
+    triples = (degenerate_traces(F) if F.q > 7
                else itertools.product(F.elements(), repeat=3))
     for triple in triples:
         assert macbeath_triple(F, *triple) == scan_macbeath(F, *triple), triple
@@ -424,6 +427,21 @@ def test_macbeath_partner_matches_walk(pa):
 
 
 @pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+def test_macbeath_unipotent_partners_match_companion(pa):
+    """Each non-central class of trace +-2 reaches, with the B of each trace
+    beta, the same traces tr(A B) as the companion matrix of its trace; so
+    when the companion has no partner, macbeath_triple tries only sI."""
+    F = make_field(*pa)
+    for L in all_classes_sl2(F):
+        if L.kind in ("U", "NU"):
+            A = representative(F, L)
+            companion = (0, F.neg(1), 1, mat_trace(F, A))
+            for beta in F.elements():
+                assert (walk_partners(F, A, beta).keys()
+                        == walk_partners(F, companion, beta).keys()), (L, beta)
+
+
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
 def test_commutator_witness_matches_walk(pa):
     """Every expressible non-central class, as its representative and as a
     seeded conjugate, at q <= 13; a seeded sample of them above."""
@@ -468,10 +486,11 @@ def test_factor_pair_at_q37():
 
 @pytest.mark.parametrize("q", [1009, 10007])
 def test_solved_searches_at_large_q(q):
-    """The three searches that walked a whole trace fiber (two factor_pair
-    cases, the commutator, a degenerate Macbeath triple), on inputs where the
-    walk was longest: a diagonal target puts every solution of tr(x g) = r in
-    a single row of the fiber.  Correctness only; nothing is timed."""
+    """The searches that walked a whole trace fiber (two factor_pair cases,
+    the commutator, a degenerate Macbeath triple of each sign), on inputs
+    where the walk was longest: a diagonal target puts every solution of
+    tr(x g) = r in a single row of the fiber, and at -2 Macbeath's A was
+    -I, in the fiber's last row.  Correctness only; nothing is timed."""
     F = make_field(q)
     labs = all_classes_sl2(F)
     ss = [L for L in labs if L.kind == "SS"]
@@ -483,7 +502,35 @@ def test_solved_searches_at_large_q(q):
         assert cert is not None and cert.ok(F), (L1, L2)
     cert = commutator_witness_psl(F, representative(F, ss[1]))
     assert cert is not None and cert.ok(F)
-    triple = degenerate_traces(F)[0]
+    for triple in first_degenerate_traces(F):
+        A, B, C = macbeath_triple(F, *triple)
+        assert mat_mul(F, mat_mul(F, A, B), C) == (1, 0, 0, 1)
+        assert (mat_trace(F, A), mat_trace(F, B), mat_trace(F, C)) == triple
+
+
+def first_degenerate_traces(F):
+    """The first degenerate triple of each sign, (2, b, b) and (-2, b, -b)."""
+    triples = degenerate_traces(F)
+    return [next(t for t in triples if t[0] == F.mul(s, 2)) for s in (1, F.neg(1))]
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_macbeath_tries_companion_then_scalar(monkeypatch, sign):
+    """Macbeath's A is the companion or the scalar, never a walk through
+    the fiber: at most 2 solver passes and no classification, also at -2,
+    where the fiber's first A with a partner, -I, lies in its last row."""
+    F = make_field(1009)
+    triple = first_degenerate_traces(F)["+-".index(sign)]
+    calls = {"fiber_solutions": 0, "classify_sl2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(witness, name, counted(name, getattr(witness, name)))
     A, B, C = macbeath_triple(F, *triple)
-    assert mat_mul(F, mat_mul(F, A, B), C) == (1, 0, 0, 1)
     assert (mat_trace(F, A), mat_trace(F, B), mat_trace(F, C)) == triple
+    assert calls["fiber_solutions"] <= 2 and calls["classify_sl2"] == 0, calls
