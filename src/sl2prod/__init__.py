@@ -4,8 +4,7 @@ Closed-form pairwise and triple product laws, constructive witnesses, and
 an exhaustive brute-force oracle that certifies every law.
 """
 
-from .field import (FieldCtx, diff_of_squares, eps_shift_solvable, make_field,
-                    parse_descriptor, sum_of_two_nonzero_squares)
+from .field import FieldCtx, eps_shift_solvable, make_field, parse_descriptor
 from .mat2 import (BigCell, Mat, Torus, bruhat_compose, bruhat_decompose,
                    bruhat_product, bruhat_trace, conjugate, iter_sl2, mat_det,
                    mat_inv, mat_mul, mat_neg, mat_pow, mat_trace, sl2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _cartesian
 
-MAX_FIELD_ORDER = 10 ** 5     # a context takes up to about 0.18 KB per element
+MAX_FIELD_ORDER = 10 ** 5     # a context takes up to about 96 B per element
 LIVE_FIELDS = 16              # contexts make_field keeps alive
 
 
@@ -86,18 +86,19 @@ def _smallest_irreducible(p, a):
 
 
 class FieldCtx:
-    """A fixed finite field F_q, q = p^a odd, with precomputed square data.
+    """A fixed finite field F_q, q = p^a odd, as four q-sized tables.
 
     Arithmetic works on logarithms to the least generator g: _exp[k] = g^k
     and _log inverts it, so x * y adds logarithms, and x + y = x (1 + y/x)
-    reads log(1 + g^k) from the Zech table _zech[k].  Use make_field();
-    direct construction is not part of the API.  memo maps "sl2" and "psl2"
-    to their ClassIndex (see classes.class_index), which owns the field's
+    reads log(1 + g^k) from the Zech table _zech[k]; _neg[x] = -x.  The
+    squares are the even powers of g.  Use make_field(); direct
+    construction is not part of the API.  memo maps "sl2" and "psl2" to
+    their ClassIndex (see classes.class_index), which owns the field's
     tables; a context pickles as its make_field call.
     """
 
-    __slots__ = ("p", "a", "q", "modulus", "square_set", "nonsquare_rep",
-                 "_exp", "_log", "_zech", "_neg", "_sqrt", "memo")
+    __slots__ = ("p", "a", "q", "modulus", "nonsquare_rep",
+                 "_exp", "_log", "_zech", "_neg", "memo")
 
     def __init__(self, p: int, a: int):
         q = p ** a
@@ -131,14 +132,8 @@ class FieldCtx:
         self._zech = [log[v - v % p + (v + 1) % p] for v in exp]
         self._zech[half] = None
         self._neg = [0] + [exp[log[x] - half] for x in range(1, q)]
-
-        self.square_set = frozenset(exp[k] for k in range(0, q - 1, 2))
-        self.nonsquare_rep = min(x for x in range(1, q) if x not in self.square_set)
-
-        sqrt = {}
-        for x in range(1, q):       # x runs upward, so the smaller root wins
-            sqrt.setdefault(exp[2 * log[x] % (q - 1)], x)
-        self._sqrt = sqrt
+        # the squares are the even powers of g, and 1 = g^0 is one
+        self.nonsquare_rep = next(x for x in range(2, q) if log[x] & 1)
 
     def __reduce__(self):
         return make_field, (self.p, self.a)
@@ -221,15 +216,22 @@ class FieldCtx:
     # -- square classes --------------------------------------------------
 
     def is_square(self, x: int) -> bool:
+        """Whether the encoding x in 1..q-1 is a square: log x is even."""
         if x == 0:
             raise ValueError("is_square is undefined at 0")
-        return x in self.square_set
+        return not self._log[x] & 1
 
     def sqrt(self, x: int):
-        """Smaller-encoded square root of x, 0 for 0, None for nonsquares."""
+        """Smaller-encoded square root of the encoding x in 0..q-1, 0 for 0,
+        None for nonsquares; g^(k/2) and its negative are the roots of g^k."""
         if x == 0:
             return 0
-        return self._sqrt.get(x)
+        k = self._log[x]
+        if k & 1:
+            return None
+        r = self._exp[k >> 1]
+        s = self._neg[r]
+        return r if r < s else s
 
     def square_class(self, x: int) -> int:
         """Canonical representative (1 or nonsquare_rep) of x's square class."""
@@ -255,7 +257,7 @@ class FieldCtx:
 
 
 def make_field(p: int, a: int = 1) -> FieldCtx:
-    """Finite field F_{p^a} with the deterministic modulus and square tables.
+    """Finite field F_{p^a} with the deterministic modulus and generator.
 
     One context per (p, a) among the last LIVE_FIELDS asked, however spelt;
     a dropped context that no caller holds takes its tables with it.  Rejects
@@ -283,21 +285,21 @@ def _make_field(p: int, a: int) -> FieldCtx:
 def parse_descriptor(text: str) -> FieldCtx:
     """Parse a field descriptor "p" or "p^a" (e.g. "7", "3^2")."""
     parts = text.split("^")
-    if len(parts) > 2 or not all(s.strip().isdigit() for s in parts):
+    if len(parts) > 2 or not all(s.strip().isdecimal() for s in parts):
         raise ValueError(f"bad field descriptor {text!r}, expected p or p^a")
     p = int(parts[0])
     a = int(parts[1]) if len(parts) == 2 else 1
     return make_field(p, a)
 
 
-# -- quadratic solvers used by the product laws ---------------------------
+# -- the quadratic solver used by the product laws ------------------------
 
 def eps_shift_solvable(F: FieldCtx, e1: int, e2: int, eps: int):
     """Smallest a in F* with e2 + e1*a^2 nonzero and in eps's square class,
     or None.  Total search; over F_q both square classes are reachable
     except in small degenerate cases."""
     for v in (e1, e2, eps):
-        if v == 0:
+        if F.of(v) == 0:
             raise ValueError("eps_shift_solvable needs nonzero arguments")
     target = F.is_square(eps)
     for a in F.units():
@@ -306,25 +308,3 @@ def eps_shift_solvable(F: FieldCtx, e1: int, e2: int, eps: int):
             return a
     return None
 
-
-def diff_of_squares(F: FieldCtx, eps: int):
-    """(b, c), both nonzero, with b^2 - c^2 = eps, via b=(1+eps)/2, c=(1-eps)/2."""
-    if eps in (0, 1, F.neg(1)):
-        raise ValueError("diff_of_squares needs eps outside {0, 1, -1}")
-    b = F.div(F.add(1, eps), 2)
-    c = F.div(F.sub(1, eps), 2)
-    return b, c
-
-
-def sum_of_two_nonzero_squares(F: FieldCtx, eps: int):
-    """Lexicographically first (x, y), both nonzero, with x^2 + y^2 = eps, or None."""
-    if eps == 0:
-        raise ValueError("sum_of_two_nonzero_squares needs eps != 0")
-    for x in F.units():
-        rest = F.sub(eps, F.mul(x, x))
-        if rest == 0:
-            continue
-        y = F.sqrt(rest)
-        if y is not None:
-            return x, y
-    return None

@@ -1,4 +1,4 @@
-"""Field construction, square classes, and the quadratic solvers."""
+"""Field construction, square classes, and the quadratic solver."""
 
 import gc
 import importlib
@@ -6,25 +6,29 @@ import itertools
 import pickle
 import pkgutil
 import random
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 import sl2prod
-from sl2prod import (diff_of_squares, eps_shift_solvable, make_field,
-                     parse_descriptor, sum_of_two_nonzero_squares, verify_laws)
+from sl2prod import eps_shift_solvable, make_field, parse_descriptor, verify_laws
 from sl2prod.classes import class_index
-from sl2prod.field import (LIVE_FIELDS, _poly_mod, _poly_mul, _poly_trim,
+from sl2prod.field import (LIVE_FIELDS, FieldCtx, _poly_mod, _poly_mul, _poly_trim,
                            _smallest_irreducible)
+
+
+def _squares(F):
+    return {x for x in F.units() if F.is_square(x)}
 
 
 def test_make_field_golden():
     F5 = make_field(5)
     assert (F5.p, F5.a, F5.q) == (5, 1, 5)
-    assert F5.square_set == {1, 4}
+    assert _squares(F5) == {1, 4}
     F7 = make_field(7)
-    assert F7.square_set == {1, 2, 4}
+    assert _squares(F7) == {1, 2, 4}
     assert F7.nonsquare_rep == 3
 
 
@@ -57,9 +61,9 @@ def _coefficients(p, a):
 
 
 def _polynomial_tables(p, a):
-    """A context's tables built the slow way: every product is a polynomial
-    product reduced modulo the modulus, and the generator is the least
-    element of order q - 1."""
+    """A context's tables and square data built the slow way: every product
+    is a polynomial product reduced modulo the modulus, and the generator is
+    the least element of order q - 1."""
     q = p ** a
     modulus = _smallest_irreducible(p, a)
     tuples = _coefficients(p, a)
@@ -80,14 +84,11 @@ def _polynomial_tables(p, a):
     log = [0] * q
     for k, x in enumerate(exp):
         log[x] = k
-    squares = [mul(x, x) for x in range(1, q)]
-    sqrt = {}
-    for x, sq in zip(range(1, q), squares):
-        sqrt.setdefault(sq, x)
+    sqrt = {0: 0}
+    for x in range(1, q):       # x runs upward, so the smaller root wins
+        sqrt.setdefault(mul(x, x), x)
     return {"modulus": modulus, "_exp": exp, "_log": log,
-            "_neg": [enc[tuple(-c % p for c in t)] for t in tuples],
-            "_sqrt": sqrt, "square_set": frozenset(squares),
-            "nonsquare_rep": min(set(range(1, q)) - set(squares))}
+            "_neg": [enc[tuple(-c % p for c in t)] for t in tuples]}, sqrt
 
 
 @pytest.mark.parametrize("p,a", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (31, 1),
@@ -95,9 +96,14 @@ def _polynomial_tables(p, a):
                                  (3, 5), (7, 3)])
 def test_tables_match_polynomial_construction(p, a):
     F = make_field(p, a)
-    assert {name: getattr(F, name) for name in
-            ("modulus", "_exp", "_log", "_neg", "_sqrt", "square_set",
-             "nonsquare_rep")} == _polynomial_tables(p, a)
+    tables, sqrt = _polynomial_tables(p, a)
+    assert {name: getattr(F, name) for name in tables} == tables
+    nonsquare_rep = min(x for x in F.units() if x not in sqrt)
+    assert F.nonsquare_rep == nonsquare_rep
+    assert [F.sqrt(x) for x in F.elements()] == [sqrt.get(x) for x in F.elements()]
+    for x in F.units():
+        assert F.is_square(x) == (x in sqrt), x
+        assert F.square_class(x) == (1 if x in sqrt else nonsquare_rep), x
     _assert_coefficientwise(F, itertools.product(F.elements(), repeat=2))
     # 1 + g^k = 0 only where g^k = -1; no field keeps coefficient tuples
     assert [k for k, z in enumerate(F._zech) if z is None] == [(F.q - 1) // 2]
@@ -118,8 +124,26 @@ def _assert_coefficientwise(F, pairs):
 def test_add_matches_coefficients_sampled(p, a):
     F = make_field(p, a)
     rng = random.Random(F.q)
-    _assert_coefficientwise(F, [(rng.randrange(F.q), rng.randrange(F.q))
-                                for _ in range(5000)])
+    pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(5000)]
+    _assert_coefficientwise(F, pairs)
+    for x, _ in pairs:
+        if x:
+            assert F.is_square(F.mul(x, x)), x
+            assert F.sqrt(F.mul(x, x)) == min(x, F.neg(x)), x
+
+
+@pytest.mark.parametrize("p,a", [(10007, 1), (3, 7)])
+def test_context_memory(p, a):
+    """A context holds its four q-sized tables (exp, log, Zech, negation)
+    and nothing else of that size: at most 110 B per element."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        F = FieldCtx(p, a)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 110 * F.q, held / F.q
 
 
 def test_element_check():
@@ -137,6 +161,10 @@ def test_parse_descriptor():
         parse_descriptor("six")
     with pytest.raises(ValueError):
         parse_descriptor("2^3")
+    # str.isdigit accepts "²", which int() rejects
+    for text in ("²", "3^²", "", "3^"):
+        with pytest.raises(ValueError, match="bad field descriptor"):
+            parse_descriptor(text)
 
 
 def test_one_context_per_field():
@@ -212,9 +240,9 @@ def test_scalar_embedding(F):
 
 
 def test_square_count_and_minus_one(F):
-    assert len(F.square_set) == (F.q - 1) // 2
-    assert 1 in F.square_set
-    assert F.nonsquare_rep not in F.square_set
+    assert len(_squares(F)) == (F.q - 1) // 2
+    assert F.is_square(1)
+    assert not F.is_square(F.nonsquare_rep)
     assert F.is_square(F.neg(1)) == (F.q % 4 == 1)
 
 
@@ -263,6 +291,13 @@ def test_eps_shift_solvable_golden():
         eps_shift_solvable(F7, 0, 1, 1)
 
 
+def test_eps_shift_solvable_rejects_non_elements():
+    F7 = make_field(7)
+    for args in ((-1, 1, 1), (9, 1, 1), (1, 1, True)):
+        with pytest.raises(ValueError):
+            eps_shift_solvable(F7, *args)
+
+
 def test_eps_shift_witness_satisfies_equation(F):
     for e1 in (1, F.nonsquare_rep):
         for e2 in (1, F.nonsquare_rep):
@@ -277,40 +312,6 @@ def test_eps_shift_witness_satisfies_equation(F):
                     assert a == brute[0]
                     v = F.add(e2, F.mul(e1, F.mul(a, a)))
                     assert v != 0 and F.same_class(v, eps)
-
-
-def test_diff_of_squares(F):
-    for eps in F.units():
-        if eps in (1, F.neg(1)):
-            with pytest.raises(ValueError):
-                diff_of_squares(F, eps)
-            continue
-        b, c = diff_of_squares(F, eps)
-        assert b != 0 and c != 0
-        assert F.sub(F.mul(b, b), F.mul(c, c)) == eps
-
-
-def test_diff_of_squares_golden():
-    assert diff_of_squares(make_field(7), 3) == (2, 6)
-    assert diff_of_squares(make_field(5), 3) == (2, 4)
-
-
-def test_sum_of_two_nonzero_squares(F):
-    for eps in F.units():
-        got = sum_of_two_nonzero_squares(F, eps)
-        brute = [(x, y) for x in F.units() for y in F.units()
-                 if F.add(F.mul(x, x), F.mul(y, y)) == eps]
-        if got is None:
-            assert not brute
-        else:
-            assert got == brute[0]
-
-
-def test_sum_of_two_nonzero_squares_golden():
-    F7, F5 = make_field(7), make_field(5)
-    assert sum_of_two_nonzero_squares(F7, 3) == (1, 3)
-    assert sum_of_two_nonzero_squares(F5, 2) == (1, 1)
-    assert sum_of_two_nonzero_squares(F7, 4) == (3, 3)
 
 
 def test_u_invariant_every_ternary_form_isotropic(F):
