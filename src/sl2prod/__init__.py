@@ -11,14 +11,14 @@ from .mat2 import (BigCell, Mat, Torus, bruhat_compose, bruhat_decompose,
 from .classes import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                       classify_sl2, inverse_class, is_q_good, negate_class,
                       parse_label, parse_psl_label, parse_sl2_label,
-                      psl_classify, psl_element_order, psl_lift_pair,
-                      psl_project, psl_representative, representative,
-                      sort_labels)
+                      psl_classify, psl_element_order, psl_inverse_class,
+                      psl_lift_pair, psl_project, psl_representative,
+                      representative, sort_labels)
 from .laws import (ProductLaw, commutator_expressible_psl,
-                   psl_distinct_unipotent_product_by_order, psl_inverse_class,
-                   psl_pair_product, psl_pair_product_law,
-                   psl_pair_product_via_lifts, psl_triple_product,
-                   sl2_pair_product, sl2_pair_product_law, sl2_triple_product)
+                   psl_distinct_unipotent_product_by_order, psl_pair_product,
+                   psl_pair_product_law, psl_pair_product_via_lifts,
+                   psl_triple_product, sl2_pair_product, sl2_pair_product_law,
+                   sl2_triple_product)
 from .oracle import (EnumerationBoundError, GroupTable, VerificationReport,
                      brute_commutator_set, brute_pair_product,
                      brute_pair_product_psl, brute_triple_product,

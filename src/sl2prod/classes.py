@@ -9,8 +9,8 @@ Inside the library a class is its index in all_classes_sl2(F) or
 all_classes_psl(F) and a set of classes is an int bitmask (ClassIndex).
 The class index judges every label: each function that takes one from
 outside asks class_index(F, kind).at first, and the label-to-label maps
-(negate_class, inverse_class, psl_project, laws.psl_inverse_class) do not.
-The laws and the oracle each fill a ProductTable of pair-product masks, and
+(negate_class, inverse_class, psl_project, psl_inverse_class) do not.
+The laws and the oracle each fill a ProductTable of pair-product masks and
 fold triples over it; label sets are built only for public return values.
 The field's memo owns both class indices, and each index its group's tables.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from itertools import chain
 from typing import NamedTuple
 
 from .field import FieldCtx
@@ -166,6 +167,13 @@ def inverse_class(F: FieldCtx, L: SL2Label) -> SL2Label:
     return L
 
 
+def psl_inverse_class(F: FieldCtx, P: PSLLabel) -> PSLLabel:
+    """Label of x^-1 for x in the class P of PSL2(F)."""
+    if P.kind == "PU":
+        return PSLLabel("PU", F.square_class(F.neg(P.param)))
+    return P
+
+
 def psl_project(F: FieldCtx, L: SL2Label) -> PSLLabel:
     """The PSL2 class of the image of the class L of SL2(F)."""
     if L.is_central:
@@ -269,23 +277,23 @@ def bits(mask: int):
 
 
 class ClassIndex:
-    """The classes of one group over one field, in canonical order; class k
+    """The classes of one group over the field F in canonical order; class k
     is bit k of a class-set mask.  Its tables are filled on first use: pairs
     (the label set and rule of each pair query), shifts (the semisimple masks
-    of laws._semisimple_by_shift) and law by laws, brute and (SL2 only) group
-    by the oracle."""
+    of laws._semisimple_by_shift), central_rows, law by laws, and brute and
+    (SL2 only) group by the oracle."""
 
-    def __init__(self, labels, name: str):
+    def __init__(self, F: FieldCtx, labels, name: str):
         self.law = self.brute = self.group = self.shifts = None
         self.pairs: dict[tuple, tuple[frozenset, str]] = {}
-        self.labels, self.name = labels, name
+        self.field, self.labels, self.name = F, labels, name
         self.full = (1 << len(labels)) - 1
         self.slot = {(L.kind, L.param): k for k, L in enumerate(labels)}
         # the labels come grouped by kind, so each kind's mask is one run of bits
         ends = {L.kind: k + 1 for k, L in enumerate(labels)}
         self.kind_mask = {kind: (1 << hi) - (1 << lo)
                           for (kind, hi), lo in zip(ends.items(), (0, *ends.values()))}
-        self._sets: dict[int, frozenset] = {}
+        self._sets, self._central = {}, {}      # labels_of and central_rows memos
 
     def at(self, L) -> int:
         """Index of the class L; ValueError if L is not a class of the group."""
@@ -303,6 +311,16 @@ class ClassIndex:
             out = self._sets[mask] = frozenset(self.labels[k] for k in bits(mask))
         return out
 
+    def central_rows(self, k: int) -> int:
+        """Mask of the rows i whose cell (i, k) can hold a central z: C_i = z * C_k^-1."""
+        rows = self._central.get(k)
+        if rows is None:
+            F, L = self.field, self.labels[k]
+            inverses = ((psl_inverse_class(F, L),) if isinstance(L, PSLLabel)
+                        else (inverse_class(F, L), inverse_class(F, negate_class(F, L))))
+            rows = self._central[k] = sum({1 << self.at(M) for M in inverses})
+        return rows
+
 
 def class_index(F: FieldCtx, kind: str) -> ClassIndex:
     """The class index of SL2(F) ("sl2") or PSL2(F) ("psl2"), kept in F's memo."""
@@ -311,15 +329,15 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
         if kind not in ("sl2", "psl2"):
             raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
         C = F.memo[kind] = ClassIndex(
-            _sl2_labels(F) if kind == "sl2" else _psl_labels(F), f"{kind.upper()}({F!r})")
+            F, _sl2_labels(F) if kind == "sl2" else _psl_labels(F), f"{kind.upper()}({F!r})")
     return C
 
 
 class ProductTable:
     """Class products of one group: cell (i, j) is the mask of C_i * C_j,
     computed by fill(i, j) on first use, and each fold compose(mask, j) is
-    kept in composed.  A fold stops once it is the whole group, so the cells
-    of mask past that point stay unfilled."""
+    kept in composed.  A fold takes the bits of mask in central_rows(j) first
+    and stops once it is the whole group, so the cells it skips stay unfilled."""
 
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
@@ -338,8 +356,8 @@ class ProductTable:
         out = self.composed.get((mask, j))
         if out is None:
             column, full = self._columns[j], self.classes.full
-            out = 0
-            for i in bits(mask):
+            central, out = self.classes.central_rows(j) & mask, 0
+            for i in chain(bits(central), bits(mask ^ central)):
                 cell = column[i]
                 out |= self.pair(i, j) if cell is None else cell
                 if out == full:     # no further cell can change the fold

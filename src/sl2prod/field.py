@@ -177,6 +177,7 @@ class FieldCtx:
         return k % self.p
 
     def add(self, x: int, y: int) -> int:
+        """x + y for encodings in 0..q-1, unchecked: a hot primitive."""
         if x == 0:
             return y
         if y == 0:
@@ -186,18 +187,21 @@ class FieldCtx:
         return 0 if z is None else self._exp[(lx + z) % (self.q - 1)]
 
     def neg(self, x: int) -> int:
+        """-x for an encoding in 0..q-1, unchecked: a hot primitive."""
         return self._neg[x]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self._neg[y])
 
     def mul(self, x: int, y: int) -> int:
+        """x * y for encodings in 0..q-1, unchecked: a hot primitive."""
         if x == 0 or y == 0:
             return 0
         return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
 
     def inv(self, x: int) -> int:
-        if x == 0:
+        if not 0 < x < self.q:
+            self.of(x)          # ValueError outside 0..q-1
             raise ZeroDivisionError("inverse of 0")
         return self._exp[-self._log[x] % (self.q - 1)]
 
@@ -217,15 +221,16 @@ class FieldCtx:
 
     def is_square(self, x: int) -> bool:
         """Whether the encoding x in 1..q-1 is a square: log x is even."""
-        if x == 0:
+        if not 0 < x < self.q:
+            self.of(x)          # ValueError outside 0..q-1
             raise ValueError("is_square is undefined at 0")
         return not self._log[x] & 1
 
     def sqrt(self, x: int):
         """Smaller-encoded square root of the encoding x in 0..q-1, 0 for 0,
         None for nonsquares; g^(k/2) and its negative are the roots of g^k."""
-        if x == 0:
-            return 0
+        if not 0 < x < self.q:
+            return self.of(x)       # 0 is its own root; of rejects the rest
         k = self._log[x]
         if k & 1:
             return None

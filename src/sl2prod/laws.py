@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_psl,
-                      class_index, is_q_good, negate_class, psl_lift_pair,
-                      psl_project)
+                      class_index, is_q_good, negate_class, psl_inverse_class,
+                      psl_lift_pair, psl_project)
 
 
 class ProductLaw(NamedTuple):
@@ -232,13 +232,6 @@ def psl_pair_product_via_lifts(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> froze
     D1 = psl_lift_pair(F, P1)[0]
     D2 = psl_lift_pair(F, P2)[0]
     return frozenset(psl_project(F, L) for L in sl2_pair_product(F, D1, D2))
-
-
-def psl_inverse_class(F: FieldCtx, P: PSLLabel) -> PSLLabel:
-    """Label of x^-1 for x in the class P of PSL2(F)."""
-    if P.kind == "PU":
-        return PSLLabel("PU", F.square_class(F.neg(P.param)))
-    return P
 
 
 def psl_triple_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel, P3: PSLLabel) -> frozenset:

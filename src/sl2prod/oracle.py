@@ -27,9 +27,9 @@ The class fibers and both product tables live on the field's class indices.
   product set, which projection erases; so P1 * P2 is the projection of
   D1 * D2.
 - Triple products and covering numbers are OR-folds over table cells, each
-  distinct (mask, class) folded once (ProductTable.compose), and a fold
-  stops at the whole group; verify_laws compares them with the same folds
-  over the laws' table.
+  distinct (mask, class) folded once (ProductTable.compose).  A fold reads
+  first the rows whose cell can hold a central class and stops at the whole
+  group; verify_laws compares them with the same folds over the laws' table.
 
 brute_pair_product(..., paranoid=True) is the literal double loop over both
 fibers with mat_mul and classify_sl2, kept as the independent reference the

@@ -338,3 +338,19 @@ def test_field_ops_random_associativity(data):
     assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
     assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
     assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+
+
+def test_square_data_rejects_non_elements():
+    """is_square, sqrt, inv and square_class reject an encoding outside
+    0..q-1 as of does, instead of reading a negative one through Python's
+    negative list index (at q = 5, -1 would pass for the square 4)."""
+    F5 = make_field(5)
+    for fn in (F5.is_square, F5.sqrt, F5.inv, F5.square_class):
+        for v in (-1, -4, 5, 7):
+            with pytest.raises(ValueError):
+                fn(v)
+    assert (F5.is_square(4), F5.sqrt(4), F5.inv(4), F5.sqrt(0)) == (True, 2, 4, 0)
+    with pytest.raises(ValueError):
+        F5.is_square(0)
+    with pytest.raises(ZeroDivisionError):
+        F5.inv(0)

@@ -17,7 +17,9 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      psl_pair_product_via_lifts, psl_triple_product,
                      sl2_pair_product, sl2_pair_product_law,
                      sl2_triple_product)
-from sl2prod.classes import ProductTable, class_index
+from sl2prod.classes import ProductTable, class_index, parse_label
+from sl2prod.field import FieldCtx
+from sl2prod.laws import law_table
 from sl2prod.witness import factor_pair
 
 F5, F7 = make_field(5), make_field(7)
@@ -249,6 +251,21 @@ def test_triple_containment_sl2_above_5(F):
         if len(set(trip)) < 2:
             continue
         assert noncentral <= sl2_triple_product(F, *trip), trip
+
+
+@pytest.mark.parametrize("kind,trip", [
+    ("sl2", ("SS[1]", "SS[3]", "SS[5]")), ("sl2", ("SS[7]", "SS[87]", "NSS[89]")),
+    ("psl2", ("PSS[1]", "PSS[3]", "PSS[5]")), ("psl2", ("PSS[24]", "PSS[104]", "PNSS[93]"))])
+def test_triple_reaches_the_group_in_few_cells(kind, trip):
+    """A fold visits its column's central rows first, so a triple of three
+    distinct semisimple classes at q = 211 fills at most 4 law cells from a
+    fresh class index (a lowest-row-first fold fills 6 to 169)."""
+    F = FieldCtx(211, 1)
+    out = law_table(F, kind).of_labels(*(parse_label(F, s) for s in trip))
+    assert out >= {L for L in class_index(F, kind).labels if not L.is_central}
+    filled = sum(cell is not None for column in law_table(F, kind)._columns.values()
+                 for cell in column)
+    assert filled <= 4
 
 
 def test_triple_sl2_q5_counterexample():
