@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import laws, oracle, witness
@@ -143,28 +142,13 @@ def _cmd_commutator(args) -> int:
     return 0
 
 
-def _verify_task(spec):
-    p, a, kind = spec
-    F = make_field(p, a)
-    return oracle.verify_laws(F, kind).to_dict()
-
-
 def _cmd_verify(args) -> int:
     kinds = [args.group] if args.group else ["sl2", "psl2"]
     if args.field is not None:
-        F = _field(args)
-        fields = [(F.p, F.a)]
+        fields = [_field(args)]
     else:
-        fields = DEFAULT_SUITE
-    tasks = [(p, a, k) for (p, a) in fields for k in kinds]
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it loads multiprocessing, about 40 ms of every start
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_verify_task, tasks))
-    else:
-        reports = [_verify_task(t) for t in tasks]
+        fields = [make_field(p, a) for p, a in DEFAULT_SUITE]
+    reports = [oracle.verify_laws(F, k).to_dict() for F in fields for k in kinds]
     ok = all(r["ok"] for r in reports)
     obj = {"reports": reports, "ok": ok}
     def text_lines(o):
@@ -250,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="certify all laws against brute force")
     common(sp)
     sp.add_argument("--jobs", type=_positive_int, default=1,
-                    help="parallel workers, at most one per task and per CPU")
+                    help="accepted for compatibility; verify always runs in "
+                         "one process")
     sp.set_defaults(fn=_cmd_verify, group=None)
 
     sp = sub.add_parser("covering", help="covering and extended covering numbers")

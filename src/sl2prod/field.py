@@ -206,15 +206,17 @@ class FieldCtx:
         return self._exp[-self._log[x] % (self.q - 1)]
 
     def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
+        if not (0 < x < self.q and 0 < y < self.q):
+            # 0 / y is 0; of and inv reject the rest
+            return self.mul(self.of(x), self.inv(y))
+        return self._exp[(self._log[x] - self._log[y]) % (self.q - 1)]
 
     def power(self, x: int, n: int) -> int:
-        if x == 0:
-            if n == 0:
-                return 1
+        if not 0 < x < self.q:
+            self.of(x)          # ValueError outside 0..q-1
             if n < 0:
                 raise ZeroDivisionError("negative power of 0")
-            return 0
+            return 1 if n == 0 else 0
         return self._exp[(self._log[x] * n) % (self.q - 1)]
 
     # -- square classes --------------------------------------------------

@@ -30,8 +30,7 @@ def small_F(request):
 
 @pytest.fixture
 def no_group_table(monkeypatch):
-    """Building an oracle group table fails the test; forked --jobs workers
-    inherit the patch."""
+    """Building an oracle group table fails the test."""
     def fail(F):
         raise AssertionError(f"group table built at q = {F.q}")
     monkeypatch.setattr(oracle, "GroupTable", fail)

@@ -1,6 +1,7 @@
 """CLI golden outputs, exit codes, and thin-adapter equality with the
 library."""
 
+import hashlib
 import io
 import json
 import os
@@ -229,6 +230,21 @@ def test_verify_jobs_flag_output_stable():
     assert a == b
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--field", "7"],
+     "a531599da9222af004b7a0cfc4b182b86de0cda5cfda156fc2864025120f3aed"),
+    (["verify", "--field", "3^2", "--group", "psl2", "--format", "text"],
+     "4442488a69f86c574b0f1b9731515949ed9f41bcb9f133d066ff824097239841"),
+    (["covering", "--field", "7"],
+     "bcc1e3ef7d11b9dc5dee8d2c87f544a3628155f04dd1aa44301afe956c6112c1"),
+], ids=["verify-7", "verify-9-psl2-text", "covering-7"])
+def test_verify_golden_bytes(argv, digest):
+    """verify and covering print these exact bytes (sha256 of stdout)."""
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def run_fresh(code):
     """Run code in a fresh interpreter that imports this sl2prod."""
     src = str(Path(sl2prod.__file__).resolve().parent.parent)
@@ -238,56 +254,48 @@ def run_fresh(code):
 
 
 def test_cold_start_imports():
-    """Importing the CLI loads neither the process pool nor dataclasses;
-    the pool is imported by verify --jobs N > 1 alone."""
+    """Importing the CLI loads neither concurrent, multiprocessing nor
+    dataclasses."""
     done = run_fresh("import sys, sl2prod.cli; print(sorted(m for m in sys.modules"
                      " if m.split('.')[0] in ('concurrent', 'multiprocessing',"
                      " 'dataclasses')))")
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def test_verify_workers_clamped(monkeypatch):
-    """The pool gets at most one worker per task and per CPU; a single
-    worker runs in-process.  A fake pool records the request instead of
-    starting processes."""
-    import concurrent.futures
-    import sl2prod.cli as cli
-    asked = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    serial = run_cli(["verify", "--field", "5"])
-    assert run_cli(["verify", "--field", "5", "--jobs", "3"]) == serial
-    assert asked == [2]
-    assert run_cli(["verify", "--field", "5", "--group", "sl2", "--jobs", "3"])[0] == 0
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    assert run_cli(["verify", "--field", "5", "--jobs", "3"]) == serial
-    assert asked == [2]
+def test_verify_runs_in_one_process():
+    """verify --jobs 2 prints what --jobs 1 prints, and loads no process
+    pool: --jobs is accepted for compatibility only."""
+    runs = [run_fresh("import sys; from sl2prod.cli import main;"
+                      f" code = main(['verify', '--field', '5', '--jobs', '{jobs}']);"
+                      " print(sorted(m for m in sys.modules if m.split('.')[0]"
+                      " in ('concurrent', 'multiprocessing')), file=sys.stderr);"
+                      " sys.exit(code)")
+            for jobs in (1, 2)]
+    for done in runs:
+        assert (done.returncode, done.stderr) == (0, "[]\n")
+    assert runs[0].stdout == runs[1].stdout != ""
 
 
 def test_verify_failure_exit_1(monkeypatch):
-    import sl2prod.cli as cli
-    monkeypatch.setattr(cli, "_verify_task", lambda spec: {
-        "q": 5, "group": "sl2", "ok": False,
-        "pairs": {"checked": 1, "failures": [{"where": ["U[1]", "U[1]"]}]},
-        "triples": {"checked": 0, "failures": [], "containment_failures": []},
-        "covering": None})
+    """A failed report makes verify exit 1, marked in either format."""
+    from sl2prod import oracle
+
+    class FailedReport:
+        def to_dict(self):
+            return {"q": 5, "group": "sl2", "ok": False,
+                    "pairs": {"checked": 1, "failures": [{"where": ["U[1]", "U[1]"]}]},
+                    "triples": {"checked": 0, "failures": [],
+                                "containment_failures": []},
+                    "covering": None}
+
+    monkeypatch.setattr(oracle, "verify_laws", lambda F, kind: FailedReport())
     code, out, _ = run_cli(["verify", "--field", "5", "--group", "sl2"])
     assert code == 1
     assert json.loads(out)["ok"] is False
+    code, out, _ = run_cli(["verify", "--field", "5", "--group", "sl2",
+                            "--format", "text"])
+    assert code == 1
+    assert out.splitlines()[-1] == "FAILURES PRESENT"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

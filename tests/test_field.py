@@ -298,6 +298,14 @@ def test_eps_shift_solvable_rejects_non_elements():
             eps_shift_solvable(F7, *args)
 
 
+def test_div_inverts_mul(F):
+    for y in F.units():
+        for x in F.elements():
+            assert F.mul(F.div(x, y), y) == x
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)
+
+
 def test_eps_shift_witness_satisfies_equation(F):
     for e1 in (1, F.nonsquare_rep):
         for e2 in (1, F.nonsquare_rep):
@@ -341,11 +349,13 @@ def test_field_ops_random_associativity(data):
 
 
 def test_square_data_rejects_non_elements():
-    """is_square, sqrt, inv and square_class reject an encoding outside
-    0..q-1 as of does, instead of reading a negative one through Python's
-    negative list index (at q = 5, -1 would pass for the square 4)."""
+    """is_square, sqrt, inv, square_class, power and the dividend of div
+    reject an encoding outside 0..q-1 as of does, instead of reading a
+    negative one through Python's negative list index (at q = 5, -1 would
+    pass for the square 4)."""
     F5 = make_field(5)
-    for fn in (F5.is_square, F5.sqrt, F5.inv, F5.square_class):
+    for fn in (F5.is_square, F5.sqrt, F5.inv, F5.square_class,
+               lambda v: F5.power(v, 1), lambda v: F5.div(v, 1)):
         for v in (-1, -4, 5, 7):
             with pytest.raises(ValueError):
                 fn(v)
