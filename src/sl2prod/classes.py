@@ -74,7 +74,7 @@ class PSLLabel(NamedTuple):
         return (_PSL_KIND_RANK[self.kind], self.param)
 
 
-_LABEL_RE = re.compile(r"^(I|-I|P1)$|^(U|NU|SS|NSS|PU|PSS|PNSS)\[(\d+)\]$")
+_LABEL_RE = re.compile(r"^(I|-I|P1)$|^(U|NU|SS|NSS|PU|PSS|PNSS)\[([0-9]+)\]$")
 
 
 def classify_sl2(F: FieldCtx, m: Mat, check: bool = True) -> SL2Label:

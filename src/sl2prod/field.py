@@ -290,9 +290,10 @@ def _make_field(p: int, a: int) -> FieldCtx:
 
 
 def parse_descriptor(text: str) -> FieldCtx:
-    """Parse a field descriptor "p" or "p^a" (e.g. "7", "3^2")."""
-    parts = text.split("^")
-    if len(parts) > 2 or not all(s.strip().isdecimal() for s in parts):
+    """Parse a field descriptor "p" or "p^a" (e.g. "7", "3^2") in ASCII
+    digits; isdecimal() and int() alone also take "٧" and "３"."""
+    parts = [s.strip() for s in text.split("^")]
+    if len(parts) > 2 or not all(s.isascii() and s.isdecimal() for s in parts):
         raise ValueError(f"bad field descriptor {text!r}, expected p or p^a")
     p = int(parts[0])
     a = int(parts[1]) if len(parts) == 2 else 1

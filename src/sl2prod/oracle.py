@@ -6,7 +6,8 @@ any disagreement with the laws module is reported with a counterexample.
 
 Class products come from one ProductTable per group over the shared
 ClassIndex (see classes), whose cell (i, j) is the class mask of C_i * C_j.
-The class fibers and both product tables live on the field's class indices.
+Both tables and the group (its fibers of trace +-2 alone, see GroupTable)
+live on the field's class indices.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the whole group per
@@ -36,8 +37,8 @@ fibers with mat_mul and classify_sl2, kept as the independent reference the
 tests compare the table against.
 
 enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
-(Python 3.11, in-process), `sl2prod verify --field 3^3` takes 0.06-0.11 s,
-`--field 31` 0.10-0.14 s, `--field 61` 0.8-1.1 s and `--field 127` 11 s.
+(Python 3.11), `sl2prod verify --field 61` takes 0.8-1.1 s in-process; in a
+fresh process `--field 101` peaks at 97 MB (5.3 s) and 127 at 177 MB (13 s).
 """
 
 from __future__ import annotations
@@ -60,18 +61,21 @@ class EnumerationBoundError(ValueError):
 
 
 class GroupTable:
-    """SL2(F_q) as its class fibers: fiber[L] lists the elements of class L
-    in the canonical order of iter_sl2.  A trace other than +-2 is one SS or
-    NSS class, so only the elements of trace +-2 are classified one by one."""
+    """SL2(F_q) as its class fibers: fiber(L) lists class L in the order of
+    iter_sl2.  A trace other than +-2 is one SS or NSS class, rebuilt from
+    its trace on each call; only the classes of trace +-2 are kept."""
 
     def __init__(self, F: FieldCtx):
         self.field = F
-        self.fiber: dict[SL2Label, list[Mat]] = {
-            L: list(iter_trace_fiber(F, L.param)) if L.is_semisimple else []
-            for L in all_classes_sl2(F)}
+        self._classified = {L: [] for L in all_classes_sl2(F) if not L.is_semisimple}
         for t in (F.scalar(2), F.neg(2)):
             for m in iter_trace_fiber(F, t):
-                self.fiber[classify_sl2(F, m, check=False)].append(m)
+                self._classified[classify_sl2(F, m, check=False)].append(m)
+
+    def fiber(self, L: SL2Label) -> list[Mat]:
+        class_index(self.field, "sl2").at(L)    # ValueError for a label of no class
+        return (list(iter_trace_fiber(self.field, L.param)) if L.is_semisimple
+                else self._classified[L])
 
     @property
     def order(self) -> int:
@@ -117,9 +121,10 @@ def _direct_columns(T: GroupTable):
     MUL = [F.mul(x, y) for x in range(q) for y in range(q)]
     row = {L.param: k for k, L in enumerate(C.labels) if L.is_semisimple}
     pm2 = [k for k, L in enumerate(C.labels) if not L.is_semisimple]
-    fibers = [T.fiber[L] for L in C.labels]
-    top = [[a * q + b for a, b, _, _ in fib] for fib in fibers]
-    bottom = [[c * q + d for _, _, c, d in fib] for fib in fibers]
+    top, bottom = [], []
+    for fib in map(T.fiber, C.labels):      # one fiber's tuples alive at a time
+        top.append([a * q + b for a, b, _, _ in fib])
+        bottom.append([c * q + d for _, _, c, d in fib])
 
     def traces(w):
         """traces(w)(i) lists tr(x w) = ae + bg + cf + dh over x in C_i."""
@@ -133,8 +138,8 @@ def _direct_columns(T: GroupTable):
         y = representative(F, C.labels[j])
         y_inv = mat_inv(F, y)
         of_y, of_y_inv = traces(y), traces(y_inv)
-        masks = [known.get(i, 0) for i in range(len(fibers))]
-        walked = set(range(len(fibers))) - known.keys()
+        masks = [known.get(i, 0) for i in range(len(top))]
+        walked = set(range(len(top))) - known.keys()
         for i in walked:
             masks[i] = sum(1 << row[t] for t in set(of_y(i)) if t in row)
         for k in pm2:
@@ -143,7 +148,7 @@ def _direct_columns(T: GroupTable):
                 if row.get(t) in walked:
                     masks[row[t]] |= 1 << k
             if not walked.isdisjoint(pm2):
-                for z, t in zip(fibers[k], duals):
+                for z, t in zip(T.fiber(C.labels[k]), duals):
                     if t not in row:
                         i = C.at(classify_sl2(F, mat_mul(F, z, y_inv), check=False))
                         if i in walked:
@@ -225,10 +230,9 @@ def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
     if not paranoid:
         return _product_table(T, "sl2").of_labels(L1, L2)
     F = T.field
-    C = class_index(F, "sl2")
-    C.at(L1), C.at(L2)      # raises the ValueError for a label of no class
+    xs, ys = T.fiber(L1), T.fiber(L2)
     return frozenset(classify_sl2(F, mat_mul(F, x, y), check=False)
-                     for x in T.fiber[L1] for y in T.fiber[L2])
+                     for x in xs for y in ys)
 
 
 def brute_pair_product_psl(T: GroupTable, P1: PSLLabel, P2: PSLLabel) -> frozenset:
@@ -251,19 +255,15 @@ def brute_commutator_set(T: GroupTable, kind: str = "psl2") -> frozenset:
     is only reachable through the degenerate witness u = 1)."""
     F = T.field
     class_index(F, kind)        # rejects a kind other than sl2 and psl2
-    u_reps = [representative(F, SL2Label("U", 1)),
-              representative(F, SL2Label("U", F.nonsquare_rep))]
-    semis = [fiber for L, fiber in T.fiber.items() if L.is_semisimple]
-    out = set()
-    for u in u_reps:
-        uinv = mat_inv(F, u)
-        for s in itertools.chain.from_iterable(semis):
-            c = mat_mul(F, mat_mul(F, s, u), mat_mul(F, mat_inv(F, s), uinv))
+    us = [(u, mat_inv(F, u)) for u in
+          (representative(F, SL2Label("U", r)) for r in (1, F.nonsquare_rep))]
+    out = {SL2Label("I")}
+    for s in (s for L in all_classes_sl2(F) if L.is_semisimple for s in T.fiber(L)):
+        s_inv = mat_inv(F, s)
+        for u, u_inv in us:
+            c = mat_mul(F, mat_mul(F, s, u), mat_mul(F, s_inv, u_inv))
             out.add(classify_sl2(F, c, check=False))
-    out.add(SL2Label("I"))
-    if kind == "sl2":
-        return frozenset(out)
-    return frozenset(psl_project(F, L) for L in out)
+    return frozenset(out if kind == "sl2" else (psl_project(F, L) for L in out))
 
 
 # -- verification ------------------------------------------------------------
@@ -320,7 +320,7 @@ def _pair_counterexample(T: GroupTable, kind, L1, L2, missing):
         L1, L2 = psl_lift_pair(F, L1)[0], psl_lift_pair(F, L2)[0]
         name = lambda L: psl_project(F, L)
     y = representative(F, L2)
-    for x in T.fiber[L1]:
+    for x in T.fiber(L1):
         m = mat_mul(F, x, y)
         if name(classify_sl2(F, m, check=False)) in missing:
             return m

@@ -190,8 +190,8 @@ def test_criterion_7_structural_suites():
                 bruhat_decompose(F, mat_mul(F, x, y))
     for F in FIELDS:
         T = enumerate_sl2(F)
-        assert len(T.fiber) == F.q + 4
-        assert sum(len(v) for v in T.fiber.values()) == F.q * (F.q ** 2 - 1)
+        assert len(all_classes_sl2(F)) == F.q + 4
+        assert sum(len(T.fiber(L)) for L in all_classes_sl2(F)) == F.q * (F.q ** 2 - 1)
         for L in all_classes_sl2(F):
             assert inverse_class(F, L) == \
                 classify_sl2(F, mat_inv(F, representative(F, L)))

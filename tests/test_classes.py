@@ -212,6 +212,9 @@ def test_label_parse_errors():
         parse_label(F7, "SS[2]")      # central trace
     with pytest.raises(ValueError):
         parse_label(F7, "Q[1]")
+    for text in ("U[١]", "SS[３]"):    # digits, but not ASCII ones
+        with pytest.raises(ValueError, match="bad label"):
+            parse_label(F7, text)
     assert parse_label(F7, "PSS[6]") == PSLLabel("PSS", 1)  # canonicalized
 
 
@@ -235,6 +238,7 @@ LABEL_CONSUMERS = {
         enumerate_sl2(F), L, U1, paranoid=True)),
     "brute_triple_product": ("SL2", lambda F, L: brute_triple_product(
         enumerate_sl2(F), L, U1, U1)),
+    "GroupTable.fiber": ("SL2", lambda F, L: enumerate_sl2(F).fiber(L)),
     "psl_representative": ("PSL2", psl_representative),
     "psl_lift_pair": ("PSL2", psl_lift_pair),
     "psl_element_order": ("PSL2", psl_element_order),

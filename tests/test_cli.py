@@ -173,6 +173,9 @@ def test_domain_error_exit_3(no_group_table):
                  ["classify", "--field", "7", "[[1,false],[0,1]]"],
                  ["product", "--field", "7", "U[2]", "U[1]"],
                  ["product", "--field", "7", "SS[0]", "U[1]"],
+                 ["product", "--field", "٧", "U[1]", "U[3]"],     # non-ASCII digits
+                 ["product", "--field", "7", "U[١]", "U[3]"],
+                 ["triple", "--field", "7", "SS[３]", "U[1]", "U[1]"],
                  ["classify", "--field", "7", "[" * 100000],
                  ["classes", "--field", "3^20"],
                  ["classify", "[[1,0],[0,1]]"],
@@ -237,7 +240,14 @@ def test_verify_jobs_flag_output_stable():
      "4442488a69f86c574b0f1b9731515949ed9f41bcb9f133d066ff824097239841"),
     (["covering", "--field", "7"],
      "bcc1e3ef7d11b9dc5dee8d2c87f544a3628155f04dd1aa44301afe956c6112c1"),
-], ids=["verify-7", "verify-9-psl2-text", "covering-7"])
+    (["verify", "--field", "3^3"],
+     "c83cc8b75715a2421c1e5f1204ba58dde5328d2acc50029f3a588b474407bb0c"),
+    (["verify", "--field", "31"],
+     "7c7825e85448b6a016e483b1b059acd61ad37ea8c9e8a61dd10a2e11ae7b4f4e"),
+    (["covering", "--field", "31"],
+     "edf3181c03bd3eeaf18c80fd6d13c7208507ff0ae616033f4ce09994a58f89a3"),
+], ids=["verify-7", "verify-9-psl2-text", "covering-7", "verify-27", "verify-31",
+        "covering-31"])
 def test_verify_golden_bytes(argv, digest):
     """verify and covering print these exact bytes (sha256 of stdout)."""
     code, out, _ = run_cli(argv)

@@ -161,8 +161,9 @@ def test_parse_descriptor():
         parse_descriptor("six")
     with pytest.raises(ValueError):
         parse_descriptor("2^3")
-    # str.isdigit accepts "²", which int() rejects
-    for text in ("²", "3^²", "", "3^"):
+    # str.isdigit accepts "²", which int() rejects; isdecimal() and int()
+    # accept "١٣" (Arabic-Indic 13) and "３" (fullwidth 3)
+    for text in ("²", "3^²", "", "3^", "١٣", "3^３"):
         with pytest.raises(ValueError, match="bad field descriptor"):
             parse_descriptor(text)
 

@@ -242,7 +242,7 @@ def scan_macbeath(F, alpha, beta, gamma):
 
 def scan_factor(F, g, L1, L2):
     """First x in the enumerated fiber of L1 with x^-1 g in L2."""
-    for x in enumerate_sl2(F).fiber[L1]:
+    for x in enumerate_sl2(F).fiber(L1):
         y = mat_mul(F, mat_inv(F, x), g)
         if classify_sl2(F, y) == L2:
             return x, y
