@@ -16,9 +16,8 @@ from .classes import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                       representative, sort_labels)
 from .laws import (ProductLaw, commutator_expressible_psl,
                    psl_distinct_unipotent_product_by_order, psl_pair_product,
-                   psl_pair_product_law, psl_pair_product_via_lifts,
-                   psl_triple_product, sl2_pair_product, sl2_pair_product_law,
-                   sl2_triple_product)
+                   psl_pair_product_law, psl_triple_product, sl2_pair_product,
+                   sl2_pair_product_law, sl2_triple_product)
 from .oracle import (EnumerationBoundError, GroupTable, VerificationReport,
                      brute_commutator_set, brute_pair_product,
                      brute_pair_product_psl, brute_triple_product,

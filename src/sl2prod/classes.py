@@ -9,7 +9,10 @@ Inside the library a class is its index in all_classes_sl2(F) or
 all_classes_psl(F) and a set of classes is an int bitmask (ClassIndex).
 The class index judges every label: each function that takes one from
 outside asks class_index(F, kind).at first, and the label-to-label maps
-(negate_class, inverse_class, psl_project, psl_inverse_class) do not.
+(negate_class, inverse_class, psl_project, psl_inverse_class) do not.  at
+takes only its group's label type with a param of type int, since a label
+hashes and compares as its tuple: U[True], U[1.0] and ("U", 1) would all
+find the slot of U[1].
 The laws and the oracle each fill a ProductTable of pair-product masks and
 fold triples over it; label sets are built only for public return values.
 The field's memo owns both class indices, and each index its group's tables.
@@ -22,8 +25,8 @@ from collections import defaultdict
 from itertools import chain
 from typing import NamedTuple
 
-from .field import FieldCtx
-from .mat2 import IDENT, Mat, mat_mul, minus_ident, sl2
+from .field import FieldCtx, _prime_factors
+from .mat2 import IDENT, Mat, mat_pow, minus_ident, sl2
 
 _KIND_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5}
 _PSL_KIND_RANK = {"P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}
@@ -208,17 +211,20 @@ def psl_representative(F: FieldCtx, P: PSLLabel) -> Mat:
 
 
 def psl_element_order(F: FieldCtx, P: PSLLabel) -> int:
-    """Order of the class elements in PSL2, by repeated multiplication."""
+    """Order of the class elements in PSL2.  A semisimple representative m
+    has m^N = I, with N = q - 1 (PSS) or q + 1 (PNSS), and m^d is +-I
+    exactly when the PSL order divides d; so each prime r is divided out of
+    N while m^(N/r) is still +-I, each power O(log q) matrix products."""
     class_index(F, "psl2").at(P)
     if P.kind == "P1":
         return 1
     if P.kind == "PU":
         return F.p
-    m, mi = psl_representative(F, P), minus_ident(F)
-    x, n = m, 1
-    while x != IDENT and x != mi:
-        x = mat_mul(F, x, m)
-        n += 1
+    m, scalars = psl_representative(F, P), (IDENT, minus_ident(F))
+    n = F.q - 1 if P.kind == "PSS" else F.q + 1
+    for r in _prime_factors(n):
+        while n % r == 0 and mat_pow(F, m, n // r) in scalars:
+            n //= r
     return n
 
 
@@ -236,7 +242,7 @@ def is_q_good(F: FieldCtx, P: PSLLabel) -> bool:
 def parse_label(F: FieldCtx, text: str):
     """Parse an SL2 or PSL2 label string; PSS/PNSS traces are canonicalized.
     ValueError unless the label is a class of its group over F."""
-    m = _LABEL_RE.match(text.strip())
+    m = _LABEL_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"bad label {text!r}")
     kind, param = m.group(1) or m.group(2), F.of(int(m.group(3) or 0))
@@ -285,10 +291,11 @@ class ClassIndex:
 
     def __init__(self, F: FieldCtx, labels, name: str):
         self.law = self.brute = self.group = self.shifts = None
+        self.label_type = type(labels[0])       # SL2Label or PSLLabel
         self.pairs: dict[tuple, tuple[frozenset, str]] = {}
         self.field, self.labels, self.name = F, labels, name
         self.full = (1 << len(labels)) - 1
-        self.slot = {(L.kind, L.param): k for k, L in enumerate(labels)}
+        self.slot = {L: k for k, L in enumerate(labels)}   # slot[kind, param] too
         # the labels come grouped by kind, so each kind's mask is one run of bits
         ends = {L.kind: k + 1 for k, L in enumerate(labels)}
         self.kind_mask = {kind: (1 << hi) - (1 << lo)
@@ -296,8 +303,10 @@ class ClassIndex:
         self._sets, self._central = {}, {}      # labels_of and central_rows memos
 
     def at(self, L) -> int:
-        """Index of the class L; ValueError if L is not a class of the group."""
-        k = self.slot.get((L.kind, L.param))    # cheaper than hashing L
+        """Index of the class L; ValueError unless L is a label of the
+        group's type, with an int param, that names one of its classes."""
+        k = (self.slot.get(L)
+             if type(L) is self.label_type and type(L.param) is int else None)
         if k is None:
             raise ValueError(f"{L} is not a class of {self.name}")
         return k

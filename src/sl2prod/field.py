@@ -16,15 +16,17 @@ MAX_FIELD_ORDER = 10 ** 5     # a context takes up to about 96 B per element
 LIVE_FIELDS = 16              # contexts make_field keeps alive
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, smallest first, by trial division;
+    none for n < 2."""
+    factors, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            factors.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return factors + [n] if n > 1 else factors
 
 
 # Polynomials over F_p are coefficient tuples, lowest degree first, with no
@@ -141,15 +143,7 @@ class FieldCtx:
     def _find_generator(self, raw_mul):
         q = self.q
         n = q - 1
-        factors, m, d = [], n, 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
+        factors = _prime_factors(n)
 
         def raw_pow(x, e):
             r = 1
@@ -268,8 +262,11 @@ def make_field(p: int, a: int = 1) -> FieldCtx:
 
     One context per (p, a) among the last LIVE_FIELDS asked, however spelt;
     a dropped context that no caller holds takes its tables with it.  Rejects
-    even characteristic, non-prime p, a < 1, and q outside 5..MAX_FIELD_ORDER.
+    even characteristic, non-prime p, a < 1, q outside 5..MAX_FIELD_ORDER,
+    and a p or a that is not an int (the cache would take 7.0 or True as 7 or 1).
     """
+    if type(p) is not int or type(a) is not int:
+        raise ValueError(f"p and a must be ints, got {p!r} and {a!r}")
     return _make_field(p, a)
 
 
@@ -277,10 +274,10 @@ def make_field(p: int, a: int = 1) -> FieldCtx:
 def _make_field(p: int, a: int) -> FieldCtx:
     if p == 2:
         raise ValueError("even characteristic")
-    # checked before p ** a or _is_prime(p) can take long, using q >= 2 ** a
+    # checked before p ** a or factoring p can take long, using q >= 2 ** a
     if p > MAX_FIELD_ORDER or a >= MAX_FIELD_ORDER.bit_length():
         raise ValueError(f"q = {p}^{a} exceeds the field bound {MAX_FIELD_ORDER}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"p must be an odd prime, got {p}")
     if a < 1:
         raise ValueError(f"extension degree must be >= 1, got {a}")
@@ -292,8 +289,8 @@ def _make_field(p: int, a: int) -> FieldCtx:
 def parse_descriptor(text: str) -> FieldCtx:
     """Parse a field descriptor "p" or "p^a" (e.g. "7", "3^2") in ASCII
     digits; isdecimal() and int() alone also take "٧" and "３"."""
-    parts = [s.strip() for s in text.split("^")]
-    if len(parts) > 2 or not all(s.isascii() and s.isdecimal() for s in parts):
+    parts = [s.strip() for s in text.split("^")] if isinstance(text, str) else []
+    if not 1 <= len(parts) <= 2 or not all(s.isascii() and s.isdecimal() for s in parts):
         raise ValueError(f"bad field descriptor {text!r}, expected p or p^a")
     p = int(parts[0])
     a = int(parts[1]) if len(parts) == 2 else 1

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_psl,
-                      class_index, is_q_good, negate_class, psl_inverse_class,
-                      psl_lift_pair, psl_project)
+                      class_index, is_q_good, negate_class)
 
 
 class ProductLaw(NamedTuple):
@@ -57,15 +56,17 @@ def sl2_pair_product(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> frozenset:
 
 
 def _pair(F, kind, A, B):
-    """(label set, rule) of A * B, kept in C.pairs; ValueError for a foreign label."""
+    """(label set, rule) of A * B, kept in C.pairs; ValueError for a foreign
+    label.  Types are tested before the memo is read, whose key U[True]
+    would share with U[1]."""
     C = class_index(F, kind)
-    key = (A.kind, A.param, B.kind, B.param)    # cheaper to hash than (A, B)
-    got = C.pairs.get(key)
+    T = C.label_type
+    got = (C.pairs.get((A, B)) if type(A) is T is type(B)
+           and type(A.param) is int is type(B.param) else None)
     if got is None:
-        if key[:2] not in C.slot or key[2:] not in C.slot:
-            C.at(A), C.at(B)                    # raises the ValueError
+        C.at(A), C.at(B)                        # ValueError for a label of no class
         mask, rule = (_sl2_pair if kind == "sl2" else _psl_pair)(F, A, B)
-        got = C.pairs[key] = C.labels_of(mask), rule
+        got = C.pairs[A, B] = C.labels_of(mask), rule
     return got
 
 
@@ -222,16 +223,6 @@ def _psl_pair(F, P1, P2):
             return C.full & ~units, "psl_semisimple_class_square"
         return C.full, "psl_semisimple_class_square"
     return C.full & ~C.bit("P1"), "psl_distinct_semisimple_classes"
-
-
-def psl_pair_product_via_lifts(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> frozenset:
-    """Cross-check path: project the product of any two SL2 lifts.
-
-    Changing a lift only negates the product set, which projection erases,
-    so one lift per class suffices."""
-    D1 = psl_lift_pair(F, P1)[0]
-    D2 = psl_lift_pair(F, P2)[0]
-    return frozenset(psl_project(F, L) for L in sl2_pair_product(F, D1, D2))
 
 
 def psl_triple_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel, P3: PSLLabel) -> frozenset:

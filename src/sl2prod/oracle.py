@@ -33,13 +33,9 @@ live on the field's class indices.
   group.  verify_laws compares the triple folds with the same folds over the
   laws' table; covering numbers come from the brute table alone.
 
-brute_pair_product(..., paranoid=True) is the literal double loop over both
-fibers with mat_mul and classify_sl2, kept as the independent reference the
-tests compare the table against.
-
 enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
-(Python 3.11), `sl2prod verify --field 61` takes 0.8-1.1 s in-process; in a
-fresh process `--field 101` peaks at 97 MB (5.3 s) and 127 at 177 MB (13 s).
+(Python 3.11), in a fresh process, `sl2prod verify --field 61` takes
+1.1-1.3 s and `--field 101` 3.3-4.8 s at 96 MB max RSS; 127 peaks at 177 MB.
 """
 
 from __future__ import annotations
@@ -77,10 +73,6 @@ class GroupTable:
         class_index(self.field, "sl2").at(L)    # ValueError for a label of no class
         return (list(iter_trace_fiber(self.field, L.param)) if L.is_semisimple
                 else self._classified[L])
-
-    @property
-    def order(self) -> int:
-        return self.field.q * (self.field.q ** 2 - 1)
 
 
 def enumerate_sl2(F: FieldCtx) -> GroupTable:
@@ -222,18 +214,9 @@ def _psl_products(F: FieldCtx, S: ProductTable) -> ProductTable:
     return ProductTable(C, lambda i, j: _image(project, S.pair(lift[i], lift[j])))
 
 
-def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label,
-                       paranoid: bool = False) -> frozenset:
-    """Exact label set of C1*C2.
-
-    Default mode reads the SL2 product table.  Paranoid mode runs the
-    literal double loop over both fibers."""
-    if not paranoid:
-        return _product_table(T, "sl2").of_labels(L1, L2)
-    F = T.field
-    xs, ys = T.fiber(L1), T.fiber(L2)
-    return frozenset(classify_sl2(F, mat_mul(F, x, y), check=False)
-                     for x in xs for y in ys)
+def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label) -> frozenset:
+    """Exact label set of C1*C2, read from the SL2 product table."""
+    return _product_table(T, "sl2").of_labels(L1, L2)
 
 
 def brute_pair_product_psl(T: GroupTable, P1: PSLLabel, P2: PSLLabel) -> frozenset:
@@ -295,8 +278,11 @@ class VerificationReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
+        """No mismatch, and the covering numbers of every odd q up to 61:
+        (3, 4), but (5, 5) for SL2(5)."""
+        covering = (5, 5) if (self.q, self.kind) == (5, "sl2") else (3, 4)
         return not (self.pair_mismatches or self.triple_mismatches
-                    or self.containment_failures)
+                    or self.containment_failures) and self.covering == covering
 
     def to_dict(self):
         return {

@@ -1,6 +1,7 @@
 """Class taxonomy: classification, representatives, negation, inversion,
 PSL projection, element orders."""
 
+import inspect
 import pickle
 import random
 import re
@@ -9,24 +10,31 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+import sl2prod
 from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
                      ProductLaw, SL2Label, Torus, VerificationReport,
                      all_classes_psl, all_classes_sl2, classify_sl2, conjugate,
                      inverse_class, is_q_good, iter_sl2, make_field, mat_inv,
-                     mat_neg, negate_class, parse_label, parse_psl_label,
-                     parse_sl2_label, psl_classify, psl_element_order,
-                     psl_lift_pair, psl_project, psl_representative,
-                     representative, sort_labels)
-from sl2prod import (brute_pair_product, brute_pair_product_psl,
-                     brute_triple_product, commutator_expressible_psl,
-                     enumerate_sl2, factor_pair, factor_pair_psl,
-                     psl_pair_product, psl_pair_product_law,
-                     psl_pair_product_via_lifts, psl_triple_product,
-                     sl2_pair_product, sl2_pair_product_law, sl2_triple_product)
+                     mat_mul, mat_neg, negate_class, parse_descriptor,
+                     parse_label, parse_psl_label, parse_sl2_label,
+                     psl_classify, psl_element_order, psl_lift_pair,
+                     psl_project, psl_representative, representative, sl2,
+                     sort_labels)
+from sl2prod import (brute_commutator_set, brute_pair_product,
+                     brute_pair_product_psl, brute_triple_product,
+                     commutator_expressible_psl, commutator_witness_psl,
+                     conjugating_element, covering_numbers, enumerate_sl2,
+                     eps_shift_solvable, factor_pair, factor_pair_psl,
+                     macbeath_triple, psl_pair_product, psl_pair_product_law,
+                     psl_triple_product, sl2_pair_product,
+                     sl2_pair_product_law, sl2_triple_product, verify_laws)
 from sl2prod import classes
 from sl2prod.classes import ProductTable, bits, class_index
 from sl2prod.laws import law_table
+from sl2prod.mat2 import IDENT, minus_ident
 from sl2prod.oracle import Mismatch, _product_table as brute_table
+from test_laws import lifted_pair_product
+from test_oracle import literal_pair_product
 
 F5, F7 = make_field(5), make_field(7)
 
@@ -173,6 +181,40 @@ def test_orders_golden():
         is_q_good(F7, PSLLabel("PU", 1))
 
 
+def repeated_multiplication_order(F, P):
+    """The reference for psl_element_order: powers of the representative
+    until one is +-I."""
+    if P.kind == "P1":
+        return 1
+    if P.kind == "PU":
+        return F.p
+    m = psl_representative(F, P)
+    x, n = m, 1
+    while x not in (IDENT, minus_ident(F)):
+        x = mat_mul(F, x, m)
+        n += 1
+    return n
+
+
+ODD_PRIME_POWERS_TO_61 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
+                          (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1),
+                          (37, 1), (41, 1), (43, 1), (47, 1), (7, 2), (53, 1),
+                          (59, 1), (61, 1)]
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61 + [(1009, 1), (3, 7)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_element_order_matches_repeated_multiplication(pa):
+    """Every PSL2 class up to q = 61, and 30 seeded semisimple classes at
+    1009 and 3^7, have the order that repeated multiplication finds."""
+    F = make_field(*pa)
+    ps = all_classes_psl(F)
+    if F.q > 61:
+        ps = random.Random(F.q).sample([P for P in ps if P.is_semisimple], 30)
+    for P in ps:
+        assert psl_element_order(F, P) == repeated_multiplication_order(F, P), P
+
+
 def test_order_divides_group_exponent(F):
     for P in all_classes_psl(F):
         t = psl_element_order(F, P)
@@ -221,11 +263,23 @@ def test_label_parse_errors():
 U1, PU1 = SL2Label("U", 1), PSLLabel("PU", 1)
 # labels that are no class at q = 7: a parameter on a central kind, a
 # square-class parameter other than 1 and 3, a trace of the wrong split kind,
-# a central trace, an unknown kind, and an uncanonical PSS trace
+# a central trace, an unknown kind, and an uncanonical PSS trace; then inputs
+# that a label of a class equals as a tuple: a bool or a float param (U[1],
+# PU[1]), a negative param or one >= q (SS[6], PSS[1] mod 7), a plain tuple
+# and a str
 NOT_CLASSES_Q7 = [SL2Label("I", 5), SL2Label("U", 2), SL2Label("SS", 0),
                   SL2Label("SS", 2), SL2Label("Q", 1), PSLLabel("PSS", 6),
-                  PSLLabel("PU", 5), PSLLabel("P1", 3)]
-# each public function that takes a label, with the group it judges it in
+                  PSLLabel("PU", 5), PSLLabel("P1", 3),
+                  SL2Label("U", True), SL2Label("U", 1.0), PSLLabel("PU", True),
+                  PSLLabel("PU", 1.0), SL2Label("SS", -1), SL2Label("SS", 13),
+                  PSLLabel("PSS", -6), PSLLabel("PSS", 8), ("U", 1), ("PU", 1),
+                  "U[1]", "PU[1]"]
+# a class of the other group, for the functions that judge in one group
+OTHER_GROUP = {"SL2": PU1, "PSL2": U1}
+# each public function that takes a label, with the group it judges it in;
+# brute_pair_product_paranoid and psl_pair_product_via_lifts are the
+# references that test_oracle and test_laws compare against, which must go
+# through the same judge
 LABEL_CONSUMERS = {
     "parse_label": (None, lambda F, L: parse_label(F, str(L))),    # L's own group
     "representative": ("SL2", representative),
@@ -234,8 +288,8 @@ LABEL_CONSUMERS = {
     "sl2_triple_product": ("SL2", lambda F, L: sl2_triple_product(F, U1, L, U1)),
     "factor_pair": ("SL2", lambda F, L: factor_pair(F, (1, 1, 0, 1), L, U1)),
     "brute_pair_product": ("SL2", lambda F, L: brute_pair_product(enumerate_sl2(F), U1, L)),
-    "brute_pair_product_paranoid": ("SL2", lambda F, L: brute_pair_product(
-        enumerate_sl2(F), L, U1, paranoid=True)),
+    "brute_pair_product_paranoid": ("SL2", lambda F, L: literal_pair_product(
+        enumerate_sl2(F), L, U1)),
     "brute_triple_product": ("SL2", lambda F, L: brute_triple_product(
         enumerate_sl2(F), L, U1, U1)),
     "GroupTable.fiber": ("SL2", lambda F, L: enumerate_sl2(F).fiber(L)),
@@ -246,7 +300,7 @@ LABEL_CONSUMERS = {
     "commutator_expressible_psl": ("PSL2", commutator_expressible_psl),
     "psl_pair_product": ("PSL2", lambda F, L: psl_pair_product(F, PU1, L)),
     "psl_pair_product_law": ("PSL2", lambda F, L: psl_pair_product_law(F, L, PU1)),
-    "psl_pair_product_via_lifts": ("PSL2", lambda F, L: psl_pair_product_via_lifts(F, PU1, L)),
+    "psl_pair_product_via_lifts": ("PSL2", lambda F, L: lifted_pair_product(F, PU1, L)),
     "psl_triple_product": ("PSL2", lambda F, L: psl_triple_product(F, PU1, PU1, L)),
     "factor_pair_psl": ("PSL2", lambda F, L: factor_pair_psl(F, (1, 1, 0, 1), PU1, L)),
     "brute_pair_product_psl": ("PSL2", lambda F, L: brute_pair_product_psl(
@@ -256,22 +310,123 @@ LABEL_CONSUMERS = {
 }
 
 
+def _label_id(v):
+    if v in LABEL_CONSUMERS:
+        return v
+    return str(v) if isinstance(v, (SL2Label, PSLLabel)) else repr(v)
+
+
 @pytest.mark.parametrize("name,L", [
-    (name, L) for name in LABEL_CONSUMERS for L in NOT_CLASSES_Q7
-    # as text, PSS[6] is the class PSS[1] (test_label_parse_errors)
-    if (name, L) != ("parse_label", PSLLabel("PSS", 6))],
-    ids=lambda v: v if isinstance(v, str) else str(v))
+    (name, L) for name, (group, _) in LABEL_CONSUMERS.items()
+    for L in NOT_CLASSES_Q7 + ([OTHER_GROUP[group]] if group else [])
+    # as text, PSS[6] is the class PSS[1] (test_label_parse_errors), and the
+    # strs are the classes U[1] and PU[1]
+    if name != "parse_label" or not (L == PSLLabel("PSS", 6) or isinstance(L, str))],
+    ids=_label_id)
 def test_label_consumers_reject_non_classes(name, L):
     """The class index judges every label: each function that takes one
     refuses a label that is no class of the field, with the index's message
     naming the label with its parameter, the group and the field."""
+    # a memo that holds U[1] * U[1] must not answer for U[True] * U[1]
+    sl2_pair_product(F7, U1, U1), psl_pair_product(F7, PU1, PU1)
     group, call = LABEL_CONSUMERS[name]
     group = group or ("PSL2" if isinstance(L, PSLLabel) else "SL2")
     want = "^" + re.escape(f"{L} is not a class of {group}(GF(7))") + "$"
     if name == "parse_label":
-        want += "|^bad label"   # I[5], Q[1] and P1[3] are outside the grammar
+        # I[5], U[True], ('U', 1) and the like are outside the grammar, and
+        # SS[13] and PSS[8] have a trace outside 0..6
+        want += r"|^bad label|^element (13|8) is not an integer in 0\.\.6$"
     with pytest.raises(ValueError, match=want):
         call(F7, L)
+
+
+# at q = 7: a bool, a float, a negative, an int >= q, a str and None
+NOT_ELEMENTS_Q7 = [True, 1.0, -1, 7, "1", None]
+# matrices with such an entry, and ones of determinant 0, of length 3 and 5,
+# and a str
+NOT_SL2_Q7 = ([(1, v, 0, 1) for v in NOT_ELEMENTS_Q7]
+              + [(1, 1, 1, 1), (1, 0, 0), (1, 0, 0, 1, 0), "[[1,1],[0,1]]"])
+NOT_KINDS = ["SL2", "psl", "", None, True, 2]
+# label texts that are no str, among them the labels themselves
+NOT_TEXTS = [None, 5, b"U[1]", ("U", 1), U1, PU1]
+# name: (malformed inputs, call) for every other input of a public function:
+# field arguments, label texts, field elements, matrices and group kinds
+MALFORMED = {
+    "make_field": ([7.0, True, "7", None, -7, 9, 2, 3, 10 ** 6, 3 ** 11], make_field),
+    "make_field(7, a)": ([1.0, True, "1", None, 0, -1], lambda a: make_field(7, a)),
+    "parse_descriptor": ([7, 7.0, None, b"7", ("7",), "7.0", "-7", "", "7^",
+                          "3^2^1", "\u0667"], parse_descriptor),
+    "parse_label": (NOT_TEXTS, lambda t: parse_label(F7, t)),
+    "parse_sl2_label": (NOT_TEXTS + ["PU[1]"], lambda t: parse_sl2_label(F7, t)),
+    "parse_psl_label": (NOT_TEXTS + ["U[1]"], lambda t: parse_psl_label(F7, t)),
+    "FieldCtx.of": (NOT_ELEMENTS_Q7, F7.of),
+    "sl2": (NOT_ELEMENTS_Q7, lambda v: sl2(F7, 1, v, 0, 1)),
+    "macbeath_triple": (NOT_ELEMENTS_Q7, lambda v: macbeath_triple(F7, 0, v, 1)),
+    "eps_shift_solvable": (NOT_ELEMENTS_Q7 + [0],
+                           lambda v: eps_shift_solvable(F7, 1, v, 1)),
+    "classify_sl2": (NOT_SL2_Q7, lambda m: classify_sl2(F7, m)),
+    "psl_classify": (NOT_SL2_Q7, lambda m: psl_classify(F7, m)),
+    "conjugating_element": (NOT_SL2_Q7,
+                            lambda m: conjugating_element(F7, (1, 1, 0, 1), m)),
+    "commutator_witness_psl": (NOT_SL2_Q7, lambda m: commutator_witness_psl(F7, m)),
+    "factor_pair": (NOT_SL2_Q7, lambda m: factor_pair(F7, m, U1, U1)),
+    "factor_pair_psl": (NOT_SL2_Q7, lambda m: factor_pair_psl(F7, m, PU1, PU1)),
+    "verify_laws": (NOT_KINDS, lambda k: verify_laws(F7, k)),
+    "covering_numbers": (NOT_KINDS, lambda k: covering_numbers(F7, k)),
+    "brute_commutator_set": (NOT_KINDS,
+                             lambda k: brute_commutator_set(enumerate_sl2(F7), k)),
+    "brute_triple_product(kind=)": (NOT_KINDS, lambda k: brute_triple_product(
+        enumerate_sl2(F7), U1, U1, U1, kind=k)),
+}
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name, (inputs, _) in MALFORMED.items() for bad in inputs],
+    ids=lambda v: v if v in MALFORMED else repr(v))
+def test_public_functions_reject_malformed_input(name, bad):
+    """Every other malformed input of a public function is a ValueError too,
+    never a TypeError, an AttributeError or an answer."""
+    with pytest.raises(ValueError):
+        MALFORMED[name][1](bad)
+
+
+# the public names the sweep leaves out, each with its reason; a FieldCtx, a
+# GroupTable and the labels a caller holds are taken as make_field,
+# enumerate_sl2 and the class index made them
+EXEMPT = {
+    tuple(f"FieldCtx.{name}" for name in (
+        "scalar", "add", "neg", "sub", "mul", "inv", "div", "power", "is_square",
+        "sqrt", "square_class", "same_class", "elements", "units")):
+        "element arithmetic other than of, unchecked by design as a hot "
+        "primitive; of (swept) rejects an int outside 0..q-1, and so do inv, "
+        "div, power, is_square and sqrt",
+    ("mat_mul", "mat_inv", "mat_neg", "mat_det", "mat_trace", "mat_pow",
+     "conjugate"): "mat2 arithmetic, unchecked by design on the matrices "
+                   "that sl2 validates",
+    ("bruhat_compose", "bruhat_decompose", "bruhat_product", "bruhat_trace"):
+        "Bruhat helpers, unchecked like the mat2 arithmetic",
+    ("iter_sl2",): "a fiber iterator: it takes only a field context",
+    ("negate_class", "inverse_class", "psl_project", "psl_inverse_class"):
+        "label-to-label maps, documented as unchecked (classes docstring)",
+    ("sort_labels",): "orders the labels it is given and takes no field to "
+                      "judge them by, like the label-to-label maps",
+    ("all_classes_sl2", "all_classes_psl", "enumerate_sl2",
+     "psl_distinct_unipotent_product_by_order"): "take only a field context",
+    ("SL2Label", "PSLLabel", "ProductLaw", "Factorization", "CommutatorCert",
+     "Torus", "BigCell", "VerificationReport", "Mat", "EnumerationBoundError"): "records and types, built unchecked; a label "
+                               "is judged where a function takes it",
+}
+
+
+def test_sweep_covers_the_public_surface():
+    """Each public name outside the submodules is swept or exempt."""
+    swept = {name.split("(")[0]
+             for name in (*LABEL_CONSUMERS, *MALFORMED)}
+    exempt = {name for names in EXEMPT for name in names}
+    public = {name for name in sl2prod.__all__
+              if not inspect.ismodule(getattr(sl2prod, name))}
+    assert public - {name.split(".")[0] for name in swept | exempt} == set()
+    assert not swept & exempt
 
 
 @pytest.mark.parametrize("pa", [(7, 1), (3, 2), (3, 3), (211, 1)],

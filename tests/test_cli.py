@@ -320,6 +320,33 @@ def test_verify_failure_exit_1(monkeypatch):
     assert out.splitlines()[-1] == "FAILURES PRESENT"
 
 
+def test_verify_checks_covering_numbers(monkeypatch):
+    """verify fails a field whose covering numbers are not (3, 4), and
+    passes SL2(5) only at its own (5, 5)."""
+    from sl2prod import oracle
+
+    code, out, _ = run_cli(["verify", "--field", "5"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    monkeypatch.setattr(oracle, "covering_numbers", lambda F, kind: (7, 7))
+    F7 = make_field(7)
+    for kind in ("sl2", "psl2"):
+        report = oracle.verify_laws(F7, kind)
+        assert report.covering == (7, 7) and report.ok is False, kind
+    code, out, _ = run_cli(["verify", "--field", "7", "--format", "text"])
+    assert code == 1
+    assert out.splitlines()[-1] == "FAILURES PRESENT"
+
+
+def test_benchmark_tracer_hooks():
+    """The benchmark's tracer wraps sl2prod functions by name: installing
+    and uninstalling it in a fresh interpreter fails if one goes missing."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    done = run_fresh(f"import sys; sys.path.insert(0, {str(perfbench)!r});"
+                     " import sl2prod, sl2prod.cli; from tracer import Tracer;"
+                     " t = Tracer(); t.install(); t.uninstall()")
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -26,9 +26,9 @@ F5, F7 = make_field(5), make_field(7)
 
 
 def test_enumeration_counts():
-    assert enumerate_sl2(F5).order == 120
-    assert enumerate_sl2(F7).order == 336
-    assert enumerate_sl2(make_field(3, 2)).order == 720
+    for F, order in ((F5, 120), (F7, 336), (make_field(3, 2), 720)):
+        T = enumerate_sl2(F)
+        assert sum(len(T.fiber(L)) for L in all_classes_sl2(F)) == order
 
 
 def test_enumeration_bound(no_group_table):
@@ -46,7 +46,7 @@ def test_enumeration_bound(no_group_table):
 def test_enumeration_bound_boundary(monkeypatch):
     """q equal to the bound enumerates; the next odd prime above it does not."""
     monkeypatch.setattr(oracle, "ENUMERATION_BOUND", 7)
-    assert enumerate_sl2(F7).order == 336
+    assert enumerate_sl2(F7).field is F7
     with pytest.raises(EnumerationBoundError):
         enumerate_sl2(make_field(11))
 
@@ -56,7 +56,7 @@ def test_fibers_partition(F):
     matters because a counterexample is the first match in a fiber."""
     T = enumerate_sl2(F)
     labels = all_classes_sl2(F)
-    assert sum(len(T.fiber(L)) for L in labels) == T.order
+    assert sum(len(T.fiber(L)) for L in labels) == F.q * (F.q ** 2 - 1)
     classified = [(m, classify_sl2(F, m)) for m in iter_sl2(F)]
     for L in labels:
         assert T.fiber(L) == [m for m, K in classified if K == L], L
@@ -75,7 +75,8 @@ def test_group_table_memory():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert T.order == 61 * (61 ** 2 - 1)
+    assert sum(len(T.fiber(L)) for L in all_classes_sl2(F)
+               if not L.is_semisimple) == 2 * 61 ** 2
     assert held < 2 ** 20, held
 
 
@@ -246,12 +247,22 @@ def test_brute_pair_symmetric(small_F):
             assert brute_pair_product(T, L1, L2) == brute_pair_product(T, L2, L1)
 
 
+def literal_pair_product(T, L1, L2):
+    """The reference for the SL2 product table: the literal double loop over
+    both fibers with mat_mul and classify_sl2."""
+    F = T.field
+    xs, ys = T.fiber(L1), T.fiber(L2)
+    return frozenset(classify_sl2(F, mat_mul(F, x, y), check=False)
+                     for x in xs for y in ys)
+
+
 def test_paranoid_mode_agrees(small_F):
+    """Every cell of the SL2 product table equals the literal double loop."""
     T = enumerate_sl2(small_F)
     for L1 in all_classes_sl2(small_F):
         for L2 in all_classes_sl2(small_F):
             assert brute_pair_product(T, L1, L2) == \
-                brute_pair_product(T, L1, L2, paranoid=True), (str(L1), str(L2))
+                literal_pair_product(T, L1, L2), (str(L1), str(L2))
 
 
 @pytest.mark.parametrize("F", [F5, F7], ids=["q5", "q7"])
