@@ -81,10 +81,12 @@ _LABEL_RE = re.compile(r"^(I|-I|P1)$|^(U|NU|SS|NSS|PU|PSS|PNSS)\[([0-9]+)\]$")
 
 
 def classify_sl2(F: FieldCtx, m: Mat, check: bool = True) -> SL2Label:
-    """Label of the SL2 conjugacy class of m, validated by mat2.sl2 if check."""
-    a, b, c, d = m
+    """Label of the SL2 conjugacy class of m; if check, a 4-tuple that mat2.sl2 accepts."""
     if check:
-        sl2(F, a, b, c, d)
+        if not isinstance(m, tuple) or len(m) != 4:
+            raise ValueError(f"matrix {m!r} is not a 4-tuple")
+        sl2(F, *m)
+    a, b, c, d = m
     t = F.add(a, d)
     two, ntwo = F.scalar(2), F.neg(2)
     if t == two:
@@ -333,7 +335,10 @@ class ClassIndex:
 
 def class_index(F: FieldCtx, kind: str) -> ClassIndex:
     """The class index of SL2(F) ("sl2") or PSL2(F) ("psl2"), kept in F's memo."""
-    C = F.memo.get(kind)
+    try:
+        C = F.memo.get(kind)
+    except TypeError:       # an unhashable kind is a miss, so a ValueError below
+        C = None
     if C is None:
         if kind not in ("sl2", "psl2"):
             raise ValueError(f"kind must be sl2 or psl2, got {kind!r}")
@@ -351,13 +356,14 @@ class ProductTable:
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
         self._fill = fill
-        self._columns = defaultdict(lambda: [None] * len(classes.labels))   # on first use
+        self._columns: dict[int, dict[int, int]] = defaultdict(dict)  # filled cells only
         self.composed: dict[tuple[int, int], int] = {}
 
     def pair(self, i: int, j: int) -> int:
-        cell = self._columns[j][i]
+        column = self._columns[j]
+        cell = column.get(i)
         if cell is None:
-            cell = self._columns[j][i] = self._fill(i, j)
+            cell = column[i] = self._fill(i, j)
         return cell
 
     def compose(self, mask: int, j: int) -> int:
@@ -367,7 +373,7 @@ class ProductTable:
             column, full = self._columns[j], self.classes.full
             central, out = self.classes.central_rows(j) & mask, 0
             for i in chain(bits(central), bits(mask ^ central)):
-                cell = column[i]
+                cell = column.get(i)
                 out |= self.pair(i, j) if cell is None else cell
                 if out == full:     # no further cell can change the fold
                     break

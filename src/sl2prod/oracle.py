@@ -30,8 +30,9 @@ live on the field's class indices.
 - Triple products and covering numbers are OR-folds over table cells, each
   distinct (mask, class) folded once (ProductTable.compose).  A fold reads
   first the rows whose cell can hold a central class and stops at the whole
-  group.  verify_laws compares the triple folds with the same folds over the
-  laws' table; covering numbers come from the brute table alone.
+  group.  verify_laws compares every pair cell and every triple fold of the
+  laws' table (laws.law_table) with those of the brute table, so it reads
+  no public pair query; covering numbers come from the brute table alone.
 
 enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
 (Python 3.11), in a fresh process, `sl2prod verify --field 61` takes
@@ -41,6 +42,7 @@ enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .field import FieldCtx
@@ -298,33 +300,27 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _pair_counterexample(T: GroupTable, kind, L1, L2, missing):
-    """A concrete product landing in a class the law missed.  For PSL2 the
-    search runs over the fiber of the SL2 lift of L1 and projects."""
-    F = T.field
-    name = lambda L: L
+def _counterexample(T: GroupTable, kind, brute: ProductTable, cell, missing):
+    """A product of the classes of cell in a class of the nonzero mask
+    missing, which the brute cell holds.  For a pair (i, j) it is the first
+    x * y, over x in the fiber of C_i and y the representative of C_j (for
+    PSL2, of their SL2 lifts).  A triple (i, j, k) takes the pair (m, k) for
+    the first class C_m of the brute cell C_i * C_j whose product with C_k
+    meets missing."""
+    F, C = T.field, brute.classes
+    if len(cell) == 3:
+        i, j, k = cell
+        cell = next((m, k) for m in bits(brute.pair(i, j)) if brute.pair(m, k) & missing)
+    L1, L2 = (C.labels[i] for i in cell)
+    at = C.at
     if kind == "psl2":
         L1, L2 = psl_lift_pair(F, L1)[0], psl_lift_pair(F, L2)[0]
-        name = lambda L: psl_project(F, L)
+        at = lambda L: C.at(psl_project(F, L))
     y = representative(F, L2)
     for x in T.fiber(L1):
         m = mat_mul(F, x, y)
-        if name(classify_sl2(F, m, check=False)) in missing:
+        if missing >> at(classify_sl2(F, m, check=False)) & 1:
             return m
-    return None
-
-
-def _triple_counterexample(T: GroupTable, kind, brute: ProductTable, i, j, k,
-                           missing):
-    """An element of C_i * C_j * C_k in a class of the mask missing: w * z
-    with z the representative of C_k and w in a class C_m of C_i * C_j (a
-    brute pair cell) whose product with C_k meets missing."""
-    labels = brute.classes.labels
-    for m in bits(brute.pair(i, j)):
-        hit = brute.pair(m, k) & missing
-        if hit:
-            return _pair_counterexample(T, kind, labels[m], labels[k],
-                                        brute.classes.labels_of(hit))
     return None
 
 
@@ -347,42 +343,37 @@ def triple_containment_expected(F, kind, trip):
 
 
 def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
-    """Every pairwise and triple law against brute force, plus covering numbers."""
+    """Every pair cell and every triple fold of the law table against the
+    brute table, plus covering numbers."""
     C = class_index(F, kind)        # rejects a bad kind before enumerating
     T = enumerate_sl2(F)
-    # read at run time, so that the law being certified is the one in place
-    law_pair = laws.sl2_pair_product if kind == "sl2" else laws.psl_pair_product
     law, brute = laws.law_table(F, kind), _product_table(T, kind)
-    labels = C.labels
-    pairs = triples = 0
+    labels, n = C.labels, len(C.labels)
     pair_mismatches, triple_mismatches, containment_failures = [], [], []
 
-    for i, L1 in enumerate(labels):
-        for j, L2 in enumerate(labels):
-            pairs += 1
-            got, want = law_pair(F, L1, L2), C.labels_of(brute.pair(i, j))
-            if got != want:
-                missing = want - got
-                ce = _pair_counterexample(T, kind, L1, L2, missing) if missing else None
-                pair_mismatches.append(
-                    Mismatch((L1, L2), sort_labels(got), sort_labels(want), ce))
+    def mismatch(cell, got, want):
+        missing = want & ~got
+        return Mismatch(tuple(labels[i] for i in cell), sort_labels(C.labels_of(got)),
+                        sort_labels(C.labels_of(want)),
+                        _counterexample(T, kind, brute, cell, missing) if missing else None)
+
+    for i, j in itertools.product(range(n), repeat=2):
+        got, want = law.pair(i, j), brute.pair(i, j)
+        if got != want:
+            pair_mismatches.append(mismatch((i, j), got, want))
 
     noncentral = C.full & ~sum(1 << k for k, L in enumerate(labels) if L.is_central)
-    for i, j, k in itertools.combinations_with_replacement(range(len(labels)), 3):
-        triples += 1
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
         trip = (labels[i], labels[j], labels[k])
         if got != want:
-            ce = _triple_counterexample(T, kind, brute, i, j, k, want & ~got)
-            triple_mismatches.append(
-                Mismatch(trip, sort_labels(C.labels_of(got)),
-                         sort_labels(C.labels_of(want)), ce))
+            triple_mismatches.append(mismatch((i, j, k), got, want))
         if noncentral & ~got and triple_containment_expected(F, kind, trip):
             containment_failures.append({
                 "triple": [str(L) for L in trip],
                 "missing": [str(L) for L in sort_labels(C.labels_of(noncentral & ~got))]})
 
-    return VerificationReport(F.q, kind, pairs, pair_mismatches, triples,
+    return VerificationReport(F.q, kind, n * n, pair_mismatches, math.comb(n + 2, 3),
                               triple_mismatches, containment_failures,
                               covering_numbers(F, kind))
 

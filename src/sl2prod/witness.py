@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
 from .mat2 import (IDENT, Mat, conjugate, fiber_solutions, mat_det, mat_inv,
-                   mat_mul, mat_neg, mat_trace, sl2)
+                   mat_mul, mat_neg, mat_trace)
 from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
                       negate_class, psl_classify, psl_lift_pair, representative)
 from .laws import commutator_expressible_psl, sl2_pair_product
@@ -63,8 +63,8 @@ class CommutatorCert(NamedTuple):
 
 def conjugating_element(F: FieldCtx, x: Mat, y: Mat):
     """First h in canonical order with h x h^-1 = y, or None; x, y in SL2."""
-    for a, b, c, d in (x, y):
-        sl2(F, a, b, c, d)
+    for m in (x, y):
+        classify_sl2(F, m)      # ValueError unless m is an SL2 element
     if _is_scalar(x):
         return (0, 1, F.neg(1), 0) if x == y else None    # first of iter_sl2
     return min(_conjugators(F, x, y), default=None)

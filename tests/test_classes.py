@@ -343,10 +343,11 @@ def test_label_consumers_reject_non_classes(name, L):
 # at q = 7: a bool, a float, a negative, an int >= q, a str and None
 NOT_ELEMENTS_Q7 = [True, 1.0, -1, 7, "1", None]
 # matrices with such an entry, and ones of determinant 0, of length 3 and 5,
-# and a str
+# a str, a list, and no sequence at all
 NOT_SL2_Q7 = ([(1, v, 0, 1) for v in NOT_ELEMENTS_Q7]
-              + [(1, 1, 1, 1), (1, 0, 0), (1, 0, 0, 1, 0), "[[1,1],[0,1]]"])
-NOT_KINDS = ["SL2", "psl", "", None, True, 2]
+              + [(1, 1, 1, 1), (1, 0, 0), (1, 0, 0, 1, 0), "[[1,1],[0,1]]",
+                 [1, 1, 0, 1], None, 5])
+NOT_KINDS = ["SL2", "psl", "", None, True, 2, ["sl2"], {}]
 # label texts that are no str, among them the labels themselves
 NOT_TEXTS = [None, 5, b"U[1]", ("U", 1), U1, PU1]
 # name: (malformed inputs, call) for every other input of a public function:
@@ -382,7 +383,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name,bad", [
     (name, bad) for name, (inputs, _) in MALFORMED.items() for bad in inputs],
-    ids=lambda v: v if v in MALFORMED else repr(v))
+    ids=lambda v: v if isinstance(v, str) and v in MALFORMED else repr(v))
 def test_public_functions_reject_malformed_input(name, bad):
     """Every other malformed input of a public function is a ValueError too,
     never a TypeError, an AttributeError or an answer."""

@@ -6,6 +6,8 @@ coverage, and dual-path properties that hold at every supported q.
 """
 
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -125,6 +127,25 @@ def test_pair_query_at_large_q_builds_no_table():
     T = ProductTable(C, lambda i, j: 0)
     assert T.pair(2, 3) == T.triple(2, 3, 4) == 0
     assert sorted(T._columns) == [3, 4]
+
+
+def test_random_triples_at_large_q_keep_only_filled_cells():
+    """1000 SL2 and 1000 PSL2 seeded random triples at q = 10007 hold under
+    40 MiB: a law-table column keeps only the cells its folds filled, where
+    a list of q + 4 slots per column took 210 MiB."""
+    F = FieldCtx(10007, 1)
+    rng = random.Random(1)
+    S, P = all_classes_sl2(F), all_classes_psl(F)
+    trips = ([(sl2_triple_product, rng.choices(S, k=3)) for _ in range(1000)]
+             + [(psl_triple_product, rng.choices(P, k=3)) for _ in range(1000)])
+    tracemalloc.start()
+    try:
+        for triple, labels in trips:
+            triple(F, *labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20, peak
 
 
 def test_pair_products_reject_foreign_labels():
@@ -271,8 +292,7 @@ def test_triple_reaches_the_group_in_few_cells(kind, trip):
     F = FieldCtx(211, 1)
     out = law_table(F, kind).of_labels(*(parse_label(F, s) for s in trip))
     assert out >= {L for L in class_index(F, kind).labels if not L.is_central}
-    filled = sum(cell is not None for column in law_table(F, kind)._columns.values()
-                 for cell in column)
+    filled = sum(len(column) for column in law_table(F, kind)._columns.values())
     assert filled <= 4
 
 

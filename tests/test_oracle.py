@@ -356,41 +356,49 @@ def test_brute_commutator_sl2_kind():
 
 
 @pytest.mark.parametrize("kind,name,where,dropped", [
-    ("sl2", "sl2_pair_product", (SL2Label("U", 1), SL2Label("U", 3)),
-     SL2Label("SS", 6)),
-    ("psl2", "psl_pair_product", (PSLLabel("PU", 1), PSLLabel("PU", 3)),
-     PSLLabel("PNSS", 3)),
+    ("sl2", "_sl2_pair", (SL2Label("U", 1), SL2Label("U", 3)), SL2Label("SS", 6)),
+    ("psl2", "_psl_pair", (PSLLabel("PU", 1), PSLLabel("PU", 3)), PSLLabel("PNSS", 3)),
 ])
 def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped):
-    """laws.<name> drops one class from the product of one pair at q = 7;
-    verify_laws and `sl2prod verify` must report exactly that pair, with a
-    product in the dropped class."""
-    orig = getattr(laws, name)
+    """laws.<name> drops one class from the law cell of one ordered pair at
+    q = 7; verify_laws and `sl2prod verify` must report exactly that pair,
+    with a product in the dropped class.  The broken cell reaches the law
+    table's triple folds too, and each such mismatch only misses classes.
+    The field is make_field(7)'s, the one the CLI gets."""
+    F = make_field(7)
+    orig, C = getattr(laws, name), class_index(F, kind)
 
     def broken(F, a, b):
-        out = orig(F, a, b)
+        mask, rule = orig(F, a, b)
         if F.q == 7 and (a, b) == where:
-            assert dropped in out
-            return out - {dropped}
-        return out
+            assert mask >> C.at(dropped) & 1
+            return mask & ~(1 << C.at(dropped)), rule
+        return mask, rule
     monkeypatch.setattr(laws, name, broken)
-    rep = verify_laws(F7, kind)
+    C.law = None        # the field's law table is refilled from the broken law
+    try:
+        rep = verify_laws(F, kind)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli_main(["verify", "--field", "7"])
+    finally:
+        C.law = None
     assert not rep.ok
     assert len(rep.pair_mismatches) == 1
-    assert rep.triple_mismatches == [] and rep.containment_failures == []
     m = rep.pair_mismatches[0]
     assert m.where == where
     assert set(m.brute) - set(m.law) == {dropped}
     assert set(m.law) - set(m.brute) == set()
     ce = m.counterexample
-    assert ce is not None and mat_det(F7, ce) == 1
-    got = classify_sl2(F7, ce)
-    assert (got if kind == "sl2" else psl_project(F7, got)) == dropped
+    assert ce is not None and mat_det(F, ce) == 1
+    name_of = (lambda L: L) if kind == "sl2" else (lambda L: psl_project(F, L))
+    assert name_of(classify_sl2(F, ce)) == dropped
     assert m.to_dict()["counterexample"] == list(ce)
+    for t in rep.triple_mismatches:
+        missing = set(t.brute) - set(t.law)
+        assert missing and not set(t.law) - set(t.brute), t.where
+        assert name_of(classify_sl2(F, t.counterexample)) in missing, t.where
 
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli_main(["verify", "--field", "7"])
     data = json.loads(out.getvalue())
     assert code == 1 and data["ok"] is False
     failed = [r for r in data["reports"] if not r["ok"]]
@@ -430,3 +438,59 @@ def test_verify_triple_counterexamples(monkeypatch, kind, name, where, dropped):
         assert ce is not None and mat_det(F7, ce) == 1, m.where
         assert name_of(classify_sl2(F7, ce)) in missing, m.where
         assert m.to_dict()["counterexample"] == list(ce)
+
+
+def test_verify_fills_no_pair_query_memo():
+    """verify reads the law table, not the public pair queries, so it leaves
+    the memo of those queries empty."""
+    F = FieldCtx(7, 1)
+    for kind in ("sl2", "psl2"):
+        assert verify_laws(F, kind).ok
+    assert [class_index(F, kind).pairs for kind in ("sl2", "psl2")] == [{}, {}]
+
+
+def test_verify_reports_containment_failures(monkeypatch):
+    """A law that drops SS[6] from every SL2 cell at q = 7 breaks the
+    promised containment of G minus the centre in 156 triple products; each
+    containment failure names SS[6] alone, and `sl2prod verify` exits 1 with
+    them in its JSON."""
+    F = make_field(7)
+    orig, C = laws._sl2_pair, class_index(F, "sl2")
+    ss6 = C.at(SL2Label("SS", 6))
+
+    def broken(F, a, b):
+        mask, rule = orig(F, a, b)
+        return (mask & ~(1 << ss6) if F.q == 7 else mask), rule
+    monkeypatch.setattr(laws, "_sl2_pair", broken)
+    C.law = None
+    try:
+        rep = verify_laws(F, "sl2")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli_main(["verify", "--field", "7", "--group", "sl2"])
+    finally:
+        C.law = None
+    assert not rep.ok and len(rep.containment_failures) == 156
+    assert all(f["missing"] == ["SS[6]"] for f in rep.containment_failures)
+    data = json.loads(out.getvalue())
+    assert code == 1 and data["ok"] is False
+    [report] = data["reports"]
+    assert report["triples"]["containment_failures"] == rep.containment_failures
+
+
+def test_verify_reports_unreached_covering_number(monkeypatch):
+    """With COVERING_LIMIT at 3, no 3-fold product of classes at q = 7 is
+    the whole group in every case, so ecn is None (null in the JSON): the
+    report is not ok, and `sl2prod verify` exits 1."""
+    monkeypatch.setattr(oracle, "COVERING_LIMIT", 3)
+    for kind in ("sl2", "psl2"):
+        assert covering_numbers(F7, kind) == (3, None)
+        rep = verify_laws(F7, kind)
+        assert not rep.ok and rep.to_dict()["covering"] == {"cn": 3, "ecn": None}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli_main(["verify", "--field", "7"])
+    data = json.loads(out.getvalue())
+    assert code == 1 and data["ok"] is False
+    assert [r["covering"] for r in data["reports"]] == [{"cn": 3, "ecn": None}] * 2
+    assert '"ecn": null' in out.getvalue()
