@@ -4,12 +4,13 @@ Identical inputs yield identical witnesses, and most are the first match
 in the row-major lexicographic order of mat2.iter_sl2.  Two are not: a
 factorization across two U/NU classes (see factor_pair), and Macbeath's A,
 the companion matrix whenever that has a partner.  None is found by
-enumerating the group.  Conjugators are the det-1 points of the linear
-space of solutions of h x = y h, found one coordinate at a time from a
-quadratic; the other searches ask mat2.fiber_solutions for the elements of
-one trace fiber with a prescribed tr(x y), a quadratic per row of the
-fiber, and test only those.  So witnesses exist at every q, above the
-oracle's enumeration bound too.
+enumerating the group.  Conjugators are the det-1 points of the plane of
+solutions of h x = y h, yielded in canonical order (_conjugators): a line
+of the plane at a time, each meeting det h = 1 in the roots of a quadratic,
+so the first conjugator costs O(1) field operations.  The other searches
+ask mat2.fiber_solutions for the elements of one trace fiber with a
+prescribed tr(x y), a quadratic per row of the fiber, and test only those.
+So witnesses exist at every q, above the oracle's enumeration bound too.
 
 Every returned witness is re-validated: factorizations and commutator
 certificates by direct multiplication and classification, Macbeath triples
@@ -19,6 +20,7 @@ where the laws or Macbeath's theorem promise one raises WitnessError.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -62,12 +64,13 @@ class CommutatorCert(NamedTuple):
 
 
 def conjugating_element(F: FieldCtx, x: Mat, y: Mat):
-    """First h in canonical order with h x h^-1 = y, or None; x, y in SL2."""
+    """First h in canonical order with h x h^-1 = y, or None; x, y in SL2.
+    The conjugators come in that order, so this is the first one yielded."""
     for m in (x, y):
         classify_sl2(F, m)      # ValueError unless m is an SL2 element
     if _is_scalar(x):
         return (0, 1, F.neg(1), 0) if x == y else None    # first of iter_sl2
-    return min(_conjugators(F, x, y), default=None)
+    return next(_conjugators(F, x, y), None)
 
 
 def _is_scalar(m: Mat) -> bool:
@@ -84,30 +87,65 @@ def _cyclic_basis(F: FieldCtx, m: Mat) -> Mat:
 
 
 def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> Iterator[Mat]:
-    """Yield every h in SL2 with h x h^-1 = y, for x, y in SL2 and x not scalar.
+    """Yield every h in SL2 with h x h^-1 = y, in canonical order, for x, y
+    in SL2 and x not scalar.
 
     Such h exist iff y has x's trace and is not scalar: then both are cyclic
     with one characteristic polynomial, and B = P_y P_x^-1 built from cyclic
     bases has B x = y B.  The solutions of the linear equation h x = y h are
-    s B + t B x, whose determinant is det(B) (s^2 + tr(x) s t + t^2); for
-    each s the det-1 points are the roots of a quadratic in t."""
+    s B + t B x, whose determinant is det(B) (s^2 + tr(x) s t + t^2).  At
+    tr(x) = 2 sigma, sigma = +-1, that form is (s + sigma t)^2, so the det-1
+    points are two parallel lines, each walked in order (_line) and merged.
+    Otherwise the first entry h[e] that is not zero on the whole plane is a
+    nonzero linear form, and each level line h[e] = v, for v = 0, 1, ...,
+    meets det h = 1 in the roots of a quadratic: at most two points, sorted.
+    So the first conjugator takes O(1) field operations, not a walk of 2q."""
     tau = mat_trace(F, x)
     if mat_trace(F, y) != tau or _is_scalar(y):
         return
     B = mat_mul(F, _cyclic_basis(F, y), mat_inv(F, _cyclic_basis(F, x)))
     Bx = mat_mul(F, B, x)
-    # t = (-tau s +- r) / 2 with r^2 = (tau^2 - 4) s^2 + 4 / det(B)
-    k = F.sub(F.mul(tau, tau), F.scalar(4))
-    k0 = F.div(F.scalar(4), mat_det(F, B))
-    half = F.inv(F.scalar(2))
-    for s in range(F.q):
-        r = F.sqrt(F.add(F.mul(k, F.mul(s, s)), k0))
-        if r is None:
-            continue
-        mid = F.neg(F.mul(tau, s))
-        for root in ((r, F.neg(r)) if r else (0,)):
-            t = F.mul(F.add(mid, root), half)
-            yield tuple(F.add(F.mul(s, b), F.mul(t, bx)) for b, bx in zip(B, Bx))
+    if tau in (F.scalar(2), F.neg(2)):
+        # s + sigma t = +-r with r^2 = 1 / det(B): h = +-r B + u (B x - sigma B)
+        r = F.sqrt(F.inv(mat_det(F, B)))
+        if r is not None:
+            hd = _span(F, F.neg(F.div(tau, 2)), B, 1, Bx)
+            yield from heapq.merge(*(_line(F, _span(F, r0, B, 0, Bx), hd)
+                                     for r0 in (r, F.neg(r))))
+        return
+    e = next(i for i in range(4) if B[i] or Bx[i])
+    # h = v H1 + u HD with H1[e] = 1 and HD[e] = 0; det h = c2 u^2 + c1 v u + c0 v^2
+    H1 = (_span(F, F.inv(B[e]), B, 0, Bx) if B[e]
+          else _span(F, 0, B, F.inv(Bx[e]), Bx))
+    HD = _span(F, Bx[e], B, F.neg(B[e]), Bx)
+    c0, c2 = mat_det(F, H1), mat_det(F, HD)
+    c1 = F.sub(mat_det(F, _span(F, 1, H1, 1, HD)), F.add(c0, c2))
+    four_c2 = F.mul(F.scalar(4), c2)
+    inv_2c2 = F.inv(F.add(c2, c2)) if c2 else 0
+    for v in range(F.q):
+        b, c = F.mul(c1, v), F.sub(F.mul(c0, F.mul(v, v)), 1)    # c2 u^2 + b u + c
+        if c2:
+            root = F.sqrt(F.sub(F.mul(b, b), F.mul(four_c2, c)))
+            us = () if root is None else {F.mul(F.sub(w, b), inv_2c2)
+                                          for w in (root, F.neg(root))}
+        else:       # an isotropic direction: b = 0 only on the line v = 0
+            us = (F.div(F.neg(c), b),) if b else ()
+        yield from sorted(_span(F, v, H1, u, HD) for u in us)
+
+
+def _span(F: FieldCtx, s: int, X: Mat, t: int, Y: Mat) -> Mat:
+    """s X + t Y."""
+    return tuple(F.add(F.mul(s, a), F.mul(t, b)) for a, b in zip(X, Y))
+
+
+def _line(F: FieldCtx, h0: Mat, hd: Mat) -> Iterator[Mat]:
+    """h0 + u hd for every u, in canonical order, for hd != 0: the entries
+    before hd's first nonzero entry f are constant, and u = (w - h0[f]) /
+    hd[f] puts w = 0, 1, ... in entry f."""
+    f = next(i for i in range(4) if hd[i])
+    inv = F.inv(hd[f])
+    for w in range(F.q):
+        yield _span(F, 1, h0, F.mul(F.sub(w, h0[f]), inv), hd)
 
 
 def _factor_unipotent_pair(F, g, L1, L2):
@@ -256,8 +294,8 @@ def _commutator_cert(F, g, P):
         target = mat_neg(F, gu) if flipped else gu
         if classify_sl2(F, target, check=False) != classify_sl2(F, u, check=False):
             continue    # not conjugate, so no s at all
-        s = min((h for h in _conjugators(F, u, target)
-                 if mat_trace(F, h) not in (two, ntwo)), default=None)
+        s = next((h for h in _conjugators(F, u, target)
+                  if mat_trace(F, h) not in (two, ntwo)), None)
         if s is not None:
             return CommutatorCert(s, u, g, flipped)
     raise WitnessError(f"expressible class {P} with no commutator witness")

@@ -355,22 +355,33 @@ def test_brute_commutator_sl2_kind():
 # -- mutation check: a broken law must be caught --------------------------
 
 
+U13 = (SL2Label("U", 1), SL2Label("U", 3))
+NU13 = (SL2Label("NU", 1), SL2Label("NU", 3))
+PU13 = (PSLLabel("PU", 1), PSLLabel("PU", 3))
+
+
 @pytest.mark.parametrize("kind,name,where,dropped", [
-    ("sl2", "_sl2_pair", (SL2Label("U", 1), SL2Label("U", 3)), SL2Label("SS", 6)),
-    ("psl2", "_psl_pair", (PSLLabel("PU", 1), PSLLabel("PU", 3)), PSLLabel("PNSS", 3)),
+    ("sl2", "_sl2_pair", (U13,), SL2Label("SS", 6)),
+    ("psl2", "_psl_pair", (PU13,), PSLLabel("PNSS", 3)),
+    ("sl2", "_sl2_pair", (U13, U13[::-1], NU13, NU13[::-1]), SL2Label("SS", 6)),
+    ("psl2", "_psl_pair", (PU13, PU13[::-1]), PSLLabel("PNSS", 3)),
 ])
 def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped):
-    """laws.<name> drops one class from the law cell of one ordered pair at
-    q = 7; verify_laws and `sl2prod verify` must report exactly that pair,
-    with a product in the dropped class.  The broken cell reaches the law
-    table's triple folds too, and each such mismatch only misses classes.
-    The field is make_field(7)'s, the one the CLI gets."""
+    """laws.<name> drops one class from the law cell of U[1]·U[3] (PU in
+    PSL2) at q = 7, in one order or in both.  verify_laws and `sl2prod
+    verify` must report exactly the ordered pairs `where`, each with a
+    product in the dropped class: the broken U/PU cells, and in SL2 with
+    both orders broken also NU[1]·NU[3] both ways, whose law is U[3]·U[1]
+    since (-u)(-u') = uu' and -1 is not a square mod 7.  The broken cells
+    reach the law table's triple folds too: there must be such mismatches,
+    and each one only misses classes and carries a product in a missed
+    class.  The field is make_field(7)'s, the one the CLI gets."""
     F = make_field(7)
     orig, C = getattr(laws, name), class_index(F, kind)
 
     def broken(F, a, b):
         mask, rule = orig(F, a, b)
-        if F.q == 7 and (a, b) == where:
+        if F.q == 7 and (a, b) in where and a.kind in ("U", "PU"):
             assert mask >> C.at(dropped) & 1
             return mask & ~(1 << C.at(dropped)), rule
         return mask, rule
@@ -384,60 +395,30 @@ def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped)
     finally:
         C.law = None
     assert not rep.ok
-    assert len(rep.pair_mismatches) == 1
-    m = rep.pair_mismatches[0]
-    assert m.where == where
-    assert set(m.brute) - set(m.law) == {dropped}
-    assert set(m.law) - set(m.brute) == set()
-    ce = m.counterexample
-    assert ce is not None and mat_det(F, ce) == 1
+    assert [m.where for m in rep.pair_mismatches] == list(where)
     name_of = (lambda L: L) if kind == "sl2" else (lambda L: psl_project(F, L))
-    assert name_of(classify_sl2(F, ce)) == dropped
-    assert m.to_dict()["counterexample"] == list(ce)
+    for m in rep.pair_mismatches:
+        assert set(m.brute) - set(m.law) == {dropped}
+        assert set(m.law) - set(m.brute) == set()
+        ce = m.counterexample
+        assert ce is not None and mat_det(F, ce) == 1
+        assert name_of(classify_sl2(F, ce)) == dropped
+        assert m.to_dict()["counterexample"] == list(ce)
+    assert rep.triple_mismatches
     for t in rep.triple_mismatches:
         missing = set(t.brute) - set(t.law)
         assert missing and not set(t.law) - set(t.brute), t.where
-        assert name_of(classify_sl2(F, t.counterexample)) in missing, t.where
+        ce = t.counterexample
+        assert ce is not None and mat_det(F, ce) == 1, t.where
+        assert name_of(classify_sl2(F, ce)) in missing, t.where
+        assert t.to_dict()["counterexample"] == list(ce)
 
     data = json.loads(out.getvalue())
     assert code == 1 and data["ok"] is False
     failed = [r for r in data["reports"] if not r["ok"]]
     assert [r["group"] for r in failed] == [kind]
     assert [f["where"] for f in failed[0]["pairs"]["failures"]] == \
-        [[str(L) for L in where]]
-
-
-@pytest.mark.parametrize("kind,name,where,dropped", [
-    ("sl2", "_sl2_pair", (SL2Label("U", 1), SL2Label("U", 3)), SL2Label("SS", 6)),
-    ("psl2", "_psl_pair", (PSLLabel("PU", 1), PSLLabel("PU", 3)), PSLLabel("PNSS", 3)),
-])
-def test_verify_triple_counterexamples(monkeypatch, kind, name, where, dropped):
-    """laws.<name> drops one class from one q = 7 pair cell, so the law
-    table's triple folds go wrong too; every triple mismatch must carry a
-    product that lies in a class the law missed."""
-    orig = getattr(laws, name)
-    C = laws.class_index(F7, kind)
-
-    def broken(F, a, b):
-        mask, rule = orig(F, a, b)
-        if F.q == 7 and {a, b} == set(where):
-            return mask & ~(1 << C.at(dropped)), rule
-        return mask, rule
-    monkeypatch.setattr(laws, name, broken)
-    C.law = None        # the field's law table is refilled from the broken law
-    try:
-        rep = verify_laws(F7, kind)
-    finally:
-        C.law = None
-    assert rep.triple_mismatches
-    name_of = (lambda L: L) if kind == "sl2" else (lambda L: psl_project(F7, L))
-    for m in rep.triple_mismatches:
-        missing = set(m.brute) - set(m.law)
-        assert missing and not set(m.law) - set(m.brute), m.where
-        ce = m.counterexample
-        assert ce is not None and mat_det(F7, ce) == 1, m.where
-        assert name_of(classify_sl2(F7, ce)) in missing, m.where
-        assert m.to_dict()["counterexample"] == list(ce)
+        [[str(L) for L in w] for w in where]
 
 
 def test_verify_fills_no_pair_query_memo():

@@ -37,8 +37,9 @@ def test_conjugating_element_golden():
 
 
 def test_conjugating_element_keeps_a_running_minimum():
-    """The about 2q conjugators at q = 10007 are generated one at a time,
-    never held in a list (2.9 MB when they were)."""
+    """The conjugators at q = 10007 come one at a time, in canonical order,
+    and the first is the answer: the about 2q of them are never held in a
+    list (2.9 MB when they were)."""
     F = make_field(10007)
     u = representative(F, SL2Label("U", 1))
     tracemalloc.start()
@@ -458,6 +459,35 @@ def test_commutator_witness_matches_walk(pa):
         assert (cert.s, cert.u, cert.sign_flipped) == walk_commutator(F, g), g
 
 
+def walk_conjugators(F, x):
+    """{y: every h with h x h^-1 = y}, by one literal walk of iter_sl2, so
+    each list is in canonical order."""
+    out = {}
+    for h in iter_sl2(F):
+        out.setdefault(conjugate(F, h, x), []).append(h)
+    return out
+
+
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+def test_conjugators_in_canonical_order(pa):
+    """The whole stream of _conjugators, not only its first element, since
+    the commutator reads past it: every non-central representative x at
+    q <= 13, a seeded sample of six above; as y, x itself, three seeded
+    conjugates, an element of another trace and a scalar."""
+    F = make_field(*pa)
+    rng = random.Random(F.q)
+    G = list(iter_sl2(F))
+    xs = [representative(F, L) for L in all_classes_sl2(F) if not L.is_central]
+    if pa in SAMPLED:
+        xs = sample(F, xs, 6)
+    for x in xs:
+        walk = walk_conjugators(F, x)
+        other = rng.choice([g for g in G if mat_trace(F, g) != mat_trace(F, x)])
+        ys = [x] + [conjugate(F, rng.choice(G), x) for _ in range(3)]
+        for y in ys + [other, rng.choice([IDENT, mat_neg(F, IDENT)])]:
+            assert list(witness._conjugators(F, x, y)) == walk.get(y, []), (x, y)
+
+
 def count_calls(monkeypatch, *names):
     """{name: 0, ...}, counting from now on the calls that the witness
     module makes to each named function."""
@@ -617,3 +647,65 @@ def test_macbeath_tries_companion_then_scalar(monkeypatch, sign):
     A, B, C = macbeath_triple(F, *triple)
     assert (mat_trace(F, A), mat_trace(F, B), mat_trace(F, C)) == triple
     assert calls["fiber_solutions"] <= 2 and calls["classify_sl2"] == 0, calls
+
+
+def large_q_witnesses(F):
+    """Seeded witness outputs at one field, as JSON: for a conjugate g of
+    each U/NU class and of six seeded semisimple classes, the first
+    conjugator onto g from the class representative, the commutator
+    certificate of g, and factor_pair of g over every pair of U/NU classes."""
+    rng = random.Random(F.q)
+    labs = all_classes_sl2(F)
+    unipotent = [L for L in labs if L.kind in ("U", "NU")]
+    semis = rng.sample([L for L in labs if L.is_semisimple], 6)
+    out = []
+    for L in unipotent + semis:
+        x = representative(F, L)
+        g = conjugate(F, random_sl2(F, rng), x)
+        cert = commutator_witness_psl(F, g)
+        out.append([conjugating_element(F, x, g),
+                    None if cert is None else [cert.s, cert.u, cert.sign_flipped]])
+        for L1, L2 in itertools.product(unipotent, repeat=2):
+            fac = factor_pair(F, g, L1, L2)
+            out.append(None if fac is None else [fac.x, fac.y])
+    return json.dumps(out)
+
+
+LARGE_Q_GOLDEN = {
+    (1009, 1): "73bf61798b1bea2427ab6684cf48d4dc1f90b0e44ed136535c977b4f58bbdca3",
+    (3, 7): "7d2ec76a83a2432a8d19f16aeb15c0ca227245189fbdec4224d97f0a56fc5e10",
+    (10007, 1): "db0533c76e27cc4d0fdeaab2f0c6c306e4601ad8382a9125d1e396f994a2f2f8",
+}
+
+
+@pytest.mark.parametrize("pa", list(LARGE_Q_GOLDEN), ids=_ids(LARGE_Q_GOLDEN))
+def test_witnesses_at_large_q_golden(pa):
+    """The witnesses of large_q_witnesses, byte for byte: sha256 taken while
+    conjugating_element still kept the least of all about 2q conjugators."""
+    digest = hashlib.sha256(large_q_witnesses(make_field(*pa)).encode()).hexdigest()
+    assert digest == LARGE_Q_GOLDEN[pa]
+
+
+def test_first_conjugator_takes_few_square_roots(monkeypatch):
+    """At q = 99991 a conjugating_element call makes at most 64 square-root
+    calls, on the representatives and seeded conjugates of U[1], NU[nu], the
+    first SS and the first NSS class: a walk over the conjugators makes
+    about q of them."""
+    F = make_field(99991)
+    labs = all_classes_sl2(F)
+    chosen = [SL2Label("U", 1), SL2Label("NU", F.nonsquare_rep),
+              next(L for L in labs if L.kind == "SS"),
+              next(L for L in labs if L.kind == "NSS")]
+    calls, sqrt = [0], type(F).sqrt
+
+    def counted(self, v):
+        calls[0] += 1
+        return sqrt(self, v)
+    monkeypatch.setattr(type(F), "sqrt", counted)
+    rng = random.Random(F.q)
+    for L in chosen:
+        x = representative(F, L)
+        for y in [x] + [conjugate(F, random_sl2(F, rng), x) for _ in range(3)]:
+            calls[0] = 0
+            assert conjugate(F, conjugating_element(F, x, y), x) == y
+            assert calls[0] <= 64, (L, y, calls[0])
