@@ -26,7 +26,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .field import FieldCtx, _prime_factors
-from .mat2 import IDENT, Mat, mat_pow, minus_ident, sl2
+from .mat2 import IDENT, Mat, mat_pow, minus_ident, quadratic_roots, sl2
 
 _KIND_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5}
 _PSL_KIND_RANK = {"P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}
@@ -117,9 +117,7 @@ def representative(F: FieldCtx, L: SL2Label) -> Mat:
         return (n1, t, 0, n1)
     if L.kind == "NSS":
         return (0, n1, 1, t)
-    r = F.sqrt(F.sub(F.mul(t, t), F.scalar(4)))
-    half = F.inv(F.scalar(2))
-    alpha = min(F.mul(F.add(t, r), half), F.mul(F.sub(t, r), half))
+    alpha = quadratic_roots(F, 1, F.neg(t), 1)[0]     # the smaller eigenvalue
     return (alpha, 0, 0, F.inv(alpha))
 
 

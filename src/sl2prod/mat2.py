@@ -5,7 +5,8 @@ The SL2 constructor validates entries and the determinant; the arithmetic
 helpers assume well-formed input and do not re-check.  iter_trace_fiber
 walks the elements of one trace in canonical order, and fiber_solutions
 yields, in the same order, those x of a fiber with tr(x y) in a given set,
-solving one quadratic per row instead of walking the fiber.
+solving one quadratic per row (quadratic_roots, roots in increasing order)
+instead of walking the fiber.
 """
 
 from __future__ import annotations
@@ -210,29 +211,28 @@ def fiber_solutions(F: FieldCtx, t: int, y: Mat, rs):
 
 
 def bc_solutions(F: FieldCtx, m: int, g: int, f: int, R: int):
-    """The (b, c) with b c = m and g b + f c = R, in increasing order.  Most
-    cases have at most two, the roots of g b^2 - R b + f m = 0; the
-    degenerate ones (m = 0, or g = 0 with f = R = 0) have about q, and
-    those are yielded lazily, so a first-match search stops early."""
-    if m == 0:      # b = 0 with f c = R, then c = 0 with g b = R and b != 0
-        if f:
-            yield 0, F.div(R, f)
-        elif R == 0:
-            yield from ((0, c) for c in range(F.q))
-        if g and R:
-            yield F.div(R, g), 0
-        elif g == R == 0:
-            yield from ((b, 0) for b in range(1, F.q))
-    elif g == 0:    # R b = f m, with b != 0, so c = R / f
-        if R and f:
-            yield F.div(F.mul(f, m), R), F.div(R, f)
-        elif R == f == 0:
-            yield from ((b, F.div(m, b)) for b in range(1, F.q))
-    else:           # b = (R +- root) / 2g, root^2 = R^2 - 4 g f m
-        root = F.sqrt(F.sub(F.mul(R, R), F.mul(F.scalar(4), F.mul(g, F.mul(f, m)))))
-        if root is None:
-            return
-        half_g = F.inv(F.add(g, g))
-        bs = {F.mul(F.add(R, root), half_g), F.mul(F.sub(R, root), half_g)}
-        for b in sorted(bs - {0}):
-            yield b, F.div(m, b)
+    """The (b, c) with b c = m and g b + f c = R, in increasing order: for
+    m != 0, (b, m / b) for the nonzero roots b of g b^2 - R b + f m; for
+    m = 0, b = 0 with f c = R, then c = 0 with g b = R and b != 0.  The
+    whole lines of a zero polynomial are yielded lazily."""
+    if m:
+        for b in quadratic_roots(F, g, F.neg(R), F.mul(f, m)):
+            if b:
+                yield b, F.div(m, b)
+    else:
+        yield from ((0, c) for c in quadratic_roots(F, 0, f, F.neg(R)))
+        yield from ((b, 0) for b in quadratic_roots(F, 0, g, F.neg(R)) if b)
+
+
+def quadratic_roots(F: FieldCtx, a2: int, a1: int, a0: int):
+    """The roots of a2 X^2 + a1 X + a0 in increasing order, and all of F, as
+    a range, when the polynomial is 0."""
+    if not a2:
+        if a1:
+            return (F.neg(F.div(a0, a1)),)
+        return () if a0 else F.elements()
+    root = F.sqrt(F.sub(F.mul(a1, a1), F.mul(F.scalar(4), F.mul(a2, a0))))
+    if root is None:
+        return ()
+    half = F.inv(F.add(a2, a2))
+    return sorted({F.mul(F.sub(root, a1), half), F.mul(F.sub(F.neg(root), a1), half)})

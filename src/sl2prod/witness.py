@@ -5,12 +5,13 @@ in the row-major lexicographic order of mat2.iter_sl2.  Two are not: a
 factorization across two U/NU classes (see factor_pair), and Macbeath's A,
 the companion matrix whenever that has a partner.  None is found by
 enumerating the group.  Conjugators are the det-1 points of the plane of
-solutions of h x = y h, yielded in canonical order (_conjugators): a line
-of the plane at a time, each meeting det h = 1 in the roots of a quadratic,
-so the first conjugator costs O(1) field operations.  The other searches
-ask mat2.fiber_solutions for the elements of one trace fiber with a
-prescribed tr(x y), a quadratic per row of the fiber, and test only those.
-So witnesses exist at every q, above the oracle's enumeration bound too.
+solutions of h x = y h, yielded in canonical order (_conjugators): in the
+plane's echelon coordinates (v, w), each level v meets det h = 1 in the
+roots of one quadratic (mat2.quadratic_roots), so the first conjugator
+costs O(1) field operations.  The other searches ask mat2.fiber_solutions
+for the elements of one trace fiber with a prescribed tr(x y), a quadratic
+per row of the fiber, and test only those.  So witnesses exist at every q,
+above the oracle's enumeration bound too.
 
 Every returned witness is re-validated: factorizations and commutator
 certificates by direct multiplication and classification, Macbeath triples
@@ -20,13 +21,12 @@ where the laws or Macbeath's theorem promise one raises WitnessError.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 from typing import NamedTuple
 
 from .field import FieldCtx, eps_shift_solvable
 from .mat2 import (IDENT, Mat, conjugate, fiber_solutions, mat_det, mat_inv,
-                   mat_mul, mat_neg, mat_trace)
+                   mat_mul, mat_neg, mat_trace, quadratic_roots)
 from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
                       negate_class, psl_classify, psl_lift_pair, representative)
 from .laws import commutator_expressible_psl, sl2_pair_product
@@ -93,59 +93,48 @@ def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> Iterator[Mat]:
     Such h exist iff y has x's trace and is not scalar: then both are cyclic
     with one characteristic polynomial, and B = P_y P_x^-1 built from cyclic
     bases has B x = y B.  The solutions of the linear equation h x = y h are
-    s B + t B x, whose determinant is det(B) (s^2 + tr(x) s t + t^2).  At
-    tr(x) = 2 sigma, sigma = +-1, that form is (s + sigma t)^2, so the det-1
-    points are two parallel lines, each walked in order (_line) and merged.
-    Otherwise the first entry h[e] that is not zero on the whole plane is a
-    nonzero linear form, and each level line h[e] = v, for v = 0, 1, ...,
-    meets det h = 1 in the roots of a quadratic: at most two points, sorted.
-    So the first conjugator takes O(1) field operations, not a walk of 2q."""
+    the plane of B and B x; in its echelon basis (P, Q), h = v P + w Q has
+    h[e] = v, h[f] = w and zeros before e, so canonical order is the order
+    of (v, w).  Each level v meets det h = c0 v^2 + c1 v w + c2 w^2 = 1 in
+    the roots of one quadratic in w: the first conjugator takes O(1) field
+    operations.  At tr(x) = +-2 the form is a constant times a square: with
+    c2 = 0 the levels c0 v^2 = 1 are whole lines, and with c2 a nonsquare
+    no level meets det h = 1."""
     tau = mat_trace(F, x)
     if mat_trace(F, y) != tau or _is_scalar(y):
         return
     B = mat_mul(F, _cyclic_basis(F, y), mat_inv(F, _cyclic_basis(F, x)))
-    Bx = mat_mul(F, B, x)
+    P, Q = _echelon(F, B, mat_mul(F, B, x))
+    c0, c2 = mat_det(F, P), mat_det(F, Q)
+    c1 = F.sub(mat_det(F, _span(F, 1, P, 1, Q)), F.add(c0, c2))
     if tau in (F.scalar(2), F.neg(2)):
-        # s + sigma t = +-r with r^2 = 1 / det(B): h = +-r B + u (B x - sigma B)
-        r = F.sqrt(F.inv(mat_det(F, B)))
-        if r is not None:
-            hd = _span(F, F.neg(F.div(tau, 2)), B, 1, Bx)
-            yield from heapq.merge(*(_line(F, _span(F, r0, B, 0, Bx), hd)
-                                     for r0 in (r, F.neg(r))))
-        return
-    e = next(i for i in range(4) if B[i] or Bx[i])
-    # h = v H1 + u HD with H1[e] = 1 and HD[e] = 0; det h = c2 u^2 + c1 v u + c0 v^2
-    H1 = (_span(F, F.inv(B[e]), B, 0, Bx) if B[e]
-          else _span(F, 0, B, F.inv(Bx[e]), Bx))
-    HD = _span(F, Bx[e], B, F.neg(B[e]), Bx)
-    c0, c2 = mat_det(F, H1), mat_det(F, HD)
-    c1 = F.sub(mat_det(F, _span(F, 1, H1, 1, HD)), F.add(c0, c2))
-    four_c2 = F.mul(F.scalar(4), c2)
-    inv_2c2 = F.inv(F.add(c2, c2)) if c2 else 0
-    for v in range(F.q):
-        b, c = F.mul(c1, v), F.sub(F.mul(c0, F.mul(v, v)), 1)    # c2 u^2 + b u + c
-        if c2:
-            root = F.sqrt(F.sub(F.mul(b, b), F.mul(four_c2, c)))
-            us = () if root is None else {F.mul(F.sub(w, b), inv_2c2)
-                                          for w in (root, F.neg(root))}
-        else:       # an isotropic direction: b = 0 only on the line v = 0
-            us = (F.div(F.neg(c), b),) if b else ()
-        yield from sorted(_span(F, v, H1, u, HD) for u in us)
+        if c2 == 0:
+            for v in quadratic_roots(F, c0, 0, F.neg(1)):
+                yield from (_span(F, v, P, w, Q) for w in F.elements())
+            return
+        if not F.is_square(c2):
+            return
+    for v in F.elements():
+        for w in quadratic_roots(F, c2, F.mul(c1, v), F.sub(F.mul(c0, F.mul(v, v)), 1)):
+            yield _span(F, v, P, w, Q)
+
+
+def _echelon(F: FieldCtx, X: Mat, Y: Mat) -> tuple[Mat, Mat]:
+    """The reduced echelon basis (P, Q) of the plane of X and Y: pivots
+    P[e] = Q[f] = 1 with e < f, P[f] = 0, and zeros before each pivot."""
+    e = next(i for i in range(4) if X[i] or Y[i])
+    if not X[e]:
+        X, Y = Y, X
+    P = _span(F, F.inv(X[e]), X, 0, Y)
+    Y = _span(F, 1, Y, F.neg(Y[e]), P)
+    f = next(i for i in range(4) if Y[i])
+    Q = _span(F, F.inv(Y[f]), Y, 0, Y)
+    return _span(F, 1, P, F.neg(P[f]), Q), Q
 
 
 def _span(F: FieldCtx, s: int, X: Mat, t: int, Y: Mat) -> Mat:
     """s X + t Y."""
     return tuple(F.add(F.mul(s, a), F.mul(t, b)) for a, b in zip(X, Y))
-
-
-def _line(F: FieldCtx, h0: Mat, hd: Mat) -> Iterator[Mat]:
-    """h0 + u hd for every u, in canonical order, for hd != 0: the entries
-    before hd's first nonzero entry f are constant, and u = (w - h0[f]) /
-    hd[f] puts w = 0, 1, ... in entry f."""
-    f = next(i for i in range(4) if hd[i])
-    inv = F.inv(hd[f])
-    for w in range(F.q):
-        yield _span(F, 1, h0, F.mul(F.sub(w, h0[f]), inv), hd)
 
 
 def _factor_unipotent_pair(F, g, L1, L2):

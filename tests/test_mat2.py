@@ -10,7 +10,8 @@ from sl2prod import (BigCell, Torus, bruhat_compose, bruhat_decompose,
                      bruhat_product, bruhat_trace, conjugate, iter_sl2,
                      make_field, mat_det, mat_inv, mat_mul, mat_pow,
                      mat_trace, sl2)
-from sl2prod.mat2 import bc_solutions, fiber_solutions, iter_trace_fiber
+from sl2prod.mat2 import (bc_solutions, fiber_solutions, iter_trace_fiber,
+                          quadratic_roots)
 
 F7 = make_field(7)
 I2 = (1, 0, 0, 1)
@@ -70,14 +71,54 @@ def test_trace_fibers_in_canonical_order(small_F):
                                                 if mat_trace(F, m) == t], t
 
 
-@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2)], ids=["q5", "q7", "q9"])
+def seeded_with_zeros(F, k, n):
+    """n seeded k-tuples over F, each entry 0 with probability about 1/2,
+    so the degenerate cases of a solver come up often."""
+    rng = random.Random(F.q)
+    return [tuple(rng.choice((0, rng.randrange(F.q))) for _ in range(k))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (31, 1)],
+                         ids=["q5", "q7", "q9", "q25", "q27", "q31"])
+def test_quadratic_roots_match_search(pa):
+    """quadratic_roots against a literal search over X in F: every
+    (a2, a1, a0) at q <= 9, and 2000 seeded triples with zeros over-drawn
+    at 25, 27 and 31."""
+    F = make_field(*pa)
+    triples = (itertools.product(F.elements(), repeat=3) if F.q <= 9
+               else seeded_with_zeros(F, 3, 2000))
+    for a2, a1, a0 in triples:
+        want = [X for X in F.elements()
+                if F.add(F.mul(F.add(F.mul(a2, X), a1), X), a0) == 0]
+        assert list(quadratic_roots(F, a2, a1, a0)) == want, (a2, a1, a0)
+
+
+def test_quadratic_roots_cases():
+    """The zero polynomial is all of F, in order, as a lazy range; a linear
+    polynomial has one root, a nonsquare discriminant none, a double root
+    comes once, and two roots come in increasing order."""
+    assert quadratic_roots(F7, 0, 0, 0) == range(7)
+    assert list(quadratic_roots(F7, 0, 0, 3)) == []
+    assert list(quadratic_roots(F7, 0, 2, 3)) == [2]         # 2 X + 3
+    assert list(quadratic_roots(F7, 1, 0, 1)) == []          # X^2 + 1, disc 3
+    assert list(quadratic_roots(F7, 1, 5, 1)) == [1]         # (X - 1)^2
+    assert list(quadratic_roots(F7, 1, 0, 6)) == [1, 6]      # X^2 - 1
+    assert list(quadratic_roots(F7, 3, 5, 0)) == [0, 3]      # X (3 X + 5)
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)],
+                         ids=["q5", "q7", "q9", "q11", "q25", "q27"])
 def test_bc_solutions_match_enumeration(pa):
-    """Every (m, g, f, R) in F^4: the (b, c) with b c = m and g b + f c = R,
-    against a literal enumeration of all (b, c) in lexicographic order."""
+    """The (b, c) with b c = m and g b + f c = R, against a literal
+    enumeration of all (b, c) in lexicographic order: every (m, g, f, R) in
+    F^4 at q <= 11, and 2000 seeded ones with zeros over-drawn at 25 and 27."""
     F = make_field(*pa)
     pairs = {m: [(b, c) for b in F.elements() for c in F.elements()
                  if F.mul(b, c) == m] for m in F.elements()}
-    for m, g, f, R in itertools.product(F.elements(), repeat=4):
+    cases = (itertools.product(F.elements(), repeat=4) if F.q <= 11
+             else seeded_with_zeros(F, 4, 2000))
+    for m, g, f, R in cases:
         want = [(b, c) for b, c in pairs[m]
                 if F.add(F.mul(g, b), F.mul(f, c)) == R]
         assert list(bc_solutions(F, m, g, f, R)) == want, (m, g, f, R)

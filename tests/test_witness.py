@@ -473,17 +473,22 @@ def test_conjugators_in_canonical_order(pa):
     """The whole stream of _conjugators, not only its first element, since
     the commutator reads past it: every non-central representative x at
     q <= 13, a seeded sample of six above; as y, x itself, three seeded
-    conjugates, an element of another trace and a scalar."""
+    conjugates, a conjugate of the other class of x's trace (U[1] and U[nu],
+    NU[1] and NU[nu]), an element of another trace and a scalar."""
     F = make_field(*pa)
     rng = random.Random(F.q)
     G = list(iter_sl2(F))
-    xs = [representative(F, L) for L in all_classes_sl2(F) if not L.is_central]
+    labels = [L for L in all_classes_sl2(F) if not L.is_central]
     if pa in SAMPLED:
-        xs = sample(F, xs, 6)
-    for x in xs:
+        labels = sample(F, labels, 6)
+    for L in labels:
+        x = representative(F, L)
         walk = walk_conjugators(F, x)
         other = rng.choice([g for g in G if mat_trace(F, g) != mat_trace(F, x)])
         ys = [x] + [conjugate(F, rng.choice(G), x) for _ in range(3)]
+        if L.kind in ("U", "NU"):
+            twin = SL2Label(L.kind, F.nonsquare_rep if L.param == 1 else 1)
+            ys.append(conjugate(F, rng.choice(G), representative(F, twin)))
         for y in ys + [other, rng.choice([IDENT, mat_neg(F, IDENT)])]:
             assert list(witness._conjugators(F, x, y)) == walk.get(y, []), (x, y)
 
@@ -686,6 +691,17 @@ def test_witnesses_at_large_q_golden(pa):
     assert digest == LARGE_Q_GOLDEN[pa]
 
 
+def count_square_roots(monkeypatch, F):
+    """A one-item list that counts the F.sqrt calls from now on."""
+    calls, sqrt = [0], type(F).sqrt
+
+    def counted(self, v):
+        calls[0] += 1
+        return sqrt(self, v)
+    monkeypatch.setattr(type(F), "sqrt", counted)
+    return calls
+
+
 def test_first_conjugator_takes_few_square_roots(monkeypatch):
     """At q = 99991 a conjugating_element call makes at most 64 square-root
     calls, on the representatives and seeded conjugates of U[1], NU[nu], the
@@ -696,12 +712,7 @@ def test_first_conjugator_takes_few_square_roots(monkeypatch):
     chosen = [SL2Label("U", 1), SL2Label("NU", F.nonsquare_rep),
               next(L for L in labs if L.kind == "SS"),
               next(L for L in labs if L.kind == "NSS")]
-    calls, sqrt = [0], type(F).sqrt
-
-    def counted(self, v):
-        calls[0] += 1
-        return sqrt(self, v)
-    monkeypatch.setattr(type(F), "sqrt", counted)
+    calls = count_square_roots(monkeypatch, F)
     rng = random.Random(F.q)
     for L in chosen:
         x = representative(F, L)
@@ -709,3 +720,20 @@ def test_first_conjugator_takes_few_square_roots(monkeypatch):
             calls[0] = 0
             assert conjugate(F, conjugating_element(F, x, y), x) == y
             assert calls[0] <= 64, (L, y, calls[0])
+
+
+@pytest.mark.parametrize("kind", ["U", "NU"])
+def test_no_conjugator_takes_few_square_roots(monkeypatch, kind):
+    """At q = 99991 there is no conjugator from kind[1] onto kind[nu], and
+    conjugating_element says so with at most 4 square-root calls, on four
+    seeded pairs of conjugates: at trace +-2 the search stops before it
+    walks the q levels of the solution plane, one square root each."""
+    F = make_field(99991)
+    x1, x2 = (representative(F, SL2Label(kind, s)) for s in (1, F.nonsquare_rep))
+    calls = count_square_roots(monkeypatch, F)
+    rng = random.Random(F.q)
+    for _ in range(4):
+        x, y = (conjugate(F, random_sl2(F, rng), m) for m in (x1, x2))
+        calls[0] = 0
+        assert conjugating_element(F, x, y) is None, (x, y)
+        assert calls[0] <= 4, (x, y, calls[0])
