@@ -6,16 +6,17 @@ encoding.  PSL2 grammar: P1, PU[s], PSS[t], PNSS[t] with t the smaller of
 the two lift traces {t, -t}.
 
 Inside the library a class is its index in all_classes_sl2(F) or
-all_classes_psl(F) and a set of classes is an int bitmask (ClassIndex).
-The class index judges every label: each function that takes one from
-outside asks class_index(F, kind).at first, and the label-to-label maps
-(negate_class, inverse_class, psl_project, psl_inverse_class) do not.  at
-takes only its group's label type with a param of type int, since a label
-hashes and compares as its tuple: U[True], U[1.0] and ("U", 1) would all
-find the slot of U[1].
-The laws and the oracle each fill a ProductTable of pair-product masks and
-fold triples over it; label sets are built only for public return values.
-The field's memo owns both class indices, and each index its group's tables.
+all_classes_psl(F), a set of classes an int bitmask (ClassIndex), and a
+membership one bit of a mask; labels, whose two types share one body, are
+only parsed, printed and returned.  The class index judges every label:
+each function that takes one from outside asks class_index(F, kind).at
+first, and the label-to-label maps (negate_class, inverse_class,
+psl_project, psl_inverse_class) do not.  at takes only its group's label
+type with a param of type int, since a label hashes and compares as its
+tuple: U[True], U[1.0] and ("U", 1) would all find the slot of U[1]; so
+memos are keyed by class index.  The laws and the oracle each fill a
+ProductTable of pair-product masks and fold triples over it.  The field's
+memo owns both class indices, and each index its group's tables.
 """
 
 from __future__ import annotations
@@ -28,53 +29,39 @@ from typing import NamedTuple
 from .field import FieldCtx, _prime_factors
 from .mat2 import IDENT, Mat, mat_pow, minus_ident, quadratic_roots, sl2
 
-_KIND_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5}
-_PSL_KIND_RANK = {"P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}
+_RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5,   # each group's kinds
+         "P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}                  # in canonical order
 _LIFT_KIND = {"P1": "I", "PU": "U", "PSS": "SS", "PNSS": "NSS"}
 
 
-class SL2Label(NamedTuple):
-    kind: str          # one of I, -I, U, NU, SS, NSS
-    param: int = 0     # square-class rep for U/NU, trace for SS/NSS
+class _Label(NamedTuple):
+    kind: str          # I, -I, U, NU, SS, NSS (SL2) or P1, PU, PSS, PNSS (PSL2)
+    param: int = 0     # square-class rep for U/NU/PU, trace for the semisimple kinds
 
     def __str__(self) -> str:
-        if self.kind in ("I", "-I") and not self.param:
+        if self.is_central and not self.param:
             return self.kind
         return f"{self.kind}[{self.param}]"
 
     @property
     def is_central(self) -> bool:
-        return self.kind in ("I", "-I")
+        return self.kind in ("I", "-I", "P1")
 
     @property
     def is_semisimple(self) -> bool:
-        return self.kind in ("SS", "NSS")
+        return self.kind in ("SS", "NSS", "PSS", "PNSS")
 
     @property
     def sort_key(self):
-        return (_KIND_RANK[self.kind], self.param)
+        return (_RANK[self.kind], self.param)
 
 
-class PSLLabel(NamedTuple):
-    kind: str          # one of P1, PU, PSS, PNSS
-    param: int = 0
+class SL2Label(_Label):
+    __slots__ = ()
 
-    def __str__(self) -> str:
-        if self.kind == "P1" and not self.param:
-            return "P1"
-        return f"{self.kind}[{self.param}]"
 
-    @property
-    def is_central(self) -> bool:
-        return self.kind == "P1"
-
-    @property
-    def is_semisimple(self) -> bool:
-        return self.kind in ("PSS", "PNSS")
-
-    @property
-    def sort_key(self):
-        return (_PSL_KIND_RANK[self.kind], self.param)
+class PSLLabel(_Label):
+    __slots__ = ()
 
 
 _LABEL_RE = re.compile(r"^(I|-I|P1)$|^(U|NU|SS|NSS|PU|PSS|PNSS)\[([0-9]+)\]$")
@@ -285,14 +272,14 @@ def bits(mask: int):
 class ClassIndex:
     """The classes of one group over the field F in canonical order; class k
     is bit k of a class-set mask.  Its tables are filled on first use: pairs
-    (the label set and rule of each pair query), shifts (the semisimple masks
-    of laws._semisimple_by_shift), central_rows, law by laws, and brute and
-    (SL2 only) group by the oracle."""
+    (each public pair query's label set and rule, keyed by class indices),
+    shifts (the semisimple masks of laws._semisimple_by_shift), central_rows,
+    law by laws, and brute and (SL2 only) group by the oracle."""
 
     def __init__(self, F: FieldCtx, labels, name: str):
         self.law = self.brute = self.group = self.shifts = None
         self.label_type = type(labels[0])       # SL2Label or PSLLabel
-        self.pairs: dict[tuple, tuple[frozenset, str]] = {}
+        self.pairs: dict[tuple[int, int], tuple[frozenset, str]] = {}
         self.field, self.labels, self.name = F, labels, name
         self.full = (1 << len(labels)) - 1
         self.slot = {L: k for k, L in enumerate(labels)}   # slot[kind, param] too

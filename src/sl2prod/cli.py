@@ -24,13 +24,9 @@ from .mat2 import Mat, sl2
 DEFAULT_SUITE = ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _field(args) -> FieldCtx:
     if args.field is None:
-        raise DomainError("--field is required for this command")
+        raise ValueError("--field is required for this command")
     return parse_descriptor(args.field)
 
 
@@ -38,12 +34,12 @@ def _matrix(F: FieldCtx, text: str) -> Mat:
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as e:
-        raise DomainError(f"matrix {text!r} is not valid JSON: {e}")
+        raise ValueError(f"matrix {text!r} is not valid JSON: {e}")
     except RecursionError:
-        raise DomainError("matrix JSON is nested too deeply")
+        raise ValueError("matrix JSON is nested too deeply")
     if (not isinstance(rows, list) or len(rows) != 2
             or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
-        raise DomainError(f"matrix {text!r} must be [[a,b],[c,d]]")
+        raise ValueError(f"matrix {text!r} must be [[a,b],[c,d]]")
     return sl2(F, *rows[0], *rows[1])
 
 
@@ -262,7 +258,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.fn(args)
-    except ValueError as e:      # DomainError included
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except witness.WitnessError as e:

@@ -56,17 +56,14 @@ def sl2_pair_product(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> frozenset:
 
 
 def _pair(F, kind, A, B):
-    """(label set, rule) of A * B, kept in C.pairs; ValueError for a foreign
-    label.  Types are tested before the memo is read, whose key U[True]
-    would share with U[1]."""
+    """(label set, rule) of A * B, kept in C.pairs under the class indices
+    of A and B; ValueError for a label of no class of the group."""
     C = class_index(F, kind)
-    T = C.label_type
-    got = (C.pairs.get((A, B)) if type(A) is T is type(B)
-           and type(A.param) is int is type(B.param) else None)
+    key = C.at(A), C.at(B)
+    got = C.pairs.get(key)
     if got is None:
-        C.at(A), C.at(B)                        # ValueError for a label of no class
         mask, rule = (_sl2_pair if kind == "sl2" else _psl_pair)(F, A, B)
-        got = C.pairs[A, B] = C.labels_of(mask), rule
+        got = C.pairs[key] = C.labels_of(mask), rule
     return got
 
 

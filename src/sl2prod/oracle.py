@@ -34,9 +34,9 @@ live on the field's class indices.
   laws' table (laws.law_table) with those of the brute table, so it reads
   no public pair query; covering numbers come from the brute table alone.
 
-enumerate_sl2 refuses q > ENUMERATION_BOUND = 127.  On a shared 2-core host
-(Python 3.11), in a fresh process, `sl2prod verify --field 61` takes
-1.1-1.3 s and `--field 101` 3.3-4.8 s at 96 MB max RSS; 127 peaks at 177 MB.
+GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
+ENUMERATION_BOUND = 127 before building anything; on a shared 2-core host
+(Python 3.11), `sl2prod verify --field 127` peaks at 177 MB max RSS.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .field import FieldCtx
 from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
                       bits, class_index, classify_sl2, negate_class,
-                      psl_lift_pair, psl_project, representative, sort_labels)
+                      psl_lift_pair, psl_project, representative)
 from . import laws
 
 ENUMERATION_BOUND = 127
@@ -59,12 +59,19 @@ class EnumerationBoundError(ValueError):
     """q is above the bound up to which the oracle may enumerate SL2(F_q)."""
 
 
+def _check_bound(F: FieldCtx):
+    if F.q > ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"q = {F.q} exceeds the enumeration bound {ENUMERATION_BOUND}")
+
+
 class GroupTable:
     """SL2(F_q) as its class fibers: fiber(L) lists class L in the order of
     iter_sl2.  A trace other than +-2 is one SS or NSS class, rebuilt from
     its trace on each call; only the classes of trace +-2 are kept."""
 
     def __init__(self, F: FieldCtx):
+        _check_bound(F)
         self.field = F
         self._classified = {L: [] for L in all_classes_sl2(F) if not L.is_semisimple}
         for t in (F.scalar(2), F.neg(2)):
@@ -78,11 +85,8 @@ class GroupTable:
 
 
 def enumerate_sl2(F: FieldCtx) -> GroupTable:
-    """Every class fiber of SL2(F), kept on F's class index; the one reader
-    of ENUMERATION_BOUND, checked before anything is built."""
-    if F.q > ENUMERATION_BOUND:
-        raise EnumerationBoundError(
-            f"q = {F.q} exceeds the enumeration bound {ENUMERATION_BOUND}")
+    """Every class fiber of SL2(F), kept on F's class index."""
+    _check_bound(F)
     C = class_index(F, "sl2")
     if C.group is None:
         C.group = GroupTable(F)
@@ -345,16 +349,19 @@ def triple_containment_expected(F, kind, trip):
 def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
     """Every pair cell and every triple fold of the law table against the
     brute table, plus covering numbers."""
+    _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
     T = enumerate_sl2(F)
     law, brute = laws.law_table(F, kind), _product_table(T, kind)
     labels, n = C.labels, len(C.labels)
     pair_mismatches, triple_mismatches, containment_failures = [], [], []
 
+    def names(mask):
+        return tuple(labels[k] for k in bits(mask))     # index order is canonical
+
     def mismatch(cell, got, want):
         missing = want & ~got
-        return Mismatch(tuple(labels[i] for i in cell), sort_labels(C.labels_of(got)),
-                        sort_labels(C.labels_of(want)),
+        return Mismatch(tuple(labels[i] for i in cell), names(got), names(want),
                         _counterexample(T, kind, brute, cell, missing) if missing else None)
 
     for i, j in itertools.product(range(n), repeat=2):
@@ -371,7 +378,7 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
         if noncentral & ~got and triple_containment_expected(F, kind, trip):
             containment_failures.append({
                 "triple": [str(L) for L in trip],
-                "missing": [str(L) for L in sort_labels(C.labels_of(noncentral & ~got))]})
+                "missing": [str(L) for L in names(noncentral & ~got)]})
 
     return VerificationReport(F.q, kind, n * n, pair_mismatches, math.comb(n + 2, 3),
                               triple_mismatches, containment_failures,
@@ -390,6 +397,7 @@ def covering_numbers(F: FieldCtx, kind: str) -> tuple:
     cn: least n with C^n = G for every non-central class C.
     ecn: least n with C_1...C_n = G for every n-tuple of non-central classes.
     Returns None in a slot not reached within COVERING_LIMIT factors."""
+    _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
     P = _product_table(enumerate_sl2(F), kind)
     noncentral = [k for k, L in enumerate(C.labels) if not L.is_central]

@@ -27,9 +27,9 @@ from typing import NamedTuple
 from .field import FieldCtx, eps_shift_solvable
 from .mat2 import (IDENT, Mat, conjugate, fiber_solutions, mat_det, mat_inv,
                    mat_mul, mat_neg, mat_trace, quadratic_roots)
-from .classes import (PSLLabel, SL2Label, all_classes_sl2, classify_sl2,
+from .classes import (PSLLabel, SL2Label, all_classes_sl2, class_index, classify_sl2,
                       negate_class, psl_classify, psl_lift_pair, representative)
-from .laws import commutator_expressible_psl, sl2_pair_product
+from .laws import commutator_expressible_psl, law_table
 
 
 class WitnessError(RuntimeError):
@@ -193,12 +193,14 @@ def _factor_scan(F, g, L1, L2):
 
 
 def factor_pair(F: FieldCtx, g: Mat, L1: SL2Label, L2: SL2Label):
-    """Factor g as x*y with x in L1, y in L2, or None when the product law
-    excludes g's class.  Two U/NU classes take a closed form conjugated onto
-    g (_factor_unipotent_pair), in general not the first x in canonical
-    order; every other pair takes the first x that fits (_factor_scan).  A
-    missing witness, or one that fails its check, raises WitnessError."""
-    if classify_sl2(F, g) not in sl2_pair_product(F, L1, L2):
+    """Factor g as x*y with x in L1, y in L2, or None when g's class is not a
+    bit of the law cell (L1, L2).  Two U/NU classes take a closed form
+    conjugated onto g (_factor_unipotent_pair), in general not the first x in
+    canonical order; every other pair takes the first x that fits
+    (_factor_scan).  A missing witness or a failed check raises WitnessError."""
+    Lg = classify_sl2(F, g)         # a bad g is refused before a bad label
+    C = class_index(F, "sl2")
+    if not law_table(F, "sl2").pair(C.at(L1), C.at(L2)) >> C.at(Lg) & 1:
         return None
     unipotent = {L1.kind, L2.kind} <= {"U", "NU"}
     cert = (_factor_unipotent_pair if unipotent else _factor_scan)(F, g, L1, L2)

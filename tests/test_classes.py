@@ -49,16 +49,6 @@ def test_classify_golden():
         classify_sl2(F7, (1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("classify", [classify_sl2, psl_classify])
-@pytest.mark.parametrize("q,m", [(7, (1, 7, 0, 1)), (7, (1, 0.5, 0, 1)),
-                                 (7, (8, 0, 0, 1)), (9, (1, -2, 0, 1))])
-def test_classify_rejects_non_elements(classify, q, m):
-    """Entries must be integer encodings in 0..q-1, as for mat2.sl2; each of
-    these has determinant 1 modulo q yet is not a matrix over GF(q)."""
-    with pytest.raises(ValueError):
-        classify(make_field(q), m)
-
-
 def test_representative_golden():
     assert representative(F5, SL2Label("U", 1)) == (1, 1, 0, 1)
     assert representative(F7, SL2Label("SS", 1)) == (3, 0, 0, 5)
@@ -340,13 +330,16 @@ def test_label_consumers_reject_non_classes(name, L):
         call(F7, L)
 
 
-# at q = 7: a bool, a float, a negative, an int >= q, a str and None
-NOT_ELEMENTS_Q7 = [True, 1.0, -1, 7, "1", None]
-# matrices with such an entry, and ones of determinant 0, of length 3 and 5,
-# a str, a list, and no sequence at all
+# at q = 7: a bool, floats, a negative, an int >= q, a str and None
+NOT_ELEMENTS_Q7 = [True, 1.0, 0.5, -1, 7, "1", None]
+# matrices with such an entry, one of determinant 1 modulo 7 with an entry
+# >= 7, and ones of determinant 0, of length 3 and 5, a str, a list, and no
+# sequence at all
 NOT_SL2_Q7 = ([(1, v, 0, 1) for v in NOT_ELEMENTS_Q7]
-              + [(1, 1, 1, 1), (1, 0, 0), (1, 0, 0, 1, 0), "[[1,1],[0,1]]",
-                 [1, 1, 0, 1], None, 5])
+              + [(8, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0), (1, 0, 0, 1, 0),
+                 "[[1,1],[0,1]]", [1, 1, 0, 1], None, 5])
+# at q = 9, a matrix of determinant 1 modulo 3 with a negative entry
+NOT_SL2_Q9 = [(1, -2, 0, 1)]
 NOT_KINDS = ["SL2", "psl", "", None, True, 2, ["sl2"], {}]
 # label texts that are no str, among them the labels themselves
 NOT_TEXTS = [None, 5, b"U[1]", ("U", 1), U1, PU1]
@@ -367,6 +360,8 @@ MALFORMED = {
                            lambda v: eps_shift_solvable(F7, 1, v, 1)),
     "classify_sl2": (NOT_SL2_Q7, lambda m: classify_sl2(F7, m)),
     "psl_classify": (NOT_SL2_Q7, lambda m: psl_classify(F7, m)),
+    "classify_sl2(GF(9))": (NOT_SL2_Q9, lambda m: classify_sl2(make_field(3, 2), m)),
+    "psl_classify(GF(9))": (NOT_SL2_Q9, lambda m: psl_classify(make_field(3, 2), m)),
     "conjugating_element": (NOT_SL2_Q7,
                             lambda m: conjugating_element(F7, (1, 1, 0, 1), m)),
     "commutator_witness_psl": (NOT_SL2_Q7, lambda m: commutator_witness_psl(F7, m)),
@@ -481,10 +476,13 @@ def test_record_semantics(record, text):
     assert repr(record) == text
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
-    assert pickle.loads(pickle.dumps(record)) == record
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record)
 
 
 def test_label_group_checked():
+    """The two label types share one body but neither is the other."""
+    assert not isinstance(U1, PSLLabel) and not isinstance(PU1, SL2Label)
     with pytest.raises(ValueError, match="PSL2 label, SL2 expected"):
         parse_sl2_label(F7, "PU[1]")
     with pytest.raises(ValueError, match="PSL2 label, SL2 expected"):

@@ -115,15 +115,17 @@ def test_shift_masks_match_scan(pa):
 
 
 def test_pair_query_at_large_q_builds_no_table():
-    """Pair products at q = 10007 build no (q + 4)^2 table, and a law table
+    """Witnesses at q = 10007 build no (q + 4)^2 table: the law table holds
+    just the cells they asked, and no pair query is memoized.  A law table
     allocates a column only when a cell in it is asked for."""
-    F = make_field(10007)
+    F = FieldCtx(10007, 1)
     C = class_index(F, "sl2")
     g = (1, 1, 0, 1)
     for L2 in (SL2Label("U", 1), SL2Label("U", F.nonsquare_rep)):
         cert = factor_pair(F, g, SL2Label("U", 1), L2)
         assert cert is None or cert.ok(F)
-    assert C.law is None
+    assert {j: list(column) for j, column in C.law._columns.items()} == {2: [2], 3: [2]}
+    assert C.pairs == {}
     T = ProductTable(C, lambda i, j: 0)
     assert T.pair(2, 3) == T.triple(2, 3, 4) == 0
     assert sorted(T._columns) == [3, 4]

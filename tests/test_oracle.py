@@ -43,6 +43,18 @@ def test_enumeration_bound(no_group_table):
     assert issubclass(EnumerationBoundError, ValueError)
 
 
+def test_bound_refused_before_anything_is_built():
+    """GroupTable itself refuses a q above the bound, and verify_laws and
+    covering_numbers refuse it before they build a class index."""
+    with pytest.raises(EnumerationBoundError, match="131"):
+        oracle.GroupTable(FieldCtx(131, 1))
+    for call in (verify_laws, covering_numbers):
+        F = FieldCtx(131, 1)
+        with pytest.raises(EnumerationBoundError, match="131"):
+            call(F, "sl2")
+        assert F.memo == {}, call
+
+
 def test_enumeration_bound_boundary(monkeypatch):
     """q equal to the bound enumerates; the next odd prime above it does not."""
     monkeypatch.setattr(oracle, "ENUMERATION_BOUND", 7)

@@ -15,9 +15,12 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      enumerate_sl2, factor_pair, factor_pair_psl, iter_sl2,
                      macbeath_triple, make_field, mat_inv, mat_mul, mat_neg,
                      mat_trace, psl_classify, psl_element_order,
-                     psl_representative, representative, sl2_pair_product,
-                     witness)
+                     psl_project, psl_representative, representative,
+                     sl2_pair_product, witness)
+from sl2prod.classes import ClassIndex, ProductTable, class_index
 from sl2prod.cli import DEFAULT_SUITE
+from sl2prod.field import FieldCtx
+from sl2prod.laws import law_table
 from sl2prod.mat2 import IDENT, fiber_solutions, iter_trace_fiber
 
 F5, F7, F9 = make_field(5), make_field(7), make_field(3, 2)
@@ -568,8 +571,8 @@ def test_factor_pair_unipotent_checks_the_law(monkeypatch, F):
     """A law that admits every class gets the true witnesses where the real
     law admits the class and WitnessError everywhere else, never a wrong
     witness or another exception."""
-    monkeypatch.setattr(witness, "sl2_pair_product",
-                        lambda F, L1, L2: set(all_classes_sl2(F)))
+    C = class_index(F, "sl2")
+    monkeypatch.setattr(C, "law", ProductTable(C, lambda i, j: C.full))
     for g, L1, L2 in unipotent_cases(F):
         if classify_sl2(F, g) in sl2_pair_product(F, L1, L2):
             assert factor_pair(F, g, L1, L2).ok(F)
@@ -633,6 +636,28 @@ def test_solved_searches_at_large_q(q):
         A, B, C = macbeath_triple(F, *triple)
         assert mat_mul(F, mat_mul(F, A, B), C) == (1, 0, 0, 1)
         assert (mat_trace(F, A), mat_trace(F, B), mat_trace(F, C)) == triple
+
+
+def test_factor_pair_builds_no_label_set(monkeypatch):
+    """Witness membership is one bit of the law cell: at q = 10007,
+    factor_pair (SS x NSS, U x NSS) and factor_pair_psl build no label set
+    and memoize no pair query."""
+    F = FieldCtx(10007, 1)
+    C = class_index(F, "sl2")
+    ss = next(L for L in C.labels if L.kind == "SS")
+    nss = next(L for L in C.labels if L.kind == "NSS")
+
+    def fail(self, mask):
+        raise AssertionError("label set built")
+    monkeypatch.setattr(ClassIndex, "labels_of", fail)
+    for L1, L2 in [(ss, nss), (SL2Label("U", 1), nss)]:
+        top = law_table(F, "sl2").pair(C.at(L1), C.at(L2)).bit_length() - 1
+        g = conjugate(F, (1, 1, 1, 2), representative(F, C.labels[top]))
+        cert = factor_pair(F, g, L1, L2)
+        assert cert is not None and cert.ok(F), (L1, L2)
+        cert = factor_pair_psl(F, g, psl_project(F, L1), psl_project(F, L2))
+        assert cert is not None and cert.ok(F), (L1, L2)
+    assert [class_index(F, kind).pairs for kind in ("sl2", "psl2")] == [{}, {}]
 
 
 def first_degenerate_traces(F):
