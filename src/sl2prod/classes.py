@@ -15,7 +15,7 @@ psl_project, psl_inverse_class) do not.  at takes only its group's label
 type with a param of type int, since a label hashes and compares as its
 tuple: U[True], U[1.0] and ("U", 1) would all find the slot of U[1]; so
 memos are keyed by class index.  The laws and the oracle each fill a
-ProductTable of pair-product masks and fold triples over it.  The field's
+ProductTable of pair-product masks and answer triples from it.  The field's
 memo owns both class indices, and each index its group's tables.
 """
 
@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .field import FieldCtx, _prime_factors
-from .mat2 import IDENT, Mat, mat_pow, minus_ident, quadratic_roots, sl2
+from .mat2 import IDENT, Mat, minus_ident, quadratic_roots, sl2
 
 _RANK = {"I": 0, "-I": 1, "U": 2, "NU": 3, "SS": 4, "NSS": 5,   # each group's kinds
          "P1": 0, "PU": 1, "PSS": 2, "PNSS": 3}                  # in canonical order
 _LIFT_KIND = {"P1": "I", "PU": "U", "PSS": "SS", "PNSS": "NSS"}
+_FLAGS = bytes.maketrans(b"01", b"\0\1")      # binary digits as compress flags
 
 
 class _Label(NamedTuple):
@@ -198,21 +199,28 @@ def psl_representative(F: FieldCtx, P: PSLLabel) -> Mat:
 
 
 def psl_element_order(F: FieldCtx, P: PSLLabel) -> int:
-    """Order of the class elements in PSL2.  A semisimple representative m
-    has m^N = I, with N = q - 1 (PSS) or q + 1 (PNSS), and m^d is +-I
-    exactly when the PSL order divides d; so each prime r is divided out of
-    N while m^(N/r) is still +-I, each power O(log q) matrix products."""
+    """Order of the class elements in PSL2.  A lift m of trace P.param has m^N = I,
+    N = q - 1 (PSS) or q + 1 (PNSS); each prime r is divided out of N while m^(N/r)
+    is +-I, that is, as m is semisimple, while tr(m^(N/r)) = +-2 (_lucas_trace)."""
     class_index(F, "psl2").at(P)
     if P.kind == "P1":
         return 1
     if P.kind == "PU":
         return F.p
-    m, scalars = psl_representative(F, P), (IDENT, minus_ident(F))
-    n = F.q - 1 if P.kind == "PSS" else F.q + 1
+    n, scalars = F.q - 1 if P.kind == "PSS" else F.q + 1, (F.scalar(2), F.neg(2))
     for r in _prime_factors(n):
-        while n % r == 0 and mat_pow(F, m, n // r) in scalars:
+        while n % r == 0 and _lucas_trace(F, P.param, n // r) in scalars:
             n //= r
     return n
+
+
+def _lucas_trace(F: FieldCtx, t: int, n: int) -> int:
+    """tr(m^n) for m of trace t in SL2(F): V_2k = V_k^2 - 2, V_2k+1 = V_k V_k+1 - t."""
+    v, w, two = F.scalar(2), t, F.scalar(2)     # (V_0, V_1), climbing the bits of n
+    for bit in bin(n)[2:]:
+        vw = F.sub(F.mul(v, w), t)
+        v, w = (vw, F.sub(F.mul(w, w), two)) if bit == "1" else (F.sub(F.mul(v, v), two), vw)
+    return v
 
 
 def is_q_good(F: FieldCtx, P: PSLLabel) -> bool:
@@ -281,7 +289,7 @@ class ClassIndex:
         self.label_type = type(labels[0])       # SL2Label or PSLLabel
         self.pairs: dict[tuple[int, int], tuple[frozenset, str]] = {}
         self.field, self.labels, self.name = F, labels, name
-        self.full = (1 << len(labels)) - 1
+        self.full, self.n_central = (1 << len(labels)) - 1, sum(L.is_central for L in labels)
         self.slot = {L: k for k, L in enumerate(labels)}   # slot[kind, param] too
         # the labels come grouped by kind, so each kind's mask is one run of bits
         ends = {L.kind: k + 1 for k, L in enumerate(labels)}
@@ -304,17 +312,18 @@ class ClassIndex:
     def labels_of(self, mask: int) -> frozenset:
         out = self._sets.get(mask)
         if out is None:
-            out = self._sets[mask] = frozenset(self.labels[k] for k in bits(mask))
+            flags = bin(mask)[:1:-1].encode().translate(_FLAGS)   # byte k is bit k
+            out = self._sets[mask] = frozenset(compress(self.labels, flags))
         return out
 
-    def central_rows(self, k: int) -> int:
-        """Mask of the rows i whose cell (i, k) can hold a central z: C_i = z * C_k^-1."""
+    def central_rows(self, k: int) -> tuple[int, ...]:
+        """The row z * C_k^-1 of each central z, in index order: the row whose cell holds z."""
         rows = self._central.get(k)
         if rows is None:
             F, L = self.field, self.labels[k]
-            inverses = ((psl_inverse_class(F, L),) if isinstance(L, PSLLabel)
-                        else (inverse_class(F, L), inverse_class(F, negate_class(F, L))))
-            rows = self._central[k] = sum({1 << self.at(M) for M in inverses})
+            rows = self._central[k] = tuple(self.at(M) for M in (
+                (psl_inverse_class(F, L),) if isinstance(L, PSLLabel)
+                else (inverse_class(F, L), inverse_class(F, negate_class(F, L)))))
         return rows
 
 
@@ -337,6 +346,7 @@ class ProductTable:
     computed by fill(i, j) on first use, and each fold compose(mask, j) is
     kept in composed.  A fold takes the bits of mask in central_rows(j) first
     and stops once it is the whole group, so the cells it skips stay unfilled."""
+    closed: dict | None = None      # closed-form triples by (cell, k), if laws.law_table allows
 
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
@@ -356,7 +366,7 @@ class ProductTable:
         out = self.composed.get((mask, j))
         if out is None:
             column, full = self._columns[j], self.classes.full
-            central, out = self.classes.central_rows(j) & mask, 0
+            central, out = sum({1 << i for i in self.classes.central_rows(j)}) & mask, 0
             for i in chain(bits(central), bits(mask ^ central)):
                 cell = column.get(i)
                 out |= self.pair(i, j) if cell is None else cell
@@ -366,14 +376,23 @@ class ProductTable:
         return out
 
     def triple(self, i: int, j: int, k: int) -> int:
-        """Mask of C_i * C_j * C_k; exact because class products are unions
-        of classes."""
-        return self.compose(self.pair(i, j), k)
+        """Mask of C_i * C_j * C_k.  Products commute, so factors go in index
+        order, central first: a fold with a central factor reads one cell.  The
+        closed form: every non-central class, and each central z with z * C_k^-1 in C_i * C_j."""
+        C = self.classes
+        c = C.n_central                     # the central classes are 0 .. c - 1
+        if i < c or j < c or k < c:
+            i, j, k = sorted((i, j, k))
+        cell = self.pair(i, j)
+        if self.closed is None or i < c:
+            return self.compose(cell, k)
+        out = self.closed.get((cell, k))
+        if out is None:
+            out = self.closed[cell, k] = C.full >> c << c | sum(
+                1 << z for z, row in enumerate(C.central_rows(k)) if cell >> row & 1)
+        return out
 
-    def of_labels(self, L1, L2, *more) -> frozenset:
-        """Label set of the product of two or more classes given by label."""
-        at = self.classes.at
-        mask = self.pair(at(L1), at(L2))
-        for L in more:
-            mask = self.compose(mask, at(L))
-        return self.classes.labels_of(mask)
+    def of_labels(self, *labels) -> frozenset:
+        """Label set of the product of two or three classes given by label."""
+        at = [self.classes.at(L) for L in labels]
+        return self.classes.labels_of((self.pair if len(at) == 2 else self.triple)(*at))

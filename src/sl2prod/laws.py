@@ -4,9 +4,9 @@ Every pairwise product is described exactly as a set of classes, held as a
 bitmask over the group's ClassIndex; the memberships that the source
 propositions guard with |k| > 5 are implemented through the underlying
 solvability criteria (shift equations in the field), which stay correct at
-q = 5.  Triple products are folds over the law table, a ProductTable whose
-cells are the pairwise laws; the pairwise laws are complete, so the fold is
-exact.  The oracle module certifies all of this against brute force.
+q = 5.  Triple products come from the law table, a ProductTable of the
+pairwise laws: in closed form (law_table), or as exact folds over its cells.
+The oracle module certifies all of this against brute force.
 """
 
 from __future__ import annotations
@@ -35,15 +35,16 @@ def _solvable_unipotents(F, C, kind, e1, e2):
 def _semisimple_by_shift(F, C, shift, cls):
     """Mask of the semisimple classes with class(shift - t) == class(cls),
     for shift = 2 or -2.  The four masks, one per shift and square class,
-    are built in one pass over the classes and kept on C; a semisimple
-    trace t is never +-2, so shift - t is a unit."""
+    are built as binary digits in one pass over the classes and kept on C;
+    a semisimple trace t is never +-2, so shift - t is a unit."""
     if C.shifts is None:
-        shifts = (F.scalar(2), F.neg(F.scalar(2)))
-        C.shifts = {(s, square): 0 for s in shifts for square in (True, False)}
+        shifts, n = (F.scalar(2), F.neg(F.scalar(2))), len(C.labels)
+        digits = {(s, square): bytearray(b"0" * n) for s in shifts for square in (True, False)}
         for k, L in enumerate(C.labels):
             if L.is_semisimple:
                 for s in shifts:
-                    C.shifts[s, F.is_square(F.sub(s, L.param))] |= 1 << k
+                    digits[s, F.is_square(F.sub(s, L.param))][n - 1 - k] = ord("1")
+        C.shifts = {key: int(d, 2) for key, d in digits.items()}
     return C.shifts[shift, F.is_square(cls)]
 
 
@@ -158,16 +159,18 @@ def _semisimple_times_unipotent(F, C, S, L):
 
 def law_table(F: FieldCtx, kind: str) -> ProductTable:
     """The pairwise laws of SL2(F) (kind "sl2") or PSL2(F) (kind "psl2") as
-    a ProductTable on F's class index, filled cell by cell as folds ask."""
+    a ProductTable on F's class index, filled cell by cell as folds ask, with
+    triples in closed form (the paper's triple theorem, cn = 3) except in SL2(5)."""
     C = class_index(F, kind)
     if C.law is None:
         pair = _sl2_pair if kind == "sl2" else _psl_pair
         C.law = ProductTable(C, lambda i, j: pair(F, C.labels[i], C.labels[j])[0])
+        C.law.closed = None if (F.q, kind) == (5, "sl2") else {}
     return C.law
 
 
 def sl2_triple_product(F: FieldCtx, L1: SL2Label, L2: SL2Label, L3: SL2Label) -> frozenset:
-    """Exact triple product, folded from the complete pairwise laws."""
+    """Exact triple product, from the law table's closed form or fold."""
     return law_table(F, "sl2").of_labels(L1, L2, L3)
 
 
@@ -223,7 +226,7 @@ def _psl_pair(F, P1, P2):
 
 
 def psl_triple_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel, P3: PSLLabel) -> frozenset:
-    """Exact triple product, folded from the complete pairwise laws."""
+    """Exact triple product, from the law table's closed form or fold."""
     return law_table(F, "psl2").of_labels(P1, P2, P3)
 
 

@@ -30,9 +30,9 @@ live on the field's class indices.
 - Triple products and covering numbers are OR-folds over table cells, each
   distinct (mask, class) folded once (ProductTable.compose).  A fold reads
   first the rows whose cell can hold a central class and stops at the whole
-  group.  verify_laws compares every pair cell and every triple fold of the
-  laws' table (laws.law_table) with those of the brute table, so it reads
-  no public pair query; covering numbers come from the brute table alone.
+  group.  verify_laws compares every pair cell and closed-form triple of the
+  laws' table (laws.law_table) with those of the brute table; containment
+  and covering numbers are read from the brute table alone.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 127 before building anything; on a shared 2-core host
@@ -375,10 +375,10 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
         trip = (labels[i], labels[j], labels[k])
         if got != want:
             triple_mismatches.append(mismatch((i, j, k), got, want))
-        if noncentral & ~got and triple_containment_expected(F, kind, trip):
+        if noncentral & ~want and triple_containment_expected(F, kind, trip):
             containment_failures.append({
                 "triple": [str(L) for L in trip],
-                "missing": [str(L) for L in names(noncentral & ~got)]})
+                "missing": [str(L) for L in names(noncentral & ~want)]})
 
     return VerificationReport(F.q, kind, n * n, pair_mismatches, math.comb(n + 2, 3),
                               triple_mismatches, containment_failures,

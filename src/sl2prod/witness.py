@@ -179,11 +179,16 @@ def _factor_unipotent_pair(F, g, L1, L2):
 def _factor_scan(F, g, L1, L2):
     """First x in the canonical order of L1's class with x^-1 g in L2, among
     the x of L1's trace fiber with that tr(x g)."""
-    t1 = mat_trace(F, representative(F, L1))
-    # y = x^-1 g needs L2's trace t2, and x^-1 = t1 I - x in SL2, so
-    # tr(x g) = t1 tr(g) - t2 rejects x before y is formed
-    want = F.sub(F.mul(t1, mat_trace(F, g)), mat_trace(F, representative(F, L2)))
-    for x in fiber_solutions(F, t1, g, (want,)):
+    if L1.is_central or L2.is_central:      # one candidate: x = z or g z^-1 = g z
+        candidates = [representative(F, L1) if L1.is_central
+                      else mat_mul(F, g, representative(F, L2))]
+    else:
+        t1 = mat_trace(F, representative(F, L1))
+        # y = x^-1 g needs L2's trace t2, and x^-1 = t1 I - x in SL2, so
+        # tr(x g) = t1 tr(g) - t2 rejects x before y is formed
+        want = F.sub(F.mul(t1, mat_trace(F, g)), mat_trace(F, representative(F, L2)))
+        candidates = fiber_solutions(F, t1, g, (want,))
+    for x in candidates:
         if classify_sl2(F, x, check=False) != L1:
             continue
         y = mat_mul(F, mat_inv(F, x), g)

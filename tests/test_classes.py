@@ -15,7 +15,7 @@ from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
                      ProductLaw, SL2Label, Torus, VerificationReport,
                      all_classes_psl, all_classes_sl2, classify_sl2, conjugate,
                      inverse_class, is_q_good, iter_sl2, make_field, mat_inv,
-                     mat_mul, mat_neg, negate_class, parse_descriptor,
+                     mat_mul, mat_neg, mat_pow, mat_trace, negate_class, parse_descriptor,
                      parse_label, parse_psl_label, parse_sl2_label,
                      psl_classify, psl_element_order, psl_lift_pair,
                      psl_project, psl_representative, representative, sl2,
@@ -213,6 +213,21 @@ def test_element_order_matches_repeated_multiplication(pa):
         ps = random.Random(F.q).sample([P for P in ps if P.is_semisimple], 30)
     for P in ps:
         assert psl_element_order(F, P) == repeated_multiplication_order(F, P), P
+
+
+@pytest.mark.parametrize("pa", [(5, 2), (211, 1), (3, 5), (10007, 1)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_lucas_trace_is_the_trace_of_the_power(pa):
+    """The Lucas ladder gives tr(m^n) = mat_trace(mat_pow(m, n)) for 60
+    seeded (m, n), with m in SL2 and 0 <= n <= q^2, and n = 0, 1, 2."""
+    F = make_field(*pa)
+    rng = random.Random(F.q)
+    for trial in range(60):
+        a, b, c = rng.randrange(1, F.q), rng.randrange(F.q), rng.randrange(F.q)
+        m = (a, b, c, F.div(F.add(1, F.mul(b, c)), a))
+        n = trial if trial < 3 else rng.randrange(F.q ** 2)
+        assert classes._lucas_trace(F, mat_trace(F, m), n) == \
+            mat_trace(F, mat_pow(F, m, n)), (m, n)
 
 
 def test_order_divides_group_exponent(F):
@@ -509,6 +524,20 @@ def test_canonical_label_order(F):
     assert str(labs[0]) == "I" and str(labs[1]) == "-I"
 
 
+def test_labels_of_is_the_set_of_bits():
+    """labels_of, one pass over bin(mask), gives the labels of bits(mask) on
+    seeded masks of 1 to 10^5 bits, sparse and dense."""
+    labels = tuple(SL2Label("SS", t) for t in range(10 ** 5))
+    C = classes.ClassIndex(F7, labels, "test")
+    rng = random.Random(5)
+    masks = [1, 1 << 10 ** 5 - 1, C.full >> 50_000 << 50_000]
+    masks += [sum(1 << rng.randrange(10 ** 5) for _ in range(rng.randrange(1, 60)))
+              for _ in range(20)]
+    masks += [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(20)]
+    for mask in masks:
+        assert C.labels_of(mask) == frozenset(labels[k] for k in bits(mask)), mask
+
+
 def test_compose_memo(monkeypatch):
     """compose(mask, j) equals the OR-fold of the cells (i, j) over the bits
     i of mask, and a repeated (mask, j) neither fills a cell nor walks the
@@ -588,7 +617,7 @@ def test_central_rows_are_the_rows_reaching_the_centre(kind, pa):
     n = len(C.labels)
     for k in range(n):
         want = sum(1 << i for i in range(n) if brute.pair(i, k) & center)
-        assert C.central_rows(k) == want, C.labels[k]
+        assert sum({1 << i for i in C.central_rows(k)}) == want, C.labels[k]
 
 
 def test_fold_with_a_foreign_central_row():
@@ -602,7 +631,7 @@ def test_fold_with_a_foreign_central_row():
     def fill(i, j):
         if i == odd:
             return C.full
-        return law.pair(i, j) | (1 if not C.central_rows(j) >> i & 1 else 0)
+        return law.pair(i, j) | (1 if i not in C.central_rows(j) else 0)
     P = ProductTable(C, fill)
     rng = random.Random(31)
     for mask in [rng.randrange(1, C.full + 1) for _ in range(200)] + [C.full]:

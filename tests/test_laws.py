@@ -288,14 +288,53 @@ def test_triple_containment_sl2_above_5(F):
     ("sl2", ("SS[1]", "SS[3]", "SS[5]")), ("sl2", ("SS[7]", "SS[87]", "NSS[89]")),
     ("psl2", ("PSS[1]", "PSS[3]", "PSS[5]")), ("psl2", ("PSS[24]", "PSS[104]", "PNSS[93]"))])
 def test_triple_reaches_the_group_in_few_cells(kind, trip):
-    """A fold visits its column's central rows first, so a triple of three
-    distinct semisimple classes at q = 211 fills at most 4 law cells from a
-    fresh class index (a lowest-row-first fold fills 6 to 169)."""
+    """A triple of three distinct semisimple classes at q = 211 is in closed
+    form, so it fills at most 1 law cell from a fresh class index (a fold
+    that visits central rows first fills up to 4, a lowest-row-first fold
+    6 to 169)."""
     F = FieldCtx(211, 1)
     out = law_table(F, kind).of_labels(*(parse_label(F, s) for s in trip))
     assert out >= {L for L in class_index(F, kind).labels if not L.is_central}
     filled = sum(len(column) for column in law_table(F, kind)._columns.values())
-    assert filled <= 4
+    assert filled <= 1
+
+
+ODD_PRIME_POWERS_TO_31 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+                          (23, 1), (5, 2), (3, 3), (29, 1), (31, 1)]
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_31, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_closed_form_triples_equal_the_fold(pa):
+    """For every ordered triple of classes, in both groups, the law table's
+    triple, in closed form unless a factor is central, equals the fold
+    compose(pair(i, j), k) over the same law cells; SL2(5) alone, whose
+    covering number is 5, keeps the fold."""
+    F = make_field(*pa)
+    for kind in ("sl2", "psl2"):
+        law = law_table(F, kind)
+        assert (law.closed is None) == ((F.q, kind) == (5, "sl2"))
+        n = len(law.classes.labels)
+        for i, j, k in itertools.product(range(n), repeat=3):
+            assert law.triple(i, j, k) == law.compose(law.pair(i, j), k), (kind, i, j, k)
+
+
+def test_triple_missing_the_centre_at_large_q_fills_one_cell():
+    """U[1]·U[1]·SS[3] at q = 99991 misses I, so a fold could not stop early
+    and would fill about q/2 cells of q bits (637 MB); the closed form fills
+    the one cell U[1]·U[1], composes nothing, and stays within 40 MiB with
+    the class index built."""
+    F = FieldCtx(99991, 1)
+    tracemalloc.start()
+    try:
+        law = law_table(F, "sl2")
+        out = law.of_labels(*(parse_label(F, s) for s in ("U[1]", "U[1]", "SS[3]")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert SL2Label("I") not in out and SL2Label("-I") in out
+    assert {j: list(column) for j, column in law._columns.items()} == {2: [2]}
+    assert law.composed == {}
+    assert peak < 40 * 2 ** 20, peak
 
 
 def test_triple_sl2_q5_counterexample():

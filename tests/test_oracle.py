@@ -443,26 +443,26 @@ def test_verify_fills_no_pair_query_memo():
 
 
 def test_verify_reports_containment_failures(monkeypatch):
-    """A law that drops SS[6] from every SL2 cell at q = 7 breaks the
-    promised containment of G minus the centre in 156 triple products; each
-    containment failure names SS[6] alone, and `sl2prod verify` exits 1 with
-    them in its JSON."""
+    """A brute SL2 table that drops SS[6] from every cell at q = 7 breaks the
+    promised containment of G minus the centre in 156 triple products, which
+    verify reads from the brute folds; each containment failure names SS[6]
+    alone, and `sl2prod verify` exits 1 with them in its JSON."""
     F = make_field(7)
-    orig, C = laws._sl2_pair, class_index(F, "sl2")
+    orig, C = oracle._sl2_products, class_index(F, "sl2")
     ss6 = C.at(SL2Label("SS", 6))
 
-    def broken(F, a, b):
-        mask, rule = orig(F, a, b)
-        return (mask & ~(1 << ss6) if F.q == 7 else mask), rule
-    monkeypatch.setattr(laws, "_sl2_pair", broken)
-    C.law = None
+    def broken(T):
+        table = orig(T)
+        return ProductTable(table.classes, lambda i, j: table.pair(i, j) & ~(1 << ss6))
+    monkeypatch.setattr(oracle, "_sl2_products", broken)
+    C.brute = None
     try:
         rep = verify_laws(F, "sl2")
         out = io.StringIO()
         with redirect_stdout(out):
             code = cli_main(["verify", "--field", "7", "--group", "sl2"])
     finally:
-        C.law = None
+        C.brute = None
     assert not rep.ok and len(rep.containment_failures) == 156
     assert all(f["missing"] == ["SS[6]"] for f in rep.containment_failures)
     data = json.loads(out.getvalue())
