@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import NamedTuple
 
 from .field import FieldCtx, _prime_factors
@@ -270,11 +270,11 @@ def sort_labels(labels):
 
 
 def bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of mask, lowest first: one pass over
+    bin(mask), as in ClassIndex.labels_of, or none for at most one bit."""
+    if mask & (mask - 1) == 0:
+        return (mask.bit_length() - 1,) if mask else ()
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_FLAGS))
 
 
 class ClassIndex:

@@ -19,10 +19,12 @@ live on the field's class indices.
   column of the least class of each orbit under class negation and two
   automorphisms, sigma and phi (see _symmetries); the rest of the orbit is
   derived from it, and the column of I is C_i * I = C_i.  That is (q+1)/2
-  passes at prime q, and 6 instead of 31 at q = 27.  A pass walks only the
-  fibers of the rows whose own column is still missing: C_i * C_j =
-  C_j * C_i, so every other cell is read off the filled column.  At
-  q = 27 and 31 the 22 passes walk 369 fibers instead of 746.
+  passes at prime q, and 6 instead of 31 at q = 27.  A pass fills only the
+  rows whose own column is still missing: C_i * C_j = C_j * C_i, so every
+  other cell is read off the filled column.  Rows come in negation pairs,
+  and (-C_i) * C_j = -(C_i * C_j), so the pass walks the fiber of one row
+  of each pair and negates its mask for the other.  At q = 27 and 31 the
+  22 passes miss 369 rows instead of 746 and walk 191 fibers.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -36,7 +38,7 @@ live on the field's class indices.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 127 before building anything; on a shared 2-core host
-(Python 3.11), `sl2prod verify --field 127` peaks at 177 MB max RSS.
+(Python 3.11), `sl2prod verify --field 127` peaks at 100 MB max RSS.
 """
 
 from __future__ import annotations
@@ -108,11 +110,16 @@ def _direct_columns(T: GroupTable):
     """The base case of the SL2 table: column(j, known) is the list of the
     masks of C_i * C_j over all i, from one pass over the group with the
     representative y of C_j; a row i in the dict known is its mask there,
-    and its fiber is not walked.  A walked row takes the semisimple classes
-    of the traces tr(x y), x in C_i.  A class D of trace +-2 goes in by
-    duality: into a semisimple row when tr(z y^-1) = tr(C_i) for some z in
-    D, and into a row of trace +-2 (walked only in the pass of U[1]) when
-    classify_sl2 puts some z y^-1 there."""
+    and its fiber is not walked.  Rows come in negation pairs, and
+    (-C_i) * C_j = -(C_i * C_j): of each pair of missing rows the pass walks
+    the lesser (or the only missing one) and negates its mask for the other.
+    A walked row takes the semisimple classes of the traces tr(x y), x in
+    C_i.  A class D of trace +-2 goes in by duality, D in C_i * C_j iff C_i
+    meets D * y^-1, with w = y^-1 (or y for semisimple C_j, as then y^-1 is
+    conjugate to y): into a semisimple row when tr(z w) = tr(C_i) for some z
+    in D, and into a row of trace +-2 (walked only in the pass of U[1]) when
+    classify_sl2 puts some z w there.  A fiber is packed on its first walk
+    and kept for the later passes."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
@@ -120,38 +127,47 @@ def _direct_columns(T: GroupTable):
     MUL = [F.mul(x, y) for x in range(q) for y in range(q)]
     row = {L.param: k for k, L in enumerate(C.labels) if L.is_semisimple}
     pm2 = [k for k, L in enumerate(C.labels) if not L.is_semisimple]
-    top, bottom = [], []
-    for fib in map(T.fiber, C.labels):      # one fiber's tuples alive at a time
-        top.append([a * q + b for a, b, _, _ in fib])
-        bottom.append([c * q + d for _, _, c, d in fib])
+    neg = _negation(F, C)
+    packed = {}         # class: the a*q + b and c*q + d of its fiber
+
+    def fiber(i):
+        if i not in packed:
+            fib = T.fiber(C.labels[i])
+            packed[i] = [a * q + b for a, b, _, _ in fib], [c * q + d for _, _, c, d in fib]
+        return packed[i]
 
     def traces(w):
         """traces(w)(i) lists tr(x w) = ae + bg + cf + dh over x in C_i."""
         me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in w)
         left = [ADD[me[a] * q + mg[b]] * q for a in range(q) for b in range(q)]
         right = [ADD[mf[c] * q + mh[d]] for c in range(q) for d in range(q)]
-        return lambda i: [ADD[left[u] + right[v]] for u, v in zip(top[i], bottom[i])]
+        return lambda i: [ADD[left[u] + right[v]] for u, v in zip(*fiber(i))]
 
     def column(j, known=None):
         known = known or {}
         y = representative(F, C.labels[j])
-        y_inv = mat_inv(F, y)
-        of_y, of_y_inv = traces(y), traces(y_inv)
-        masks = [known.get(i, 0) for i in range(len(top))]
-        walked = set(range(len(top))) - known.keys()
+        w = y if C.labels[j].is_semisimple else mat_inv(F, y)
+        of_y = traces(y)
+        of_w = of_y if w is y else traces(w)
+        masks = [known.get(i, 0) for i in range(len(C.labels))]
+        missing = set(range(len(C.labels))) - known.keys()
+        walked = {min(i, neg[i]) if neg[i] in missing else i for i in missing}
         for i in walked:
             masks[i] = sum(1 << row[t] for t in set(of_y(i)) if t in row)
         for k in pm2:
-            duals = of_y_inv(k)         # tr(z y^-1) for z in C_k
+            duals = of_w(k)     # tr(z w) for z in C_k
             for t in set(duals):
                 if row.get(t) in walked:
                     masks[row[t]] |= 1 << k
             if not walked.isdisjoint(pm2):
-                for z, t in zip(T.fiber(C.labels[k]), duals):
+                for u, v, t in zip(*fiber(k), duals):
                     if t not in row:
-                        i = C.at(classify_sl2(F, mat_mul(F, z, y_inv), check=False))
+                        z = (*divmod(u, q), *divmod(v, q))
+                        i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
                         if i in walked:
                             masks[i] |= 1 << k
+        for i in missing - walked:
+            masks[i] = _image(neg, masks[neg[i]])
         return masks
     return column
 
@@ -164,6 +180,11 @@ def _image(perm, mask: int) -> int:
     return out
 
 
+def _negation(F: FieldCtx, C) -> list[int]:
+    """neg[k] is the index of the class -C_k."""
+    return [C.at(negate_class(F, L)) for L in C.labels]
+
+
 def _symmetries(F: FieldCtx, C) -> list:
     """(classes, cells) maps for negation, sigma and phi: column classes[r]
     has as cell cells[i] the cell i of column r with each class k moved to
@@ -174,7 +195,7 @@ def _symmetries(F: FieldCtx, C) -> list:
     phi (entrywise x -> x^p) sends SS/NSS[t] to SS/NSS[t^p].  Both are
     automorphisms of SL2(F_q), so they move cells as they move classes."""
     n = len(C.labels)
-    neg = [C.at(negate_class(F, L)) for L in C.labels]
+    neg = _negation(F, C)
     sigma = list(range(n))
     for kind in ("U", "NU"):
         u, v = C.slot[kind, 1], C.slot[kind, F.nonsquare_rep]

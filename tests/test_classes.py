@@ -524,25 +524,37 @@ def test_canonical_label_order(F):
     assert str(labs[0]) == "I" and str(labs[1]) == "-I"
 
 
+def _low_bits(mask):
+    """The set bits of mask, lowest first, cleared one at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def test_labels_of_is_the_set_of_bits():
-    """labels_of, one pass over bin(mask), gives the labels of bits(mask) on
-    seeded masks of 1 to 10^5 bits, sparse and dense."""
+    """bits and labels_of, each one pass over bin(mask), give the set bits
+    of mask in order, and their labels, on seeded masks of 0 to 10^5 bits,
+    sparse and dense."""
     labels = tuple(SL2Label("SS", t) for t in range(10 ** 5))
     C = classes.ClassIndex(F7, labels, "test")
     rng = random.Random(5)
-    masks = [1, 1 << 10 ** 5 - 1, C.full >> 50_000 << 50_000]
+    masks = [0, 1, 2, 3, 1 << 10 ** 5 - 1, C.full >> 50_000 << 50_000]
     masks += [sum(1 << rng.randrange(10 ** 5) for _ in range(rng.randrange(1, 60)))
               for _ in range(20)]
     masks += [rng.getrandbits(rng.randrange(1, 4000)) | 1 for _ in range(20)]
     for mask in masks:
-        assert C.labels_of(mask) == frozenset(labels[k] for k in bits(mask)), mask
+        want = list(_low_bits(mask))
+        assert list(bits(mask)) == want, mask
+        assert C.labels_of(mask) == frozenset(labels[k] for k in want), mask
 
 
 def test_compose_memo(monkeypatch):
     """compose(mask, j) equals the OR-fold of the cells (i, j) over the bits
     i of mask, and a repeated (mask, j) neither fills a cell nor walks the
-    mask again.  A fold stops at the whole group: a mask whose first cell is
-    the whole group fills that one cell."""
+    mask again, while a new one walks it through bits (its central and its
+    other bits).  A fold stops at the whole group: a mask whose first cell
+    is the whole group fills that one cell."""
     F = make_field(13)
     C, law = class_index(F, "sl2"), law_table(F, "sl2")
     fills = []
@@ -567,6 +579,9 @@ def test_compose_memo(monkeypatch):
         for j in range(n):
             P.compose(mask, j)
     assert len(fills) == filled and walks == []
+    del P.composed[masks[0], 0]     # a fold that is not kept walks the whole mask
+    P.compose(masks[0], 0)
+    assert sum(walks) == masks[0]
 
     fills.clear()
     P = ProductTable(C, fill)

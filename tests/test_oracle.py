@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -18,7 +19,7 @@ from sl2prod import (EnumerationBoundError, PSLLabel, SL2Label,
                      mat_mul, oracle, psl_classify, psl_lift_pair,
                      psl_project, psl_triple_product, representative,
                      sl2_triple_product, verify_laws)
-from sl2prod.classes import ProductTable, class_index
+from sl2prod.classes import ProductTable, class_index, negate_class
 from sl2prod.cli import DEFAULT_SUITE, main as cli_main
 from sl2prod.field import FieldCtx
 
@@ -126,30 +127,38 @@ def test_brute_pair_golden():
 
 
 def _count_passes(monkeypatch, classified=None):
-    """Record (class, fiber rows walked) for every column that takes a
-    group pass; the rows given as known are not walked.  The list
-    classified, if given, gets (class, classify_sl2 calls) for each pass."""
+    """Record (class, missing rows, fiber rows walked) for every column that
+    takes a group pass.  The rows given as known are not missing; of the
+    missing rows, those the pass sets to the negated mask of their partner
+    (one _image call each) are not walked.  The list classified, if given,
+    gets (class, classify_sl2 calls) for each pass."""
     passes, direct_columns = [], oracle._direct_columns
-    calls, classify = [0], oracle.classify_sl2
+    calls, classify, image = [0, 0], oracle.classify_sl2, oracle._image
 
     def counted_classify(*args, **kwargs):
         calls[0] += 1
         return classify(*args, **kwargs)
+
+    def counted_image(*args):
+        calls[1] += 1
+        return image(*args)
 
     def counted(T):
         direct = direct_columns(T)
         n = len(all_classes_sl2(T.field))
 
         def column(j, known=None):
-            passes.append((j, n - len(known or {})))
-            before = calls[0]
+            missing = n - len(known or {})
+            before, negated = calls
             out = direct(j, known)
+            passes.append((j, missing, missing - (calls[1] - negated)))
             if classified is not None:
                 classified.append((j, calls[0] - before))
             return out
         return column
     monkeypatch.setattr(oracle, "_direct_columns", counted)
     monkeypatch.setattr(oracle, "classify_sl2", counted_classify)
+    monkeypatch.setattr(oracle, "_image", counted_image)
     return passes
 
 
@@ -184,8 +193,8 @@ def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
 def test_certify_column_passes(monkeypatch):
     """verify at q = 27 and 31, both groups and covering included, makes
     6 + 16 column passes, where a pass per column made 31 + 35.  Those
-    passes walk 369 fiber rows, where walking every row took 6 * 31 +
-    16 * 35 = 746."""
+    passes miss 369 rows, where every row of every pass took 6 * 31 +
+    16 * 35 = 746, and walk 191 of them, one of each negation pair."""
     passes = _count_passes(monkeypatch)
     for F in (make_field(3, 3), make_field(31)):
         for kind in ("sl2", "psl2"):
@@ -193,7 +202,8 @@ def test_certify_column_passes(monkeypatch):
         for kind in ("sl2", "psl2"):
             assert verify_laws(F, kind).ok
     assert len(passes) == 22
-    assert sum(rows for _, rows in passes) == 369
+    assert sum(missing for _, missing, _ in passes) == 369
+    assert sum(walked for _, _, walked in passes) == 191
 
 
 @pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
@@ -211,11 +221,13 @@ def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
     assert dict(classified)[u1] <= 4 * F.q
 
 
-@pytest.mark.parametrize("pa", DEFAULT_SUITE, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", [*DEFAULT_SUITE, (5, 2)], ids=lambda pa: f"q{pa[0] ** pa[1]}")
 def test_direct_columns_match_literal_products(pa):
     """Each column of the direct pass, with no rows known, is row by row the
     class mask of x * y over x in C_i, y the representative of C_j; so
-    the rows of trace +-2 against semisimple columns are checked too."""
+    the rows of trace +-2 against semisimple columns are checked too, and
+    the rows each pass sets from their negation partner.  q = 25 has phi
+    orbits of more than one semisimple class."""
     F = make_field(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
@@ -227,6 +239,30 @@ def test_direct_columns_match_literal_products(pa):
             for x in T.fiber(D):
                 want[i] |= 1 << C.at(classify_sl2(F, mat_mul(F, x, y), check=False))
         assert direct(j) == want, str(L)
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
+    """A pass with no known rows reads each class fiber at most once, and
+    none of a semisimple row whose negation partner is the lesser index (the
+    pass walks the partner and negates its mask).  Fibers stay packed, so
+    the passes of the other columns read none twice either."""
+    F = make_field(*pa)
+    T = enumerate_sl2(F)
+    C = class_index(F, "sl2")
+    reads, fiber = Counter(), T.fiber
+    monkeypatch.setattr(T, "fiber", lambda L: reads.update([L]) or fiber(L))
+    direct = oracle._direct_columns(T)
+    first = next(k for k, L in enumerate(C.labels) if L.is_semisimple)
+    direct(first)
+    assert max(reads.values()) == 1
+    negated = {L for L in C.labels
+               if L.is_semisimple and C.at(negate_class(F, L)) < C.at(L)}
+    assert negated and not negated & reads.keys()
+    for j in range(len(C.labels)):
+        direct(j)
+    assert max(reads.values()) == 1
 
 
 @pytest.mark.parametrize("F", [F7, make_field(3, 2)], ids=["q7", "q9"])
