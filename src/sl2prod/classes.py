@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import NamedTuple
 
 from .field import FieldCtx, _prime_factors
@@ -228,10 +228,8 @@ def is_q_good(F: FieldCtx, P: PSLLabel) -> bool:
     t = psl_element_order(F, P)
     if not P.is_semisimple:
         raise ValueError(f"is_q_good is defined on semisimple classes, got {P}")
-    bound = F.q - 1 if P.kind == "PSS" else F.q + 1
-    if t % 2 == 1:
-        return bound % t == 0
-    return bound % (4 * t) == 0
+    bound = F.q - 1 if P.kind == "PSS" else F.q + 1    # t divides it, so an odd t is good
+    return t % 2 == 1 or bound % (4 * t) == 0
 
 
 def parse_label(F: FieldCtx, text: str):
@@ -344,13 +342,15 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
 class ProductTable:
     """Class products of one group: cell (i, j) is the mask of C_i * C_j,
     computed by fill(i, j) on first use, and each fold compose(mask, j) is
-    kept in composed.  A fold takes the bits of mask in central_rows(j) first
+    kept in composed.  A fold ORs the cells of the bits of mask in index order
     and stops once it is the whole group, so the cells it skips stay unfilled."""
     closed: dict | None = None      # closed-form triples by (cell, k), if laws.law_table allows
 
     def __init__(self, classes: ClassIndex, fill):
         self.classes = classes
         self._fill = fill
+        c = classes.n_central   # each closed-form triple is one of these 2^c masks
+        self._forms = tuple(classes.full >> c << c | z for z in range(1 << c))
         self._columns: dict[int, dict[int, int]] = defaultdict(dict)  # filled cells only
         self.composed: dict[tuple[int, int], int] = {}
 
@@ -365,9 +365,8 @@ class ProductTable:
         """Mask of S * C_j for the class set S given by mask."""
         out = self.composed.get((mask, j))
         if out is None:
-            column, full = self._columns[j], self.classes.full
-            central, out = sum({1 << i for i in self.classes.central_rows(j)}) & mask, 0
-            for i in chain(bits(central), bits(mask ^ central)):
+            column, full, out = self._columns[j], self.classes.full, 0
+            for i in bits(mask):
                 cell = column.get(i)
                 out |= self.pair(i, j) if cell is None else cell
                 if out == full:     # no further cell can change the fold
@@ -388,8 +387,8 @@ class ProductTable:
             return self.compose(cell, k)
         out = self.closed.get((cell, k))
         if out is None:
-            out = self.closed[cell, k] = C.full >> c << c | sum(
-                1 << z for z, row in enumerate(C.central_rows(k)) if cell >> row & 1)
+            out = self.closed[cell, k] = self._forms[sum(
+                1 << z for z, row in enumerate(C.central_rows(k)) if cell >> row & 1)]
         return out
 
     def of_labels(self, *labels) -> frozenset:

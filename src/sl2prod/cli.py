@@ -3,8 +3,9 @@ verification, covering numbers.  JSON output by default, byte-stable for
 fixed inputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (even characteristic, q < 5 or q > 10^5, malformed label or matrix),
-4 internal error (a witness construction failed where one is promised).
+error (even characteristic, q < 5 or q > 10^5, malformed label or matrix,
+verify/covering above q = 127), 4 internal error (a witness construction
+failed where one is promised).
 """
 
 from __future__ import annotations

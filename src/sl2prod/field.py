@@ -40,8 +40,6 @@ def _poly_trim(c):
 
 
 def _poly_mul(f, g, p):
-    if not f or not g:
-        return ()
     out = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         if fi:

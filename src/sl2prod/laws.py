@@ -214,7 +214,7 @@ def _psl_pair(F, P1, P2):
         for s in (1, F.nonsquare_rep):
             cls = F.mul(eps, s)
             if any(F.same_class(v, cls)
-                   for v in (F.sub(t, F.scalar(2)), F.sub(F.neg(t), F.scalar(2))) if v):
+                   for v in (F.sub(t, F.scalar(2)), F.sub(F.neg(t), F.scalar(2)))):
                 out |= C.bit("PU", s)
         return out, "psl_semisimple_times_unipotent"
 

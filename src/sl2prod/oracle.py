@@ -31,8 +31,8 @@ live on the field's class indices.
   D1 * D2.
 - Triple products and covering numbers are OR-folds over table cells, each
   distinct (mask, class) folded once (ProductTable.compose).  A fold reads
-  first the rows whose cell can hold a central class and stops at the whole
-  group.  verify_laws compares every pair cell and closed-form triple of the
+  the rows of its mask in index order and stops at the whole group.
+  verify_laws compares every pair cell and closed-form triple of the
   laws' table (laws.law_table) with those of the brute table; containment
   and covering numbers are read from the brute table alone.
 

@@ -279,7 +279,7 @@ def commutator_witness_psl(F: FieldCtx, g: Mat):
 
 def _commutator_cert(F, g, P):
     if P.kind == "P1":
-        s = representative(F, _first_semisimple_label(F))
+        s = representative(F, next(L for L in all_classes_sl2(F) if L.is_semisimple))
         return CommutatorCert(s, IDENT, g, g != IDENT)
     two, ntwo = F.scalar(2), F.neg(2)
     for u in fiber_solutions(F, two, g, (two, ntwo)):
@@ -295,7 +295,3 @@ def _commutator_cert(F, g, P):
         if s is not None:
             return CommutatorCert(s, u, g, flipped)
     raise WitnessError(f"expressible class {P} with no commutator witness")
-
-
-def _first_semisimple_label(F):
-    return next(L for L in all_classes_sl2(F) if L.is_semisimple)

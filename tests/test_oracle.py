@@ -13,7 +13,7 @@ import pytest
 from sl2prod import (EnumerationBoundError, PSLLabel, SL2Label,
                      all_classes_psl, all_classes_sl2, brute_commutator_set,
                      brute_pair_product, brute_pair_product_psl,
-                     brute_triple_product, classify_sl2,
+                     brute_triple_product, classes, classify_sl2,
                      commutator_expressible_psl, covering_numbers,
                      enumerate_sl2, iter_sl2, laws, make_field, mat_det,
                      mat_mul, oracle, psl_classify, psl_lift_pair,
@@ -204,6 +204,21 @@ def test_certify_column_passes(monkeypatch):
     assert len(passes) == 22
     assert sum(missing for _, missing, _ in passes) == 369
     assert sum(walked for _, _, walked in passes) == 191
+
+
+def test_certify_fold_walks(monkeypatch):
+    """verify at q = 27 and 31, both groups and covering included, from fresh
+    fields, walks at most 9287 masks through classes.bits: each fold walks
+    its mask once, in index order, where a fold that took its central rows
+    first walked two parts of it, 16442 walks in all."""
+    walks, bits = [], oracle.bits
+    monkeypatch.setattr(oracle, "bits", lambda mask: walks.append(mask) or bits(mask))
+    monkeypatch.setattr(classes, "bits", oracle.bits)
+    for pa in ((3, 3), (31, 1)):
+        F = FieldCtx(*pa)
+        for kind in ("sl2", "psl2"):
+            assert verify_laws(F, kind).ok
+    assert len(walks) <= 9287
 
 
 @pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
