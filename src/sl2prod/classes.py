@@ -177,8 +177,8 @@ def psl_project(F: FieldCtx, L: SL2Label) -> PSLLabel:
     return PSLLabel("PSS" if L.kind == "SS" else "PNSS", t)
 
 
-def psl_classify(F: FieldCtx, m: Mat, check: bool = True) -> PSLLabel:
-    return psl_project(F, classify_sl2(F, m, check=check))
+def psl_classify(F: FieldCtx, m: Mat) -> PSLLabel:
+    return psl_project(F, classify_sl2(F, m))
 
 
 def psl_lift_pair(F: FieldCtx, P: PSLLabel) -> tuple[SL2Label, SL2Label]:

@@ -49,10 +49,10 @@ def _poly_mul(f, g, p):
 
 
 def _poly_mod(f, m, p):
-    """Remainder of f modulo the monic polynomial m."""
+    """Remainder of f modulo the monic polynomial m of degree at least 1."""
     r = list(f)
     dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
+    while len(r) > dm:
         lead = r[-1]
         if lead:
             shift = len(r) - 1 - dm
@@ -64,10 +64,7 @@ def _poly_mod(f, m, p):
 
 
 def _is_irreducible(f, p):
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
+    for d in range(1, (len(f) - 1) // 2 + 1):
         for low in _cartesian(range(p), repeat=d):
             g = low + (1,)
             if not _poly_mod(f, g, p):

@@ -101,7 +101,7 @@ def _sl2_pair(F, L1, L2):
         e1, e2 = L1.param, L2.param
         out = _semisimple_by_shift(F, C, F.neg(F.scalar(2)), F.mul(e1, e2))
         if F.same_class(F.neg(e1), e2):
-            out |= C.bit("U", F.square_class(F.neg(e1)))
+            out |= C.bit("U", e2)
         # trace -2 part: the P-matrix with c = 0 has entry e2 - e1*a^2
         out |= _solvable_unipotents(F, C, "NU", F.neg(e1), e2)
         if F.same_class(e1, e2):
@@ -110,13 +110,12 @@ def _sl2_pair(F, L1, L2):
 
     if k1 == "NU" and k2 == "NU":
         # (-u)(-u') = uu', so NU[e1] * NU[e2] is U[class(-e1)] * U[class(-e2)]
-        out = _sl2_pair(F, *(SL2Label("U", F.square_class(F.neg(L.param)))
-                             for L in (L1, L2)))[0]
+        out = _sl2_pair(F, negate_class(F, L1), negate_class(F, L2))[0]
         if L1 == L2:
             return out, "negative_unipotent_class_square"
         return out, "distinct_negative_unipotent_classes"
 
-    if L2.is_semisimple and k1 in ("U", "NU"):
+    if k1 in ("U", "NU"):     # sorted, so L2 is semisimple
         return _semisimple_times_unipotent(F, C, L2, L1)
 
     # both semisimple
@@ -140,21 +139,20 @@ def _sl2_pair(F, L1, L2):
 def _semisimple_times_unipotent(F, C, S, L):
     """S * L for a semisimple class S and a class L of kind U or NU.
 
-    For x in S and y in NU[e], xy = (-x)(-y) with -x in -S and -y in
-    U[class(-e)], so S * NU[e] is (-S) * U[class(-e)]."""
-    t, eps, rule = S.param, L.param, "semisimple_times_unipotent"
+    For S of trace t, S * U[e] holds every semisimple class (but S itself
+    when S is NSS) and one class of each unipotent kind: U[class((t - 2) e)]
+    and NU[class((t + 2) e)].  For x in S and y in NU[e], xy = (-x)(-y) with
+    -x in -S and -y in U[class(-e)], so S * NU[e] is (-S) * U[class(-e)]."""
+    rule = "semisimple_times_unipotent"
     if L.kind == "NU":
-        t, eps = F.neg(t), F.square_class(F.neg(eps))
+        S, L = negate_class(F, S), negate_class(F, L)
         rule = "semisimple_times_negative_unipotent"
+    t, e, two = S.param, L.param, F.scalar(2)
     out = C.kind_mask["SS"] | C.kind_mask["NSS"]
     if S.kind == "NSS":
         out &= ~C.bit("NSS", t)
-    for s in (1, F.nonsquare_rep):
-        if F.same_class(F.sub(t, F.scalar(2)), F.mul(eps, s)):
-            out |= C.bit("U", s)
-        if F.same_class(F.add(t, F.scalar(2)), F.mul(eps, s)):
-            out |= C.bit("NU", s)
-    return out, rule
+    return (out | C.bit("U", F.square_class(F.mul(F.sub(t, two), e)))
+            | C.bit("NU", F.square_class(F.mul(F.add(t, two), e)))), rule
 
 
 def law_table(F: FieldCtx, kind: str) -> ProductTable:
@@ -206,16 +204,15 @@ def _psl_pair(F, P1, P2):
         return out, "psl_unipotent_classes"
 
     if P1.kind == "PU":
-        # semisimple class times unipotent class
-        t, eps = P2.param, P1.param
+        # a lift of trace t times U[e] holds U[class((t - 2) e)] and
+        # NU[class((t + 2) e)], so P2 * PU[e] holds PU[class(v e)] for
+        # v = t - 2 and -t - 2
+        t, e, two = P2.param, P1.param, F.scalar(2)
         out = C.kind_mask["PSS"] | C.kind_mask["PNSS"]
         if t == 0 and not F.is_square(F.neg(1)):
             out &= ~(1 << C.at(P2))
-        for s in (1, F.nonsquare_rep):
-            cls = F.mul(eps, s)
-            if any(F.same_class(v, cls)
-                   for v in (F.sub(t, F.scalar(2)), F.sub(F.neg(t), F.scalar(2)))):
-                out |= C.bit("PU", s)
+        for v in (F.sub(t, two), F.sub(F.neg(t), two)):
+            out |= C.bit("PU", F.square_class(F.mul(v, e)))
         return out, "psl_semisimple_times_unipotent"
 
     if P1 == P2:

@@ -19,12 +19,12 @@ live on the field's class indices.
   column of the least class of each orbit under class negation and two
   automorphisms, sigma and phi (see _symmetries); the rest of the orbit is
   derived from it, and the column of I is C_i * I = C_i.  That is (q+1)/2
-  passes at prime q, and 6 instead of 31 at q = 27.  A pass fills only the
-  rows whose own column is still missing: C_i * C_j = C_j * C_i, so every
-  other cell is read off the filled column.  Rows come in negation pairs,
+  passes at prime q, and 6 at q = 27.  A pass fills only the rows whose
+  own column is still missing: C_i * C_j = C_j * C_i, so every other cell
+  is read off the filled column.  Rows come in negation pairs,
   and (-C_i) * C_j = -(C_i * C_j), so the pass walks the fiber of one row
-  of each pair and negates its mask for the other.  At q = 27 and 31 the
-  22 passes miss 369 rows instead of 746 and walk 191 fibers.
+  of each pair and negates its mask for the other: at q = 27 and 31 the
+  22 passes miss 369 rows and walk 191 fibers.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -219,7 +219,7 @@ def _sl2_products(T: GroupTable) -> ProductTable:
     for r in range(n):
         if r in columns:
             continue
-        columns[r] = ([1 << i for i in range(n)] if C.labels[r].is_central
+        columns[r] = ([1 << i for i in range(n)] if r == 0      # I, as C_i * I = C_i
                       else direct(r, {i: column[r] for i, column in columns.items()}))
         todo = [r]
         while todo:
@@ -305,8 +305,8 @@ class VerificationReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        """No mismatch, and the covering numbers of every odd q up to 61:
-        (3, 4), but (5, 5) for SL2(5)."""
+        """No mismatch or containment failure, and covering numbers (3, 4)
+        at every q, but (5, 5) for SL2(5)."""
         covering = (5, 5) if (self.q, self.kind) == (5, "sl2") else (3, 4)
         return not (self.pair_mismatches or self.triple_mismatches
                     or self.containment_failures) and self.covering == covering
@@ -390,7 +390,7 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
         if got != want:
             pair_mismatches.append(mismatch((i, j), got, want))
 
-    noncentral = C.full & ~sum(1 << k for k, L in enumerate(labels) if L.is_central)
+    noncentral = C.full >> C.n_central << C.n_central     # central classes come first
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
         trip = (labels[i], labels[j], labels[k])
@@ -421,7 +421,7 @@ def covering_numbers(F: FieldCtx, kind: str) -> tuple:
     _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
     P = _product_table(enumerate_sl2(F), kind)
-    noncentral = [k for k, L in enumerate(C.labels) if not L.is_central]
+    noncentral = range(C.n_central, len(C.labels))     # central classes come first
 
     def least(level, step):
         """Least n <= COVERING_LIMIT at which every mask of level, after

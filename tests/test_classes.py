@@ -166,7 +166,7 @@ def test_psl_golden():
 
 
 def test_psl_partition(F):
-    got = {psl_classify(F, m, check=False) for m in iter_sl2(F)}
+    got = {psl_project(F, classify_sl2(F, m, check=False)) for m in iter_sl2(F)}
     assert got == set(all_classes_psl(F))
 
 
@@ -633,23 +633,3 @@ def test_central_rows_are_the_rows_reaching_the_centre(kind, pa):
     for k in range(n):
         want = sum(1 << i for i in range(n) if brute.pair(i, k) & center)
         assert sum({1 << i for i in C.central_rows(k)}) == want, C.labels[k]
-
-
-def test_fold_with_a_foreign_central_row():
-    """A table whose cells put I into rows that are not central rows, and
-    one such row's cells the whole group, folds to the plain OR: a fold
-    reads no row by what its cell may hold."""
-    F = make_field(13)
-    C, law = class_index(F, "sl2"), law_table(F, "sl2")
-    n = len(C.labels)
-    odd = next(k for k, L in enumerate(C.labels) if L.is_semisimple)
-
-    def fill(i, j):
-        if i == odd:
-            return C.full
-        return law.pair(i, j) | (1 if i not in C.central_rows(j) else 0)
-    P = ProductTable(C, fill)
-    rng = random.Random(31)
-    for mask in [rng.randrange(1, C.full + 1) for _ in range(200)] + [C.full]:
-        for j in range(n):
-            assert P.compose(mask, j) == _plain_or(P, mask, j), (mask, j)

@@ -337,7 +337,7 @@ def test_psl_projection_matches_literal_fibers(F):
         for P2 in all_classes_psl(F):
             left = [x for D in set(psl_lift_pair(F, P1)) for x in T.fiber(D)]
             right = [y for D in set(psl_lift_pair(F, P2)) for y in T.fiber(D)]
-            literal = {psl_classify(F, mat_mul(F, x, y), check=False)
+            literal = {psl_project(F, classify_sl2(F, mat_mul(F, x, y), check=False))
                        for x in left for y in right}
             assert brute_pair_product_psl(T, P1, P2) == literal, (str(P1), str(P2))
 

@@ -15,7 +15,8 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      enumerate_sl2, factor_pair, factor_pair_psl, iter_sl2,
                      macbeath_triple, make_field, mat_inv, mat_mul, mat_neg,
                      mat_trace, psl_classify, psl_element_order,
-                     psl_project, psl_representative, representative,
+                     psl_lift_pair, psl_pair_product, psl_project,
+                     psl_representative, representative,
                      sl2_pair_product, witness)
 from sl2prod.classes import ClassIndex, ProductTable, class_index
 from sl2prod.cli import DEFAULT_SUITE
@@ -714,6 +715,37 @@ def test_witnesses_at_large_q_golden(pa):
     conjugating_element still kept the least of all about 2q conjugators."""
     digest = hashlib.sha256(large_q_witnesses(make_field(*pa)).encode()).hexdigest()
     assert digest == LARGE_Q_GOLDEN[pa]
+
+
+@pytest.mark.parametrize("pa", [(1009, 1), (3, 7)], ids=_ids([(1009, 1), (3, 7)]))
+def test_semisimple_times_unipotent_witnessed_at_large_q(pa):
+    """Above the enumeration bound, where verify certifies no law cell: for
+    6 seeded semisimple classes S of each group and each U/NU class L, the
+    SL2 cell S * L holds one U and one NU class, and the PSL2 cell S * PU[e]
+    holds the projections of those of a lift; a seeded conjugate of the
+    representative of each such class factors across L and S."""
+    F = make_field(*pa)
+    rng = random.Random(F.q)
+    for S in rng.sample([L for L in all_classes_sl2(F) if L.is_semisimple], 6):
+        for L in [L for L in all_classes_sl2(F) if L.kind in ("U", "NU")]:
+            unipotent = [M for M in sl2_pair_product(F, S, L) if M.kind in ("U", "NU")]
+            assert sorted(M.kind for M in unipotent) == ["NU", "U"], (S, L)
+            for M in unipotent:
+                g = conjugate(F, random_sl2(F, rng), representative(F, M))
+                cert = factor_pair(F, g, L, S)
+                assert cert is not None and cert.ok(F), (S, L, M)
+    for P in rng.sample([P for P in all_classes_psl(F) if P.is_semisimple], 6):
+        D = psl_lift_pair(F, P)[0]
+        for e in (1, F.nonsquare_rep):
+            U = PSLLabel("PU", e)
+            unipotent = {M for M in psl_pair_product(F, P, U) if M.kind == "PU"}
+            assert unipotent == {psl_project(F, M) for M in
+                                 sl2_pair_product(F, D, SL2Label("U", e))
+                                 if M.kind in ("U", "NU")}, (P, U)
+            for M in unipotent:
+                g = conjugate(F, random_sl2(F, rng), psl_representative(F, M))
+                cert = factor_pair_psl(F, g, U, P)
+                assert cert is not None and cert.ok(F), (P, U, M)
 
 
 def count_square_roots(monkeypatch, F):
