@@ -279,8 +279,9 @@ class ClassIndex:
     """The classes of one group over the field F in canonical order; class k
     is bit k of a class-set mask.  Its tables are filled on first use: pairs
     (each public pair query's label set and rule, keyed by class indices),
-    shifts (the semisimple masks of laws._semisimple_by_shift), central_rows,
-    law by laws, and brute and (SL2 only) group by the oracle."""
+    shifts (the mask of the semisimple classes with 2 - t a square, from which
+    laws._semisimple_by_shift reads its masks), central_rows, law by laws,
+    and brute and (SL2 only) group by the oracle."""
 
     def __init__(self, F: FieldCtx, labels, name: str):
         self.law = self.brute = self.group = self.shifts = None

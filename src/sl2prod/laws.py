@@ -25,27 +25,20 @@ class ProductLaw(NamedTuple):
     rule: str
 
 
-def _solvable_unipotents(F, C, kind, e1, e2):
-    """Mask of the classes kind[s] for which some unit a puts e2 + e1*a^2 in
-    the square class of s."""
-    return sum(C.bit(kind, s) for s in (1, F.nonsquare_rep)
-               if eps_shift_solvable(F, e1, e2, s) is not None)
-
-
 def _semisimple_by_shift(F, C, shift, cls):
     """Mask of the semisimple classes with class(shift - t) == class(cls),
-    for shift = 2 or -2.  The four masks, one per shift and square class,
-    are built as binary digits in one pass over the classes and kept on C;
-    a semisimple trace t is never +-2, so shift - t is a unit."""
-    if C.shifts is None:
-        shifts, n = (F.scalar(2), F.neg(F.scalar(2))), len(C.labels)
-        digits = {(s, square): bytearray(b"0" * n) for s in shifts for square in (True, False)}
-        for k, L in enumerate(C.labels):
-            if L.is_semisimple:
-                for s in shifts:
-                    digits[s, F.is_square(F.sub(s, L.param))][n - 1 - k] = ord("1")
-        C.shifts = {key: int(d, 2) for key, d in digits.items()}
-    return C.shifts[shift, F.is_square(cls)]
+    for shift = 2 or -2; a semisimple trace t is never +-2, so shift - t is
+    a unit.  One pass over the classes keeps on C the mask of those with
+    2 - t a square, one character each.  Since (2 - t)(-2 - t) = t^2 - 4 is
+    a square exactly on the split classes, shift -2 flips the non-split
+    classes, and a nonsquare cls flips every semisimple class."""
+    if C.shifts is None:    # class k is binary digit k from the right
+        two = F.scalar(2)
+        C.shifts = int("".join("01"[L.is_semisimple and F.is_square(F.sub(two, L.param))]
+                               for L in reversed(C.labels)), 2)
+    *_, split, nonsplit = C.kind_mask.values()   # the last two kinds, in both groups
+    out = C.shifts if shift == F.scalar(2) else C.shifts ^ nonsplit
+    return out if F.is_square(cls) else out ^ split ^ nonsplit
 
 
 def sl2_pair_product_law(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> ProductLaw:
@@ -82,31 +75,26 @@ def _sl2_pair(F, L1, L2):
     k1, k2 = L1.kind, L2.kind
     units, neg_units = C.kind_mask["U"], C.kind_mask["NU"]
 
-    if k1 == "U" and k2 == "U":
-        e1, e2 = L1.param, L2.param
-        # unipotent members: the off-diagonal entry of the trace-2 elements
-        # of the product is e2 + e1*a^2 with a a unit
-        out = _solvable_unipotents(F, C, "U", e1, e2)
-        out |= _semisimple_by_shift(F, C, F.scalar(2), F.mul(e1, e2))
-        if e1 == e2:
-            out |= C.bit("NU", e1)
-            rule = "unipotent_class_square"
+    if k1 == "U" and k2 in ("U", "NU"):
+        # U[e1] * NU[e2] = -(U[e1] * U[class(-e2)]), and negation swaps U with
+        # NU, I with -I and the shift 2 with -2.  With s = 1 for U[e2] and
+        # s = -1 for NU[e2], the product's elements of trace 2s with c = 0
+        # have off-diagonal entry e2 + s*e1*a^2 for a unit a
+        e1, e2, two = L1.param, L2.param, F.scalar(2)
+        if k2 == "U":
+            se1, other, centre = e1, "NU", "I"
         else:
-            rule = "distinct_unipotent_classes"
-        if F.same_class(F.neg(e1), e2):
-            out |= C.bit("I")
-        return out, rule
-
-    if k1 == "U" and k2 == "NU":
-        e1, e2 = L1.param, L2.param
-        out = _semisimple_by_shift(F, C, F.neg(F.scalar(2)), F.mul(e1, e2))
-        if F.same_class(F.neg(e1), e2):
-            out |= C.bit("U", e2)
-        # trace -2 part: the P-matrix with c = 0 has entry e2 - e1*a^2
-        out |= _solvable_unipotents(F, C, "NU", F.neg(e1), e2)
-        if F.same_class(e1, e2):
-            out |= C.bit("-I")
-        return out, "unipotent_times_negative_unipotent"
+            se1, two, other, centre = F.neg(e1), F.neg(two), "U", "-I"
+        out = _semisimple_by_shift(F, C, two, F.mul(e1, e2))
+        out |= sum(C.bit(k2, r) for r in (1, F.nonsquare_rep)
+                   if eps_shift_solvable(F, se1, e2, r) is not None)
+        if F.same_class(se1, e2):
+            out |= C.bit(other, e2)
+        if F.same_class(F.neg(se1), e2):
+            out |= C.bit(centre)
+        if k2 == "NU":
+            return out, "unipotent_times_negative_unipotent"
+        return out, "unipotent_class_square" if e1 == e2 else "distinct_unipotent_classes"
 
     if k1 == "NU" and k2 == "NU":
         # (-u)(-u') = uu', so NU[e1] * NU[e2] is U[class(-e1)] * U[class(-e2)]

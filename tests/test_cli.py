@@ -385,3 +385,20 @@ def test_readme_examples():
         assert code == 0, (argv, err)
         if expected is not None:
             assert json.loads(out) == expected, argv
+
+
+def test_readme_python_blocks():
+    """Every python block of README runs in a fresh interpreter."""
+    blocks, block = [], None
+    for line in README.read_text().splitlines():
+        if block is not None and line.startswith("```"):
+            blocks.append("\n".join(block))
+            block = None
+        elif block is not None:
+            block.append(line)
+        elif line == "```python":
+            block = []
+    assert blocks
+    for code in blocks:
+        done = run_fresh(code)
+        assert done.returncode == 0, (code, done.stderr)

@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from sl2prod import laws
+from sl2prod import laws, oracle
 from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      commutator_expressible_psl, inverse_class, make_field,
                      negate_class, psl_distinct_unipotent_product_by_order,
@@ -141,17 +141,51 @@ def _semisimple_by_shift_scan(F, C, shift, cls):
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (3, 3), (31, 1), (211, 1),
                                 (3, 5)], ids=lambda pa: f"q{pa[0] ** pa[1]}")
-def test_shift_masks_match_scan(pa):
-    """The four masks kept for _semisimple_by_shift give the scan's mask at
-    both shifts and every unit, in both groups."""
+def test_shift_masks_match_scan(pa, monkeypatch):
+    """The one mask kept for _semisimple_by_shift gives the scan's mask at
+    both shifts and every unit, in both groups; its pass reads one quadratic
+    character per semisimple class, and the ask one more, for cls."""
     F = make_field(*pa)
+    is_square, calls = FieldCtx.is_square, []
+    monkeypatch.setattr(FieldCtx, "is_square", lambda self, x: calls.append(x) or is_square(self, x))
     for kind in ("sl2", "psl2"):
         C = class_index(F, kind)
+        monkeypatch.setattr(C, "shifts", None)
+        calls.clear()
+        laws._semisimple_by_shift(F, C, F.scalar(2), 1)
+        assert len(calls) == sum(L.is_semisimple for L in C.labels) + 1, kind
+        assert type(C.shifts) is int
         for shift in (F.scalar(2), F.neg(F.scalar(2))):
             for cls in F.units():
                 assert laws._semisimple_by_shift(F, C, shift, cls) == \
                     _semisimple_by_shift_scan(F, C, shift, cls), (kind, shift, cls)
-        assert len(C.shifts) == 4
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (1009, 1), (3, 7), (10007, 1)],
+                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_unipotent_cells_by_negation(pa):
+    """U[e1] * NU[e2] is the negation of U[e1] * U[class(-e2)].  Each U * U
+    cell holds both U classes and each U * NU cell both NU classes, the
+    memberships the paper guards with |k| > 5, but for 4 cells at q = 5:
+    e2 + s*e1*a^2 falls in each square class for at least (q - 5)/4 units a,
+    a Jacobi-sum count that is positive for q > 5."""
+    F = make_field(*pa)
+    C = class_index(F, "sl2")
+    T, neg = law_table(F, "sl2"), oracle._negation(F, C)
+    reps = (1, F.nonsquare_rep)
+    missing = 0
+    for e1, e2 in itertools.product(reps, repeat=2):
+        U1, U2, NU2 = (C.at(SL2Label(k, e)) for k, e in (("U", e1), ("U", e2), ("NU", e2)))
+        assert T.pair(U1, NU2) == oracle._image(
+            neg, T.pair(U1, C.at(SL2Label("U", F.square_class(F.neg(e2))))))
+        for cell, kind in ((T.pair(U1, U2), "U"), (T.pair(U1, NU2), "NU")):
+            missing += any(not cell >> C.slot[kind, r] & 1 for r in reps)
+        for se1 in (e1, F.neg(e1)):
+            values = [F.add(e2, F.mul(se1, F.mul(a, a))) for a in F.units()]
+            squares = sum(v != 0 and F.is_square(v) for v in values)
+            nonsquares = sum(v != 0 for v in values) - squares
+            assert min(squares, nonsquares) >= (F.q - 5) / 4, (e1, e2, se1)
+    assert missing == (4 if F.q == 5 else 0)
 
 
 def test_pair_query_at_large_q_builds_no_table():
