@@ -10,21 +10,14 @@ Both tables and the group (its fibers of trace +-2 alone, see GroupTable)
 live on the field's class indices.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
-  and y a fixed representative of C_j, so one pass over the whole group per
-  representative y can fill column j.  tr(x * y) = ae + bg + cf + dh is
-  read from q x q add and mul tables, and a trace other than +-2 fixes the
-  class (SS[t] or NSS[t]).  A class D of trace +-2 comes by duality: D is
-  in C_i * C_j iff C_i meets D * y^-1, so it is read from the traces of
-  z * y^-1, z in D, through the same tables.  Such a pass fills only the
-  column of the least class of each orbit under class negation and two
-  automorphisms, sigma and phi (see _symmetries); the rest of the orbit is
-  derived from it, and the column of I is C_i * I = C_i.  That is (q+1)/2
-  passes at prime q, and 6 at q = 27.  A pass fills only the rows whose
-  own column is still missing: C_i * C_j = C_j * C_i, so every other cell
-  is read off the filled column.  Rows come in negation pairs,
-  and (-C_i) * C_j = -(C_i * C_j), so the pass walks the fiber of one row
-  of each pair and negates its mask for the other: at q = 27 and 31 the
-  22 passes miss 369 rows and walk 191 fibers.
+  and y a fixed representative of C_j, so one pass over the group per y can
+  fill column j (see _direct_columns): tr(x * y) is read from q x q add and
+  mul tables, a trace other than +-2 fixes the class, and a class of trace
+  +-2 comes by duality.  Only the least class of each orbit under class
+  negation, sigma and phi (see _symmetries) takes a pass, (q+1)/2 at prime q
+  and 6 at q = 27, and a pass walks only the rows whose own column is still
+  missing, one of each negation pair, q traces at a time until all q are
+  seen: at q = 27 and 31 the 22 passes walk 71534 traces, not 206222.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -32,9 +25,10 @@ live on the field's class indices.
 - Triple products and covering numbers are OR-folds over table cells, each
   distinct (mask, class) folded once (ProductTable.compose).  A fold reads
   the rows of its mask in index order and stops at the whole group.
-  verify_laws compares every pair cell and closed-form triple of the
-  laws' table (laws.law_table) with those of the brute table; containment
-  and covering numbers are read from the brute table alone.
+  verify_laws checks each pair cell and closed-form triple of the laws'
+  table (laws.law_table) against the brute table, a triple i <= j <= k once
+  per key (cell (i, j), k, C_i central or not): 1432 keys for 7770 triples
+  at q = 31.  Containment and covering numbers come from the brute table.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 127 before building anything; on a shared 2-core host
@@ -118,8 +112,9 @@ def _direct_columns(T: GroupTable):
     meets D * y^-1, with w = y^-1 (or y for semisimple C_j, as then y^-1 is
     conjugate to y): into a semisimple row when tr(z w) = tr(C_i) for some z
     in D, and into a row of trace +-2 (walked only in the pass of U[1]) when
-    classify_sl2 puts some z w there.  A fiber is packed on its first walk
-    and kept for the later passes."""
+    classify_sl2 puts some z w there; other passes negate the traces of D
+    for -D.  A fiber is packed on its first walk, in stride q, and kept; a
+    walk reads q elements at a time, and a trace set stops at all q."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
@@ -133,15 +128,21 @@ def _direct_columns(T: GroupTable):
     def fiber(i):
         if i not in packed:
             fib = T.fiber(C.labels[i])
+            fib = [x for r in range(q) for x in fib[r::q]]     # stride q: each chunk spans every a
             packed[i] = [a * q + b for a, b, _, _ in fib], [c * q + d for _, _, c, d in fib]
         return packed[i]
 
     def traces(w):
-        """traces(w)(i) lists tr(x w) = ae + bg + cf + dh over x in C_i."""
+        """traces(w)(i) yields tr(x w) = ae + bg + cf + dh over x in C_i, q at a time."""
         me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in w)
-        left = [ADD[me[a] * q + mg[b]] * q for a in range(q) for b in range(q)]
-        right = [ADD[mf[c] * q + mh[d]] for c in range(q) for d in range(q)]
-        return lambda i: [ADD[left[u] + right[v]] for u, v in zip(*fiber(i))]
+        left = [ADD[x + g] * q for x in [e * q for e in me] for g in mg]     # at a*q + b
+        right = [ADD[x + h] for x in [f * q for f in mf] for h in mh]       # at c*q + d
+
+        def of(i):
+            us, vs = fiber(i)
+            for s in range(0, len(us), q):
+                yield _traces(ADD, left, right, us[s:s + q], vs[s:s + q])
+        return of
 
     def column(j, known=None):
         known = known or {}
@@ -153,14 +154,21 @@ def _direct_columns(T: GroupTable):
         missing = set(range(len(C.labels))) - known.keys()
         walked = {min(i, neg[i]) if neg[i] in missing else i for i in missing}
         for i in walked:
-            masks[i] = sum(1 << row[t] for t in set(of_y(i)) if t in row)
+            masks[i] = sum(1 << row[t] for t in _trace_set(of_y(i), q) if t in row)
+        whole = not walked.isdisjoint(pm2)      # U[1]'s pass: classify each z w of trace +-2
+        duals = {}      # tr(z w) for z in C_k
         for k in pm2:
-            duals = of_w(k)     # tr(z w) for z in C_k
-            for t in set(duals):
+            if whole:
+                duals[k] = [t for chunk in of_w(k) for t in chunk]
+            elif neg[k] in duals:       # tr((-z) w) = -tr(z w)
+                duals[k] = {F.neg(t) for t in duals[neg[k]]}
+            else:
+                duals[k] = _trace_set(of_w(k), q)
+            for t in set(duals[k]):
                 if row.get(t) in walked:
                     masks[row[t]] |= 1 << k
-            if not walked.isdisjoint(pm2):
-                for u, v, t in zip(*fiber(k), duals):
+            if whole:
+                for u, v, t in zip(*fiber(k), duals[k]):
                     if t not in row:
                         z = (*divmod(u, q), *divmod(v, q))
                         i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
@@ -170,6 +178,21 @@ def _direct_columns(T: GroupTable):
             masks[i] = _image(neg, masks[neg[i]])
         return masks
     return column
+
+
+def _traces(ADD, left, right, us, vs) -> list[int]:
+    """tr(x w) = ADD[left[u] + right[v]] for the packed elements (u, v) of x."""
+    return [ADD[left[u] + right[v]] for u, v in zip(us, vs)]
+
+
+def _trace_set(chunks, q: int) -> set[int]:
+    """The traces of chunks, read only until all q have been seen."""
+    seen = set()
+    for chunk in chunks:
+        seen.update(chunk)
+        if len(seen) == q:
+            break
+    return seen
 
 
 def _image(perm, mask: int) -> int:
@@ -390,8 +413,20 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
         if got != want:
             pair_mismatches.append(mismatch((i, j), got, want))
 
+    # a (key, k), read at its pair of least j, goes triple by triple if it fails, or misses a
+    # non-central class with C_i non-central: no triple with a central factor expects containment
     noncentral = C.full >> C.n_central << C.n_central     # central classes come first
-    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+    keys: dict[tuple, list] = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        keys.setdefault((law.pair(i, j), brute.pair(i, j), i < C.n_central), []).append((i, j))
+    suspect = []
+    for (_, _, central), cells in keys.items():
+        i, j = min(cells, key=lambda cell: cell[1])
+        for k in range(j, n):
+            want = brute.triple(i, j, k)
+            if law.triple(i, j, k) != want or noncentral & ~want and not central:
+                suspect += [(a, b, k) for a, b in cells if b <= k]
+    for i, j, k in sorted(suspect):
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
         trip = (labels[i], labels[j], labels[k])
         if got != want:

@@ -4,6 +4,7 @@ commutator sets."""
 import io
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
@@ -221,6 +222,44 @@ def test_certify_fold_walks(monkeypatch):
     assert len(walks) <= 9287
 
 
+def test_certify_trace_walks(monkeypatch):
+    """The SL2 fills at q = 27 and 31, from fresh fields, walk 71534 trace
+    elements tr(x w): a row's traces are read q at a time and only until
+    all q have been seen, and but for the pass of U[1] the dual traces of -D
+    are those of D negated.  Walking each fiber whole, both classes of each
+    dual pair included, took 206222."""
+    walked, traces = [], oracle._traces
+
+    def counted(*args):
+        out = traces(*args)
+        walked.append(len(out))
+        return out
+    monkeypatch.setattr(oracle, "_traces", counted)
+    for pa in ((3, 3), (31, 1)):
+        oracle._sl2_products(enumerate_sl2(FieldCtx(*pa)))
+    assert sum(walked) == 71534
+
+
+ODD_PRIME_POWERS_TO_61 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
+                          (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1),
+                          (37, 1), (41, 1), (43, 1), (47, 1), (7, 2), (53, 1),
+                          (59, 1), (61, 1)]
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_saturating_walk_matches_full_walk(monkeypatch, pa):
+    """The SL2 table whose trace sets stop once they hold all q traces
+    equals the one whose trace sets read every element of the fiber."""
+    T = enumerate_sl2(FieldCtx(*pa))
+    n = len(all_classes_sl2(T.field))
+    got = oracle._sl2_products(T)
+    monkeypatch.setattr(oracle, "_trace_set",
+                        lambda chunks, q: {t for chunk in chunks for t in chunk})
+    want = oracle._sl2_products(T)
+    assert [[got.pair(i, j) for i in range(n)] for j in range(n)] == \
+        [[want.pair(i, j) for i in range(n)] for j in range(n)]
+
+
 @pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
 def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
     """Of the symmetric fill's passes, only the pass of U[1] walks rows of
@@ -423,12 +462,15 @@ NU13 = (SL2Label("NU", 1), SL2Label("NU", 3))
 PU13 = (PSLLabel("PU", 1), PSLLabel("PU", 3))
 
 
-@pytest.mark.parametrize("kind,name,where,dropped", [
+BROKEN_PAIR_LAWS = [
     ("sl2", "_sl2_pair", (U13,), SL2Label("SS", 6)),
     ("psl2", "_psl_pair", (PU13,), PSLLabel("PNSS", 3)),
     ("sl2", "_sl2_pair", (U13, U13[::-1], NU13, NU13[::-1]), SL2Label("SS", 6)),
     ("psl2", "_psl_pair", (PU13, PU13[::-1]), PSLLabel("PNSS", 3)),
-])
+]
+
+
+@pytest.mark.parametrize("kind,name,where,dropped", BROKEN_PAIR_LAWS)
 def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped):
     """laws.<name> drops one class from the law cell of U[1]·U[3] (PU in
     PSL2) at q = 7, in one order or in both.  verify_laws and `sl2prod
@@ -520,6 +562,113 @@ def test_verify_reports_containment_failures(monkeypatch):
     assert code == 1 and data["ok"] is False
     [report] = data["reports"]
     assert report["triples"]["containment_failures"] == rep.containment_failures
+
+
+# -- the triple check, key by key, against one check per triple -------------
+
+
+def _per_triple_verify(F, kind):
+    """verify_laws with one check per triple i <= j <= k, in index order."""
+    C = class_index(F, kind)
+    T = enumerate_sl2(F)
+    law, brute = laws.law_table(F, kind), oracle._product_table(T, kind)
+    labels, n = C.labels, len(C.labels)
+    pair_mismatches, triple_mismatches, containment_failures = [], [], []
+
+    def names(mask):
+        return tuple(labels[k] for k in classes.bits(mask))
+
+    def mismatch(cell, got, want):
+        missing = want & ~got
+        return oracle.Mismatch(
+            tuple(labels[i] for i in cell), names(got), names(want),
+            oracle._counterexample(T, kind, brute, cell, missing) if missing else None)
+
+    for i, j in itertools.product(range(n), repeat=2):
+        got, want = law.pair(i, j), brute.pair(i, j)
+        if got != want:
+            pair_mismatches.append(mismatch((i, j), got, want))
+    noncentral = C.full >> C.n_central << C.n_central
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        got, want = law.triple(i, j, k), brute.triple(i, j, k)
+        trip = (labels[i], labels[j], labels[k])
+        if got != want:
+            triple_mismatches.append(mismatch((i, j, k), got, want))
+        if noncentral & ~want and oracle.triple_containment_expected(F, kind, trip):
+            containment_failures.append({
+                "triple": [str(L) for L in trip],
+                "missing": [str(L) for L in names(noncentral & ~want)]})
+    return oracle.VerificationReport(
+        F.q, kind, n * n, pair_mismatches, math.comb(n + 2, 3), triple_mismatches,
+        containment_failures, covering_numbers(F, kind))
+
+
+def _assert_same_report(got, want):
+    """Equal reports: the same JSON, and the same mismatches in the same
+    order, each with the same counterexample."""
+    assert got.to_dict() == want.to_dict()
+    for found, ref in ((got.pair_mismatches, want.pair_mismatches),
+                       (got.triple_mismatches, want.triple_mismatches)):
+        assert [m.where for m in found] == [m.where for m in ref]
+        assert [m.counterexample for m in found] == [m.counterexample for m in ref]
+    assert got == want
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61[:12], ids=lambda pa: f"q{pa[0] ** pa[1]}")
+def test_grouped_triples_match_per_triple_check(pa):
+    """verify_laws, which checks the triples once per key (pair cells, k,
+    C_i central), reports what one check per triple reports, at every odd
+    prime power up to 31; SL2(5), whose folds miss non-central classes,
+    takes the triple-by-triple containment check."""
+    F = FieldCtx(*pa)
+    for kind in ("sl2", "psl2"):
+        _assert_same_report(verify_laws(F, kind), _per_triple_verify(F, kind))
+
+
+@pytest.mark.parametrize("kind,name,where,dropped", BROKEN_PAIR_LAWS)
+def test_grouped_triples_match_per_triple_check_broken_law(monkeypatch, kind, name,
+                                                           where, dropped):
+    """With the broken pair laws of test_verify_catches_broken_pair_law,
+    the key-wise check reports the same triple mismatches, in the same
+    order and with the same counterexamples, as one check per triple."""
+    F = make_field(7)
+    orig, C = getattr(laws, name), class_index(F, kind)
+
+    def broken(F, a, b):
+        mask, rule = orig(F, a, b)
+        if F.q == 7 and (a, b) in where and a.kind in ("U", "PU"):
+            return mask & ~(1 << C.at(dropped)), rule
+        return mask, rule
+    monkeypatch.setattr(laws, name, broken)
+    C.law = None
+    try:
+        rep, ref = verify_laws(F, kind), _per_triple_verify(F, kind)
+    finally:
+        C.law = None
+    assert rep.triple_mismatches
+    _assert_same_report(rep, ref)
+
+
+def test_grouped_triples_match_per_triple_check_broken_brute(monkeypatch):
+    """With the brute SL2 table of test_verify_reports_containment_failures,
+    which drops SS[6] from every cell at q = 7, the key-wise check reports
+    the same triple mismatches and containment failures, in the same order,
+    as one check per triple."""
+    F = make_field(7)
+    orig, C = oracle._sl2_products, class_index(F, "sl2")
+    ss6 = C.at(SL2Label("SS", 6))
+
+    def broken(T):
+        table = orig(T)
+        return ProductTable(table.classes, lambda i, j: table.pair(i, j) & ~(1 << ss6))
+    monkeypatch.setattr(oracle, "_sl2_products", broken)
+    C.brute = None
+    try:
+        rep, ref = verify_laws(F, "sl2"), _per_triple_verify(F, "sl2")
+    finally:
+        C.brute = None
+    assert rep.triple_mismatches and len(rep.containment_failures) == 156
+    _assert_same_report(rep, ref)
 
 
 def test_verify_reports_unreached_covering_number(monkeypatch):
