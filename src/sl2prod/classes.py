@@ -278,15 +278,15 @@ def bits(mask: int):
 class ClassIndex:
     """The classes of one group over the field F in canonical order; class k
     is bit k of a class-set mask.  Its tables are filled on first use: pairs
-    (each public pair query's label set and rule, keyed by class indices),
-    shifts (the mask of the semisimple classes with 2 - t a square, from which
-    laws._semisimple_by_shift reads its masks), central_rows, law by laws,
-    and brute and (SL2 only) group by the oracle."""
+    (the laws.ProductLaw of each public pair query, keyed by the ordered
+    class indices), shifts (the mask of the semisimple classes with 2 - t a
+    square, from which laws._semisimple_by_shift reads its masks),
+    central_rows, law by laws, and brute and (SL2 only) group by the oracle."""
 
     def __init__(self, F: FieldCtx, labels, name: str):
         self.law = self.brute = self.group = self.shifts = None
         self.label_type = type(labels[0])       # SL2Label or PSLLabel
-        self.pairs: dict[tuple[int, int], tuple[frozenset, str]] = {}
+        self.pairs: dict[tuple[int, int], tuple] = {}
         self.field, self.labels, self.name = F, labels, name
         self.full, self.n_central = (1 << len(labels)) - 1, sum(L.is_central for L in labels)
         self.slot = {L: k for k, L in enumerate(labels)}   # slot[kind, param] too
@@ -341,10 +341,11 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
 
 
 class ProductTable:
-    """Class products of one group: cell (i, j) is the mask of C_i * C_j,
-    computed by fill(i, j) on first use, and each fold compose(mask, j) is
-    kept in composed.  A fold ORs the cells of the bits of mask in index order
-    and stops once it is the whole group, so the cells it skips stay unfilled."""
+    """Class products of one group: cell (i, j) is the mask of C_i * C_j; they
+    commute (xy = y * y^-1 x y), so one fill(i, j), i <= j, on first use of
+    either order, serves both.  Each fold compose(mask, j) is kept in composed.
+    A fold ORs the cells of the bits of mask in index order and stops once it
+    is the whole group, so the cells it skips stay unfilled."""
     closed: dict | None = None      # closed-form triples by (cell, k), if laws.law_table allows
 
     def __init__(self, classes: ClassIndex, fill):
@@ -356,10 +357,9 @@ class ProductTable:
         self.composed: dict[tuple[int, int], int] = {}
 
     def pair(self, i: int, j: int) -> int:
-        column = self._columns[j]
-        cell = column.get(i)
+        cell = self._columns[j].get(i)
         if cell is None:
-            cell = column[i] = self._fill(i, j)
+            cell = self._columns[i][j] = self._columns[j][i] = self._fill(min(i, j), max(i, j))
         return cell
 
     def compose(self, mask: int, j: int) -> int:

@@ -42,35 +42,35 @@ def _semisimple_by_shift(F, C, shift, cls):
 
 
 def sl2_pair_product_law(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> ProductLaw:
-    return ProductLaw(L1, L2, *_pair(F, "sl2", L1, L2))
+    return _pair(F, "sl2", L1, L2)
 
 
 def sl2_pair_product(F: FieldCtx, L1: SL2Label, L2: SL2Label) -> frozenset:
-    return _pair(F, "sl2", L1, L2)[0]
+    return _pair(F, "sl2", L1, L2).classes
 
 
 def _pair(F, kind, A, B):
-    """(label set, rule) of A * B, kept in C.pairs under the class indices
-    of A and B; ValueError for a label of no class of the group."""
+    """The ProductLaw of A * B, asked of the law in index order and kept in
+    C.pairs under the class indices of A and B; ValueError for a label of no
+    class of the group."""
     C = class_index(F, kind)
-    key = C.at(A), C.at(B)
+    key = i, j = C.at(A), C.at(B)
     got = C.pairs.get(key)
     if got is None:
-        mask, rule = (_sl2_pair if kind == "sl2" else _psl_pair)(F, A, B)
-        got = C.pairs[key] = C.labels_of(mask), rule
+        law = _sl2_pair if kind == "sl2" else _psl_pair
+        mask, rule = law(F, C, A, B) if i <= j else law(F, C, B, A)
+        got = C.pairs[key] = ProductLaw(A, B, C.labels_of(mask), rule)
     return got
 
 
-def _sl2_pair(F, L1, L2):
-    """(mask, rule) of L1 * L2."""
-    if L2.sort_key < L1.sort_key:
-        L1, L2 = L2, L1
-    C = class_index(F, "sl2")
+def _sl2_pair(F, C, L1, L2):
+    """(mask, rule) of L1 * L2 for classes L1, L2 of C = class_index(F,
+    "sl2") in index order."""
     # central factors translate the other class
     if L1.kind == "I":
-        return 1 << C.at(L2), "central_translation"
+        return 1 << C.slot[L2], "central_translation"
     if L1.kind == "-I":
-        return 1 << C.at(negate_class(F, L2)), "central_translation"
+        return 1 << C.slot[negate_class(F, L2)], "central_translation"
 
     k1, k2 = L1.kind, L2.kind
     units, neg_units = C.kind_mask["U"], C.kind_mask["NU"]
@@ -97,13 +97,14 @@ def _sl2_pair(F, L1, L2):
         return out, "unipotent_class_square" if e1 == e2 else "distinct_unipotent_classes"
 
     if k1 == "NU" and k2 == "NU":
-        # (-u)(-u') = uu', so NU[e1] * NU[e2] is U[class(-e1)] * U[class(-e2)]
-        out = _sl2_pair(F, negate_class(F, L1), negate_class(F, L2))[0]
+        # (-u)(-u') = uu', so NU[e1] * NU[e2] is U[class(-e1)] * U[class(-e2)],
+        # whose law is symmetric in e1 and e2 (e2 + e1 a^2 = a^2 (e1 + e2 / a^2))
+        out = _sl2_pair(F, C, negate_class(F, L1), negate_class(F, L2))[0]
         if L1 == L2:
             return out, "negative_unipotent_class_square"
         return out, "distinct_negative_unipotent_classes"
 
-    if k1 in ("U", "NU"):     # sorted, so L2 is semisimple
+    if k1 in ("U", "NU"):     # in index order, so L2 is semisimple
         return _semisimple_times_unipotent(F, C, L2, L1)
 
     # both semisimple
@@ -150,7 +151,7 @@ def law_table(F: FieldCtx, kind: str) -> ProductTable:
     C = class_index(F, kind)
     if C.law is None:
         pair = _sl2_pair if kind == "sl2" else _psl_pair
-        C.law = ProductTable(C, lambda i, j: pair(F, C.labels[i], C.labels[j])[0])
+        C.law = ProductTable(C, lambda i, j: pair(F, C, C.labels[i], C.labels[j])[0])
         C.law.closed = None if (F.q, kind) == (5, "sl2") else {}
     return C.law
 
@@ -164,20 +165,18 @@ def sl2_triple_product(F: FieldCtx, L1: SL2Label, L2: SL2Label, L3: SL2Label) ->
 
 
 def psl_pair_product_law(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> ProductLaw:
-    return ProductLaw(P1, P2, *_pair(F, "psl2", P1, P2))
+    return _pair(F, "psl2", P1, P2)
 
 
 def psl_pair_product(F: FieldCtx, P1: PSLLabel, P2: PSLLabel) -> frozenset:
-    return _pair(F, "psl2", P1, P2)[0]
+    return _pair(F, "psl2", P1, P2).classes
 
 
-def _psl_pair(F, P1, P2):
-    """(mask, rule) of P1 * P2."""
-    if P2.sort_key < P1.sort_key:
-        P1, P2 = P2, P1
-    C = class_index(F, "psl2")
+def _psl_pair(F, C, P1, P2):
+    """(mask, rule) of P1 * P2 for classes P1, P2 of C = class_index(F,
+    "psl2") in index order."""
     if P1.kind == "P1":
-        return 1 << C.at(P2), "psl_central_translation"
+        return 1 << C.slot[P2], "psl_central_translation"
 
     units = C.kind_mask["PU"]
 
@@ -198,7 +197,7 @@ def _psl_pair(F, P1, P2):
         t, e, two = P2.param, P1.param, F.scalar(2)
         out = C.kind_mask["PSS"] | C.kind_mask["PNSS"]
         if t == 0 and not F.is_square(F.neg(1)):
-            out &= ~(1 << C.at(P2))
+            out &= ~(1 << C.slot[P2])
         for v in (F.sub(t, two), F.sub(F.neg(t), two)):
             out |= C.bit("PU", F.square_class(F.mul(v, e)))
         return out, "psl_semisimple_times_unipotent"

@@ -12,6 +12,12 @@ settings.register_profile(
 settings.load_profile("suite")
 
 SMALL_FIELDS = [(5, 1), (7, 1), (3, 2)]
+# every odd prime power up to 61, in increasing order
+ODD_PRIME_POWERS_TO_61 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
+                          (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1),
+                          (37, 1), (41, 1), (43, 1), (47, 1), (7, 2), (53, 1),
+                          (59, 1), (61, 1)]
+ODD_PRIME_POWERS_TO_31 = ODD_PRIME_POWERS_TO_61[:12]
 
 
 def _qid(pa):

@@ -33,6 +33,7 @@ from sl2prod.classes import ProductTable, bits, class_index
 from sl2prod.laws import law_table
 from sl2prod.mat2 import IDENT, minus_ident
 from sl2prod.oracle import Mismatch, _product_table as brute_table
+from conftest import ODD_PRIME_POWERS_TO_61, _qid
 from test_laws import lifted_pair_product
 from test_oracle import literal_pair_product
 
@@ -140,8 +141,7 @@ def test_psl_projection(F):
 
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3),
-                                (211, 1), (3, 5), (10007, 1)],
-                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+                                (211, 1), (3, 5), (10007, 1)], ids=_qid)
 def test_psl_labels_filtered_in_sl2_order(pa):
     """The PSL2 labels, filtered from the SL2 labels in their order, are the
     projections of every SL2 label, sorted."""
@@ -196,14 +196,7 @@ def repeated_multiplication_order(F, P):
     return n
 
 
-ODD_PRIME_POWERS_TO_61 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
-                          (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1),
-                          (37, 1), (41, 1), (43, 1), (47, 1), (7, 2), (53, 1),
-                          (59, 1), (61, 1)]
-
-
-@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61 + [(1009, 1), (3, 7)],
-                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61 + [(1009, 1), (3, 7)], ids=_qid)
 def test_element_order_matches_repeated_multiplication(pa):
     """Every PSL2 class up to q = 61, and 30 seeded semisimple classes at
     1009 and 3^7, have the order that repeated multiplication finds."""
@@ -215,8 +208,7 @@ def test_element_order_matches_repeated_multiplication(pa):
         assert psl_element_order(F, P) == repeated_multiplication_order(F, P), P
 
 
-@pytest.mark.parametrize("pa", [(5, 2), (211, 1), (3, 5), (10007, 1)],
-                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", [(5, 2), (211, 1), (3, 5), (10007, 1)], ids=_qid)
 def test_lucas_trace_is_the_trace_of_the_power(pa):
     """The Lucas ladder gives tr(m^n) = mat_trace(mat_pow(m, n)) for 60
     seeded (m, n), with m in SL2 and 0 <= n <= q^2, and n = 0, 1, 2."""
@@ -450,8 +442,7 @@ def test_sweep_covers_the_public_surface():
     assert not swept & exempt
 
 
-@pytest.mark.parametrize("pa", [(7, 1), (3, 2), (3, 3), (211, 1)],
-                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", [(7, 1), (3, 2), (3, 3), (211, 1)], ids=_qid)
 def test_kind_masks(pa):
     """Each kind mask is the OR of the bits of that kind's classes."""
     F = make_field(*pa)
@@ -602,7 +593,7 @@ def _plain_or(table, mask, j):
 
 
 @pytest.mark.parametrize("kind", ["sl2", "psl2"])
-@pytest.mark.parametrize("pa", FOLD_FIELDS, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", FOLD_FIELDS, ids=_qid)
 def test_fold_is_the_plain_or(kind, pa):
     """On the law table and the brute table, compose(mask, j) is the OR of
     the cells (i, j) over the bits i of mask, for every pair-cell mask and
@@ -621,7 +612,7 @@ def test_fold_is_the_plain_or(kind, pa):
 
 
 @pytest.mark.parametrize("kind", ["sl2", "psl2"])
-@pytest.mark.parametrize("pa", FOLD_FIELDS[:5], ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", FOLD_FIELDS[:5], ids=_qid)
 def test_central_rows_are_the_rows_reaching_the_centre(kind, pa):
     """Row i is a central row of column k exactly when the brute cell (i, k)
     holds a central class."""

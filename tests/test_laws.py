@@ -26,6 +26,8 @@ from sl2prod.field import FieldCtx
 from sl2prod.laws import law_table
 from sl2prod.witness import factor_pair
 
+from conftest import ODD_PRIME_POWERS_TO_31, _qid
+
 F5, F7 = make_field(5), make_field(7)
 
 
@@ -95,7 +97,7 @@ def _sha256_json(out):
 
 
 @pytest.mark.parametrize("pa,kind", list(ANSWER_GOLDEN),
-                         ids=lambda v: f"q{v[0] ** v[1]}" if isinstance(v, tuple) else v)
+                         ids=lambda v: _qid(v) if isinstance(v, tuple) else v)
 def test_every_answer_golden(pa, kind):
     """Every pair answer, rule included, and every triple answer, byte for
     byte."""
@@ -127,6 +129,22 @@ def test_pair_laws_are_computed_once(monkeypatch):
     assert law.rule == "unipotent_class_square" and len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["sl2", "psl2"])
+def test_pair_answer_is_kept_whole(small_F, kind):
+    """Each pair query returns the one ProductLaw kept for its ordered pair,
+    and the label-set query that law's classes.  The reversed ask names its
+    factors in its own order, with the same classes and rule."""
+    F = small_F
+    pair_law = sl2_pair_product_law if kind == "sl2" else psl_pair_product_law
+    pair = sl2_pair_product if kind == "sl2" else psl_pair_product
+    for A, B in itertools.combinations_with_replacement(class_index(F, kind).labels, 2):
+        law, back = pair_law(F, A, B), pair_law(F, B, A)
+        assert pair_law(F, A, B) is law and pair_law(F, B, A) is back
+        assert pair(F, A, B) is law.classes
+        assert (law.left, law.right, back.left, back.right) == (A, B, B, A)
+        assert (back.classes, back.rule) == (law.classes, law.rule)
+
+
 def _semisimple_by_shift_scan(F, C, shift, cls):
     """The reference for laws._semisimple_by_shift: a scan over the classes
     for every ask."""
@@ -140,7 +158,7 @@ def _semisimple_by_shift_scan(F, C, shift, cls):
 
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (3, 3), (31, 1), (211, 1),
-                                (3, 5)], ids=lambda pa: f"q{pa[0] ** pa[1]}")
+                                (3, 5)], ids=_qid)
 def test_shift_masks_match_scan(pa, monkeypatch):
     """The one mask kept for _semisimple_by_shift gives the scan's mask at
     both shifts and every unit, in both groups; its pass reads one quadratic
@@ -161,8 +179,7 @@ def test_shift_masks_match_scan(pa, monkeypatch):
                     _semisimple_by_shift_scan(F, C, shift, cls), (kind, shift, cls)
 
 
-@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (1009, 1), (3, 7), (10007, 1)],
-                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (1009, 1), (3, 7), (10007, 1)], ids=_qid)
 def test_unipotent_cells_by_negation(pa):
     """U[e1] * NU[e2] is the negation of U[e1] * U[class(-e2)].  Each U * U
     cell holds both U classes and each U * NU cell both NU classes, the
@@ -190,19 +207,20 @@ def test_unipotent_cells_by_negation(pa):
 
 def test_pair_query_at_large_q_builds_no_table():
     """Witnesses at q = 10007 build no (q + 4)^2 table: the law table holds
-    just the cells they asked, and no pair query is memoized.  A law table
-    allocates a column only when a cell in it is asked for."""
+    just the cells they asked, each fill under both orders, and no pair query
+    is memoized.  A law table allocates a column only when a cell in it is
+    asked for or filled."""
     F = FieldCtx(10007, 1)
     C = class_index(F, "sl2")
     g = (1, 1, 0, 1)
     for L2 in (SL2Label("U", 1), SL2Label("U", F.nonsquare_rep)):
         cert = factor_pair(F, g, SL2Label("U", 1), L2)
         assert cert is None or cert.ok(F)
-    assert {j: list(column) for j, column in C.law._columns.items()} == {2: [2], 3: [2]}
+    assert {j: list(column) for j, column in C.law._columns.items()} == {2: [2, 3], 3: [2]}
     assert C.pairs == {}
     T = ProductTable(C, lambda i, j: 0)
     assert T.pair(2, 3) == T.triple(2, 3, 4) == 0
-    assert sorted(T._columns) == [3, 4]
+    assert sorted(T._columns) == [2, 3, 4]
 
 
 def test_random_triples_at_large_q_keep_only_filled_cells():
@@ -388,20 +406,17 @@ def test_triple_containment_sl2_above_5(F):
     ("psl2", ("PSS[1]", "PSS[3]", "PSS[5]")), ("psl2", ("PSS[24]", "PSS[104]", "PNSS[93]"))])
 def test_triple_reaches_the_group_in_few_cells(kind, trip):
     """A triple of three distinct semisimple classes at q = 211 is in closed
-    form, so it fills at most 1 law cell from a fresh class index (a fold in
-    index order would fill 6 to 169)."""
+    form, so it makes at most 1 law fill from a fresh class index (a fold in
+    index order would make 6 to 169)."""
     F = FieldCtx(211, 1)
-    out = law_table(F, kind).of_labels(*(parse_label(F, s) for s in trip))
+    law, fill, fills = law_table(F, kind), law_table(F, kind)._fill, []
+    law._fill = lambda i, j: fills.append((i, j)) or fill(i, j)
+    out = law.of_labels(*(parse_label(F, s) for s in trip))
     assert out >= {L for L in class_index(F, kind).labels if not L.is_central}
-    filled = sum(len(column) for column in law_table(F, kind)._columns.values())
-    assert filled <= 1
+    assert len(fills) <= 1
 
 
-ODD_PRIME_POWERS_TO_31 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
-                          (23, 1), (5, 2), (3, 3), (29, 1), (31, 1)]
-
-
-@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_31, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_31, ids=_qid)
 def test_closed_form_triples_equal_the_fold(pa):
     """For every ordered triple of classes, in both groups, the law table's
     triple, in closed form unless a factor is central, equals the fold

@@ -8,6 +8,7 @@ import math
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,8 @@ from sl2prod import (EnumerationBoundError, PSLLabel, SL2Label,
 from sl2prod.classes import ProductTable, class_index, negate_class
 from sl2prod.cli import DEFAULT_SUITE, main as cli_main
 from sl2prod.field import FieldCtx
+
+from conftest import ODD_PRIME_POWERS_TO_31, ODD_PRIME_POWERS_TO_61, _qid
 
 F5, F7 = make_field(5), make_field(7)
 
@@ -169,7 +172,7 @@ SYMMETRIC_PASSES = {(5, 1): 3, (7, 1): 4, (3, 2): 4, (13, 1): 7, (5, 2): 9,
                     (3, 3): 6}
 
 
-@pytest.mark.parametrize("pa", SYMMETRIC_PASSES, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", SYMMETRIC_PASSES, ids=_qid)
 def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
     """Every SL2 column filled by its own group pass equals the column the
     symmetric fill gives, and so do the PSL2 cells projected from each."""
@@ -240,13 +243,7 @@ def test_certify_trace_walks(monkeypatch):
     assert sum(walked) == 71534
 
 
-ODD_PRIME_POWERS_TO_61 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
-                          (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1),
-                          (37, 1), (41, 1), (43, 1), (47, 1), (7, 2), (53, 1),
-                          (59, 1), (61, 1)]
-
-
-@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
 def test_saturating_walk_matches_full_walk(monkeypatch, pa):
     """The SL2 table whose trace sets stop once they hold all q traces
     equals the one whose trace sets read every element of the fiber."""
@@ -256,8 +253,41 @@ def test_saturating_walk_matches_full_walk(monkeypatch, pa):
     monkeypatch.setattr(oracle, "_trace_set",
                         lambda chunks, q: {t for chunk in chunks for t in chunk})
     want = oracle._sl2_products(T)
-    assert [[got.pair(i, j) for i in range(n)] for j in range(n)] == \
-        [[want.pair(i, j) for i in range(n)] for j in range(n)]
+    assert [[got._fill(i, j) for i in range(n)] for j in range(n)] == \
+        [[want._fill(i, j) for i in range(n)] for j in range(n)]
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
+def test_brute_fill_is_symmetric(pa):
+    """The brute tables' raw fills give C_i * C_j = C_j * C_i, which
+    ProductTable.pair takes for granted when it fills one order for both.
+    The SL2 columns come from direct passes and orbit images, so a cell and
+    its transpose are derived apart; the PSL2 projection is read from the
+    raw SL2 fill in the order it asks."""
+    T = enumerate_sl2(FieldCtx(*pa))
+    S = oracle._sl2_products(T)
+    P = oracle._psl_products(T.field, SimpleNamespace(classes=S.classes, pair=S._fill))
+    for table in (S, P):
+        n = len(table.classes.labels)
+        for i, j in itertools.combinations(range(n), 2):
+            assert table._fill(i, j) == table._fill(j, i), (table.classes.name, i, j)
+
+
+def test_certify_law_evaluations(monkeypatch):
+    """From fresh fields, verify_laws for both groups at 27 and 31 asks the
+    SL2 law once per cell i <= j (496 + 630), and 3 more times per field
+    for the U * U law behind NU * NU, and the PSL2 law once per cell i <= j
+    (136 + 171)."""
+    calls = Counter()
+    for name in ("_sl2_pair", "_psl_pair"):
+        law = getattr(laws, name)
+        monkeypatch.setattr(laws, name, lambda *args, law=law, name=name:
+                            calls.update([name]) or law(*args))
+    for pa in ((3, 3), (31, 1)):
+        F = FieldCtx(*pa)
+        for kind in ("sl2", "psl2"):
+            assert verify_laws(F, kind).ok
+    assert calls == {"_sl2_pair": 1132, "_psl_pair": 307}
 
 
 @pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
@@ -275,7 +305,7 @@ def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
     assert dict(classified)[u1] <= 4 * F.q
 
 
-@pytest.mark.parametrize("pa", [*DEFAULT_SUITE, (5, 2)], ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", [*DEFAULT_SUITE, (5, 2)], ids=_qid)
 def test_direct_columns_match_literal_products(pa):
     """Each column of the direct pass, with no rows known, is row by row the
     class mask of x * y over x in C_i, y the representative of C_j; so
@@ -295,8 +325,7 @@ def test_direct_columns_match_literal_products(pa):
         assert direct(j) == want, str(L)
 
 
-@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
-                         ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
 def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
     """A pass with no known rows reads each class fiber at most once, and
     none of a semisimple row whose negation partner is the lesser index (the
@@ -462,35 +491,50 @@ NU13 = (SL2Label("NU", 1), SL2Label("NU", 3))
 PU13 = (PSLLabel("PU", 1), PSLLabel("PU", 3))
 
 
+# (group, law, the law's arguments it breaks, the ordered pairs verify must
+# report, the class it drops)
 BROKEN_PAIR_LAWS = [
-    ("sl2", "_sl2_pair", (U13,), SL2Label("SS", 6)),
-    ("psl2", "_psl_pair", (PU13,), PSLLabel("PNSS", 3)),
-    ("sl2", "_sl2_pair", (U13, U13[::-1], NU13, NU13[::-1]), SL2Label("SS", 6)),
-    ("psl2", "_psl_pair", (PU13, PU13[::-1]), PSLLabel("PNSS", 3)),
+    ("sl2", "_sl2_pair", (U13,), (U13, U13[::-1]), SL2Label("SS", 6)),
+    ("psl2", "_psl_pair", (PU13,), (PU13, PU13[::-1]), PSLLabel("PNSS", 3)),
+    ("sl2", "_sl2_pair", (U13, U13[::-1]), (U13, U13[::-1], NU13, NU13[::-1]),
+     SL2Label("SS", 6)),
+    ("psl2", "_psl_pair", (PU13, PU13[::-1]), (PU13, PU13[::-1]), PSLLabel("PNSS", 3)),
 ]
+BROKEN_IDS = [f"{kind}-{name}-where{n}-dropped{n}"
+              for n, (kind, name, *_) in enumerate(BROKEN_PAIR_LAWS)]
 
 
-@pytest.mark.parametrize("kind,name,where,dropped", BROKEN_PAIR_LAWS)
-def test_verify_catches_broken_pair_law(monkeypatch, kind, name, where, dropped):
-    """laws.<name> drops one class from the law cell of U[1]·U[3] (PU in
-    PSL2) at q = 7, in one order or in both.  verify_laws and `sl2prod
-    verify` must report exactly the ordered pairs `where`, each with a
-    product in the dropped class: the broken U/PU cells, and in SL2 with
-    both orders broken also NU[1]·NU[3] both ways, whose law is U[3]·U[1]
-    since (-u)(-u') = uu' and -1 is not a square mod 7.  The broken cells
-    reach the law table's triple folds too: there must be such mismatches,
-    and each one only misses classes and carries a product in a missed
-    class.  The field is make_field(7)'s, the one the CLI gets."""
-    F = make_field(7)
+def _break_law(monkeypatch, F, kind, name, args, dropped):
+    """Patch laws.<name> to drop the class dropped from its answer at q = 7
+    for the factors args, and return the class index whose law table it
+    fills."""
     orig, C = getattr(laws, name), class_index(F, kind)
 
-    def broken(F, a, b):
-        mask, rule = orig(F, a, b)
-        if F.q == 7 and (a, b) in where and a.kind in ("U", "PU"):
+    def broken(F, C, a, b):
+        mask, rule = orig(F, C, a, b)
+        if F.q == 7 and (a, b) in args:
             assert mask >> C.at(dropped) & 1
             return mask & ~(1 << C.at(dropped)), rule
         return mask, rule
     monkeypatch.setattr(laws, name, broken)
+    return C
+
+
+@pytest.mark.parametrize("kind,name,args,where,dropped", BROKEN_PAIR_LAWS, ids=BROKEN_IDS)
+def test_verify_catches_broken_pair_law(monkeypatch, kind, name, args, where, dropped):
+    """laws.<name> drops one class from its answer for U[1]·U[3] (PU in
+    PSL2) at q = 7, asked in index order, or in both orders.  The law table
+    asks each cell once, in index order, for both of its ordered pairs, so
+    verify_laws and `sl2prod verify` must report exactly the ordered pairs
+    `where`, each with a product in the dropped class: U[1]·U[3] (PU) both
+    ways, and in SL2 with both orders broken also NU[1]·NU[3] both ways,
+    whose law asks U[3]·U[1] since (-u)(-u') = uu' and -1 is not a square
+    mod 7.  The broken cells reach the law table's triple folds too: there
+    must be such mismatches, and each one only misses classes and carries a
+    product in a missed class.  The field is make_field(7)'s, the one the
+    CLI gets."""
+    F = make_field(7)
+    C = _break_law(monkeypatch, F, kind, name, args, dropped)
     C.law = None        # the field's law table is refilled from the broken law
     try:
         rep = verify_laws(F, kind)
@@ -614,7 +658,7 @@ def _assert_same_report(got, want):
     assert got == want
 
 
-@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61[:12], ids=lambda pa: f"q{pa[0] ** pa[1]}")
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_31, ids=_qid)
 def test_grouped_triples_match_per_triple_check(pa):
     """verify_laws, which checks the triples once per key (pair cells, k,
     C_i central), reports what one check per triple reports, at every odd
@@ -625,21 +669,14 @@ def test_grouped_triples_match_per_triple_check(pa):
         _assert_same_report(verify_laws(F, kind), _per_triple_verify(F, kind))
 
 
-@pytest.mark.parametrize("kind,name,where,dropped", BROKEN_PAIR_LAWS)
+@pytest.mark.parametrize("kind,name,args,where,dropped", BROKEN_PAIR_LAWS, ids=BROKEN_IDS)
 def test_grouped_triples_match_per_triple_check_broken_law(monkeypatch, kind, name,
-                                                           where, dropped):
+                                                           args, where, dropped):
     """With the broken pair laws of test_verify_catches_broken_pair_law,
     the key-wise check reports the same triple mismatches, in the same
     order and with the same counterexamples, as one check per triple."""
     F = make_field(7)
-    orig, C = getattr(laws, name), class_index(F, kind)
-
-    def broken(F, a, b):
-        mask, rule = orig(F, a, b)
-        if F.q == 7 and (a, b) in where and a.kind in ("U", "PU"):
-            return mask & ~(1 << C.at(dropped)), rule
-        return mask, rule
-    monkeypatch.setattr(laws, name, broken)
+    C = _break_law(monkeypatch, F, kind, name, args, dropped)
     C.law = None
     try:
         rep, ref = verify_laws(F, kind), _per_triple_verify(F, kind)

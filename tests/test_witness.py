@@ -24,6 +24,8 @@ from sl2prod.field import FieldCtx
 from sl2prod.laws import law_table
 from sl2prod.mat2 import IDENT, fiber_solutions, iter_trace_fiber
 
+from conftest import _qid
+
 F5, F7, F9 = make_field(5), make_field(7), make_field(3, 2)
 F11, F13 = make_field(11), make_field(13)
 
@@ -390,16 +392,12 @@ WALKED = DEFAULT_SUITE
 SAMPLED = ((5, 2), (3, 3), (31, 1))
 
 
-def _ids(fields):
-    return [f"q{p ** a}" for p, a in fields]
-
-
 def sample(F, population, k):
     population = list(population)
     return random.Random(F.q).sample(population, min(k, len(population)))
 
 
-@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_qid)
 def test_factor_scan_matches_walk(pa):
     """Every (g, L1, L2) with g a class representative or a seeded conjugate
     of one at q <= 13; a seeded sample of (g, L1), with every L2, above."""
@@ -416,7 +414,7 @@ def test_factor_scan_matches_walk(pa):
             assert got == walk[L2], (g, L1, L2)
 
 
-@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_qid)
 def test_macbeath_partner_matches_walk(pa):
     """Macbeath's B for every (A, beta, gamma), A a class representative or
     a seeded conjugate of one, at q <= 13; a seeded sample of (A, beta),
@@ -433,7 +431,7 @@ def test_macbeath_partner_matches_walk(pa):
             assert got == first.get(gamma), (A, beta, gamma)
 
 
-@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_qid)
 def test_macbeath_unipotent_partners_match_companion(pa):
     """Each non-central class of trace +-2 reaches, with the B of each trace
     beta, the same traces tr(A B) as the companion matrix of its trace; so
@@ -448,7 +446,7 @@ def test_macbeath_unipotent_partners_match_companion(pa):
                         == walk_partners(F, companion, beta).keys()), (L, beta)
 
 
-@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_qid)
 def test_commutator_witness_matches_walk(pa):
     """Every expressible non-central class, as its representative and as a
     seeded conjugate, at q <= 13; a seeded sample of them above."""
@@ -472,7 +470,7 @@ def walk_conjugators(F, x):
     return out
 
 
-@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_ids(WALKED + SAMPLED))
+@pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_qid)
 def test_conjugators_in_canonical_order(pa):
     """The whole stream of _conjugators, not only its first element, since
     the commutator reads past it: every non-central representative x at
@@ -540,7 +538,7 @@ UNIPOTENT_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("pa", list(UNIPOTENT_GOLDEN), ids=_ids(UNIPOTENT_GOLDEN))
+@pytest.mark.parametrize("pa", list(UNIPOTENT_GOLDEN), ids=_qid)
 def test_factor_pair_unipotent_golden(pa):
     """The U/NU witnesses, byte for byte: sha256 of the JSON list of every
     (x, y), or None, over unipotent_cases, taken before the closed form
@@ -709,7 +707,7 @@ LARGE_Q_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("pa", list(LARGE_Q_GOLDEN), ids=_ids(LARGE_Q_GOLDEN))
+@pytest.mark.parametrize("pa", list(LARGE_Q_GOLDEN), ids=_qid)
 def test_witnesses_at_large_q_golden(pa):
     """The witnesses of large_q_witnesses, byte for byte: sha256 taken while
     conjugating_element still kept the least of all about 2q conjugators."""
@@ -717,7 +715,7 @@ def test_witnesses_at_large_q_golden(pa):
     assert digest == LARGE_Q_GOLDEN[pa]
 
 
-@pytest.mark.parametrize("pa", [(1009, 1), (3, 7)], ids=_ids([(1009, 1), (3, 7)]))
+@pytest.mark.parametrize("pa", [(1009, 1), (3, 7)], ids=_qid)
 def test_semisimple_times_unipotent_witnessed_at_large_q(pa):
     """Above the enumeration bound, where verify certifies no law cell: for
     6 seeded semisimple classes S of each group and each U/NU class L, the
