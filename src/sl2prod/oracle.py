@@ -13,11 +13,13 @@ live on the field's class indices.
   and y a fixed representative of C_j, so one pass over the group per y can
   fill column j (see _direct_columns): tr(x * y) is read from q x q add and
   mul tables, a trace other than +-2 fixes the class, and a class of trace
-  +-2 comes by duality.  Only the least class of each orbit under class
-  negation, sigma and phi (see _symmetries) takes a pass, (q+1)/2 at prime q
-  and 6 at q = 27, and a pass walks only the rows whose own column is still
+  +-2 comes by duality.  Only the lesser class of each negation pair other
+  than {I, -I} takes a pass, (q+3)/2 at every q, as C_i * (-C_j) =
+  -(C_i * C_j).  A pass walks only the rows whose own column is still
   missing, one of each negation pair, q traces at a time until all q are
-  seen: at q = 27 and 31 the 22 passes walk 71534 traces, not 206222.
+  seen; only the passes of U[1] and U[nu] walk the classes of trace +-2,
+  which every later pass finds among its known rows.  At q = 27 and 31 the
+  32 passes walk 82573 traces, not 206222.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -44,8 +46,8 @@ from typing import NamedTuple
 from .field import FieldCtx
 from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
-                      bits, class_index, classify_sl2, negate_class,
-                      psl_lift_pair, psl_project, representative)
+                      bits, class_index, classify_sl2, inverse_class,
+                      negate_class, psl_lift_pair, psl_project, representative)
 from . import laws
 
 ENUMERATION_BOUND = 127
@@ -108,20 +110,23 @@ def _direct_columns(T: GroupTable):
     (-C_i) * C_j = -(C_i * C_j): of each pair of missing rows the pass walks
     the lesser (or the only missing one) and negates its mask for the other.
     A walked row takes the semisimple classes of the traces tr(x y), x in
-    C_i.  A class D of trace +-2 goes in by duality, D in C_i * C_j iff C_i
-    meets D * y^-1, with w = y^-1 (or y for semisimple C_j, as then y^-1 is
-    conjugate to y): into a semisimple row when tr(z w) = tr(C_i) for some z
-    in D, and into a row of trace +-2 (walked only in the pass of U[1]) when
-    classify_sl2 puts some z w there; other passes negate the traces of D
-    for -D.  A fiber is packed on its first walk, in stride q, and kept; a
-    walk reads q elements at a time, and a trace set stops at all q."""
+    C_i.  A class D of trace +-2 goes in by duality, D in C_i * C_j iff
+    C_i^-1 meets C_j * D^-1.  When every row of trace +-2 is known, the
+    walked rows are semisimple, so real, and bit D of row i is bit i of the
+    known row of D^-1.  Otherwise (the passes of U[1] and U[nu]) the pass
+    walks each D with w = y^-1 (or y for semisimple C_j, as then y^-1 is
+    conjugate to y): D goes into a semisimple row when tr(z w) = tr(C_i) for
+    some z in D, and into a row of trace +-2 when classify_sl2 puts some
+    z w there.  A fiber is packed on its first walk, in stride q, and kept;
+    a walk reads q elements at a time, and a row's trace set stops at all q."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
     ADD = [F.add(x, y) for x in range(q) for y in range(q)]    # ADD[x*q + y]
     MUL = [F.mul(x, y) for x in range(q) for y in range(q)]
     row = {L.param: k for k, L in enumerate(C.labels) if L.is_semisimple}
-    pm2 = [k for k, L in enumerate(C.labels) if not L.is_semisimple]
+    pm2 = {k: C.at(inverse_class(F, L)) for k, L in enumerate(C.labels)
+           if not L.is_semisimple}      # each class of trace +-2: its inverse
     neg = _negation(F, C)
     packed = {}         # class: the a*q + b and c*q + d of its fiber
 
@@ -147,28 +152,24 @@ def _direct_columns(T: GroupTable):
     def column(j, known=None):
         known = known or {}
         y = representative(F, C.labels[j])
-        w = y if C.labels[j].is_semisimple else mat_inv(F, y)
         of_y = traces(y)
-        of_w = of_y if w is y else traces(w)
         masks = [known.get(i, 0) for i in range(len(C.labels))]
         missing = set(range(len(C.labels))) - known.keys()
         walked = {min(i, neg[i]) if neg[i] in missing else i for i in missing}
         for i in walked:
             masks[i] = sum(1 << row[t] for t in _trace_set(of_y(i), q) if t in row)
-        whole = not walked.isdisjoint(pm2)      # U[1]'s pass: classify each z w of trace +-2
-        duals = {}      # tr(z w) for z in C_k
-        for k in pm2:
-            if whole:
-                duals[k] = [t for chunk in of_w(k) for t in chunk]
-            elif neg[k] in duals:       # tr((-z) w) = -tr(z w)
-                duals[k] = {F.neg(t) for t in duals[neg[k]]}
-            else:
-                duals[k] = _trace_set(of_w(k), q)
-            for t in set(duals[k]):
-                if row.get(t) in walked:
-                    masks[row[t]] |= 1 << k
-            if whole:
-                for u, v, t in zip(*fiber(k), duals[k]):
+        if missing.isdisjoint(pm2):     # D in C_i * C_j iff C_i in C_j * D^-1, C_i real
+            for i in walked:
+                masks[i] |= sum(1 << k for k, r in pm2.items() if known[r] >> i & 1)
+        else:
+            w = y if C.labels[j].is_semisimple else mat_inv(F, y)
+            of_w = traces(w)
+            for k in pm2:
+                duals = [t for chunk in of_w(k) for t in chunk]     # tr(z w) for z in C_k
+                for t in set(duals):
+                    if row.get(t) in walked:
+                        masks[row[t]] |= 1 << k
+                for u, v, t in zip(*fiber(k), duals):
                     if t not in row:
                         z = (*divmod(u, q), *divmod(v, q))
                         i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
@@ -208,51 +209,23 @@ def _negation(F: FieldCtx, C) -> list[int]:
     return [C.at(negate_class(F, L)) for L in C.labels]
 
 
-def _symmetries(F: FieldCtx, C) -> list:
-    """(classes, cells) maps for negation, sigma and phi: column classes[r]
-    has as cell cells[i] the cell i of column r with each class k moved to
-    classes[k].
-
-    C_i * (-C_r) = -(C_i * C_r), so negation leaves cells in place.  sigma
-    (conjugation by diag(nu, 1)) swaps U[1] with U[nu] and NU[1] with NU[nu];
-    phi (entrywise x -> x^p) sends SS/NSS[t] to SS/NSS[t^p].  Both are
-    automorphisms of SL2(F_q), so they move cells as they move classes."""
-    n = len(C.labels)
-    neg = _negation(F, C)
-    sigma = list(range(n))
-    for kind in ("U", "NU"):
-        u, v = C.slot[kind, 1], C.slot[kind, F.nonsquare_rep]
-        sigma[u], sigma[v] = v, u
-    phi = [C.slot[L.kind, F.power(L.param, F.p)] if L.is_semisimple else k
-           for k, L in enumerate(C.labels)]
-    return [(neg, range(n)), (sigma, sigma), (phi, phi)]
-
-
 def _sl2_products(T: GroupTable) -> ProductTable:
     """The SL2 table.  Filled in class order, a class whose column is
-    missing is the least of its orbit under _symmetries: one pass fills its
-    column (none for I, as C_i * I = C_i), and the rest of the orbit is
-    derived from it.  Class products commute (xy = y * y^-1 x y), so the pass
-    walks only the rows whose own column is still missing, and reads cell
-    (i, r) of every other row i as cell (r, i)."""
+    missing takes one pass (none for I, as C_i * I = C_i), and the column
+    of its negation is derived from it cell by cell, as
+    C_i * (-C_r) = -(C_i * C_r).  Class products commute
+    (xy = y * y^-1 x y), so the pass walks only the rows whose own column
+    is still missing, and reads cell (i, r) of every other row i as cell
+    (r, i)."""
     C = class_index(T.field, "sl2")
     n = len(C.labels)
-    direct, moves = _direct_columns(T), _symmetries(T.field, C)
+    direct, neg = _direct_columns(T), _negation(T.field, C)
     columns: dict[int, list[int]] = {}
     for r in range(n):
-        if r in columns:
-            continue
-        columns[r] = ([1 << i for i in range(n)] if r == 0      # I, as C_i * I = C_i
-                      else direct(r, {i: column[r] for i, column in columns.items()}))
-        todo = [r]
-        while todo:
-            s = todo.pop()
-            for perm, cells in moves:
-                if perm[s] not in columns:
-                    out = columns[perm[s]] = [0] * n
-                    for i, mask in enumerate(columns[s]):
-                        out[cells[i]] = _image(perm, mask)
-                    todo.append(perm[s])
+        if r not in columns:
+            columns[r] = ([1 << i for i in range(n)] if r == 0      # I, as C_i * I = C_i
+                          else direct(r, {i: column[r] for i, column in columns.items()}))
+            columns[neg[r]] = [_image(neg, mask) for mask in columns[r]]
     return ProductTable(C, lambda i, j: columns[j][i])
 
 

@@ -166,10 +166,10 @@ def _count_passes(monkeypatch, classified=None):
     return passes
 
 
-# column passes of the symmetric fill: one per orbit of the classes under
-# negation, sigma and phi, but none for {I, -I}; (q+1)/2 at prime q
-SYMMETRIC_PASSES = {(5, 1): 3, (7, 1): 4, (3, 2): 4, (13, 1): 7, (5, 2): 9,
-                    (3, 3): 6}
+# column passes of the symmetric fill: one per pair of classes under
+# negation, but none for {I, -I}; (q+3)/2 at every q
+SYMMETRIC_PASSES = {(5, 1): 4, (7, 1): 5, (3, 2): 6, (13, 1): 8, (5, 2): 14,
+                    (3, 3): 15}
 
 
 @pytest.mark.parametrize("pa", SYMMETRIC_PASSES, ids=_qid)
@@ -184,9 +184,7 @@ def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
     passes = _count_passes(monkeypatch)
     S = oracle._sl2_products(T)
     assert [[S.pair(i, j) for i in range(n)] for j in range(n)] == want
-    assert len(passes) == SYMMETRIC_PASSES[pa]
-    if F.a == 1:
-        assert len(passes) == (F.q + 1) // 2
+    assert len(passes) == SYMMETRIC_PASSES[pa] == (F.q + 3) // 2
     got = oracle._psl_products(F, S)
     ref = oracle._psl_products(F, ProductTable(S.classes, lambda i, j: want[j][i]))
     m = len(all_classes_psl(F))
@@ -196,18 +194,18 @@ def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
 
 def test_certify_column_passes(monkeypatch):
     """verify at q = 27 and 31, both groups and covering included, makes
-    6 + 16 column passes, where a pass per column made 31 + 35.  Those
-    passes miss 369 rows, where every row of every pass took 6 * 31 +
-    16 * 35 = 746, and walk 191 of them, one of each negation pair."""
+    15 + 17 column passes, where a pass per column made 31 + 35.  Those
+    passes miss 527 rows, where every row of every pass took 15 * 31 +
+    17 * 35 = 1060, and walk 273 of them, one of each negation pair."""
     passes = _count_passes(monkeypatch)
     for F in (make_field(3, 3), make_field(31)):
         for kind in ("sl2", "psl2"):
             class_index(F, kind).brute = None
         for kind in ("sl2", "psl2"):
             assert verify_laws(F, kind).ok
-    assert len(passes) == 22
-    assert sum(missing for _, missing, _ in passes) == 369
-    assert sum(walked for _, _, walked in passes) == 191
+    assert len(passes) == 32
+    assert sum(missing for _, missing, _ in passes) == 527
+    assert sum(walked for _, _, walked in passes) == 273
 
 
 def test_certify_fold_walks(monkeypatch):
@@ -226,11 +224,12 @@ def test_certify_fold_walks(monkeypatch):
 
 
 def test_certify_trace_walks(monkeypatch):
-    """The SL2 fills at q = 27 and 31, from fresh fields, walk 71534 trace
+    """The SL2 fills at q = 27 and 31, from fresh fields, walk 82573 trace
     elements tr(x w): a row's traces are read q at a time and only until
-    all q have been seen, and but for the pass of U[1] the dual traces of -D
-    are those of D negated.  Walking each fiber whole, both classes of each
-    dual pair included, took 206222."""
+    all q have been seen, and only the passes of U[1] and U[nu] walk the
+    dual traces of the classes D of trace +-2, the others reading D from
+    known rows.  Walking each fiber whole, both classes of each dual pair
+    included, took 206222."""
     walked, traces = [], oracle._traces
 
     def counted(*args):
@@ -240,7 +239,7 @@ def test_certify_trace_walks(monkeypatch):
     monkeypatch.setattr(oracle, "_traces", counted)
     for pa in ((3, 3), (31, 1)):
         oracle._sl2_products(enumerate_sl2(FieldCtx(*pa)))
-    assert sum(walked) == 71534
+    assert sum(walked) == 82573
 
 
 @pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
@@ -261,9 +260,9 @@ def test_saturating_walk_matches_full_walk(monkeypatch, pa):
 def test_brute_fill_is_symmetric(pa):
     """The brute tables' raw fills give C_i * C_j = C_j * C_i, which
     ProductTable.pair takes for granted when it fills one order for both.
-    The SL2 columns come from direct passes and orbit images, so a cell and
-    its transpose are derived apart; the PSL2 projection is read from the
-    raw SL2 fill in the order it asks."""
+    The SL2 columns come from direct passes and their negation images, so a
+    cell and its transpose are derived apart; the PSL2 projection is read
+    from the raw SL2 fill in the order it asks."""
     T = enumerate_sl2(FieldCtx(*pa))
     S = oracle._sl2_products(T)
     P = oracle._psl_products(T.field, SimpleNamespace(classes=S.classes, pair=S._fill))
@@ -292,17 +291,19 @@ def test_certify_law_evaluations(monkeypatch):
 
 @pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
 def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
-    """Of the symmetric fill's passes, only the pass of U[1] walks rows of
-    trace +-2, so only it classifies products, at most 4q of them (the
-    z y^-1 of trace +-2 over the classes z of trace +-2)."""
+    """Of the symmetric fill's passes, only those of U[1] and U[nu] walk
+    rows of trace +-2, so only they classify products, each at most 4q of
+    them (the z y^-1 of trace +-2 over the classes z of trace +-2); every
+    later pass knows the rows of trace +-2 and reads their duals there."""
     F = make_field(*pa)
     T = enumerate_sl2(F)
     classified = []
     _count_passes(monkeypatch, classified)
     oracle._sl2_products(T)
-    u1 = class_index(F, "sl2").at(SL2Label("U", 1))
-    assert [j for j, calls in classified if calls] == [u1]
-    assert dict(classified)[u1] <= 4 * F.q
+    C = class_index(F, "sl2")
+    unipotent = [C.at(SL2Label("U", 1)), C.at(SL2Label("U", F.nonsquare_rep))]
+    assert [j for j, calls in classified if calls] == unipotent
+    assert all(dict(classified)[j] <= 4 * F.q for j in unipotent)
 
 
 @pytest.mark.parametrize("pa", [*DEFAULT_SUITE, (5, 2)], ids=_qid)
@@ -310,8 +311,8 @@ def test_direct_columns_match_literal_products(pa):
     """Each column of the direct pass, with no rows known, is row by row the
     class mask of x * y over x in C_i, y the representative of C_j; so
     the rows of trace +-2 against semisimple columns are checked too, and
-    the rows each pass sets from their negation partner.  q = 25 has phi
-    orbits of more than one semisimple class."""
+    the rows each pass sets from their negation partner, at q = 25 in a
+    field of degree 2 too."""
     F = make_field(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
@@ -350,24 +351,30 @@ def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
 
 @pytest.mark.parametrize("F", [F7, make_field(3, 2)], ids=["q7", "q9"])
 @pytest.mark.parametrize("semisimple", [False, True], ids=["U1", "SS"])
-def test_known_rows_stay_as_given(F, semisimple):
-    """Rows given as known come back as given, and every other row as the
-    pass with no rows known fills it.  The column is U[1] or the first
-    semisimple class; the known rows are every row of trace +-2 and every
-    other semisimple row, or I and -I alone, as in the pass of U[1]."""
+def test_known_rows_stay_as_given(monkeypatch, F, semisimple):
+    """Rows given as known, true cells of the brute table, come back as
+    given, every other row as the pass with no rows known fills it, and the
+    fiber of no known semisimple row is read.  The column is U[1] or the
+    first semisimple class; the known rows are every row of trace +-2 and
+    every other semisimple row, which a pass reads its duals from, or I and
+    -I alone, as in the pass of U[1]."""
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
     n = len(C.labels)
-    direct = oracle._direct_columns(T)
+    S = oracle._sl2_products(T)
     j = next(k for k, L in enumerate(C.labels) if L.is_semisimple) if semisimple \
         else C.at(SL2Label("U", 1))
-    want = direct(j)
+    want = oracle._direct_columns(T)(j)
+    reads, fiber = set(), T.fiber
+    monkeypatch.setattr(T, "fiber", lambda L: reads.add(L) or fiber(L))
     for rows in ([i for i, L in enumerate(C.labels) if not L.is_semisimple or i % 2],
                  [C.at(SL2Label("I")), C.at(SL2Label("-I"))]):
-        known = {i: 1 << (n + i) for i in rows}     # outside every class mask
-        got = direct(j, known)
+        known = {i: S.pair(i, j) for i in rows}
+        reads.clear()
+        got = oracle._direct_columns(T)(j, known)
         for i in range(n):
             assert got[i] == known.get(i, want[i]), (rows, str(C.labels[i]))
+        assert not {C.labels[i] for i in rows if C.labels[i].is_semisimple} & reads
 
 
 def test_brute_pair_symmetric(small_F):
@@ -385,6 +392,27 @@ def literal_pair_product(T, L1, L2):
     xs, ys = T.fiber(L1), T.fiber(L2)
     return frozenset(classify_sl2(F, mat_mul(F, x, y), check=False)
                      for x in xs for y in ys)
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61[:5], ids=_qid)
+def test_dual_read_matches_literal_products(pa):
+    """The identity by which a pass that knows the rows of trace +-2 reads
+    them, against the literal double loop: for semisimple C_i, C_j and a
+    class D of trace +-2, D is in C_i * C_j exactly when C_i is in
+    C_j * D^-1 (from x y = d, x^-1 = y d^-1, and C_i is real).
+    C_i * C_j = C_j * C_i, as x y = y (y^-1 x y), so each unordered pair is
+    multiplied once and read both ways."""
+    F = make_field(*pa)
+    T = enumerate_sl2(F)
+    semisimple = [L for L in all_classes_sl2(F) if L.is_semisimple]
+    duals = [D for D in all_classes_sl2(F) if not D.is_semisimple]
+    right = {(B, D): literal_pair_product(T, B, classes.inverse_class(F, D))
+             for B in semisimple for D in duals}
+    for A, B in itertools.combinations_with_replacement(semisimple, 2):
+        cell = literal_pair_product(T, A, B)
+        for D in duals:
+            assert (D in cell) == (A in right[B, D]) == (B in right[A, D]), \
+                (str(A), str(B), str(D))
 
 
 def test_paranoid_mode_agrees(small_F):
