@@ -388,8 +388,10 @@ class ProductTable:
             return self.compose(cell, k)
         out = self.closed.get((cell, k))
         if out is None:
-            out = self.closed[cell, k] = self._forms[sum(
-                1 << z for z, row in enumerate(C.central_rows(k)) if cell >> row & 1)]
+            z = 0       # bit z for each central z whose row z * C_k^-1 the cell holds
+            for row in reversed(C.central_rows(k)):
+                z = z << 1 | cell >> row & 1
+            out = self.closed[cell, k] = self._forms[z]
         return out
 
     def of_labels(self, *labels) -> frozenset:

@@ -24,13 +24,14 @@ live on the field's class indices.
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
   D1 * D2.
-- Triple products and covering numbers are OR-folds over table cells, each
-  distinct (mask, class) folded once (ProductTable.compose).  A fold reads
-  the rows of its mask in index order and stops at the whole group.
-  verify_laws checks each pair cell and closed-form triple of the laws'
-  table (laws.law_table) against the brute table, a triple i <= j <= k once
-  per key (cell (i, j), k, C_i central or not): 1432 keys for 7770 triples
-  at q = 31.  Containment and covering numbers come from the brute table.
+- Triple products and covering numbers are OR-folds over table rows: row m
+  is one int with cell (m, k) in its field k (_rows), so one OR of the rows
+  of a class set S gives S * C_k for every k.  verify_laws checks the laws'
+  table (laws.law_table) against the brute table, pairs row by row and a
+  triple i <= j <= k once per key (cell (i, j), C_i central or not), every
+  k in one fold of the brute rows (79 keys, 1432 (key, k) checks, for 7770
+  triples at q = 31), against law folds or ProductTable.triple's closed form.
+  Containment and covering numbers come from the brute folds.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 127 before building anything; on a shared 2-core host
@@ -237,6 +238,26 @@ def _psl_products(F: FieldCtx, S: ProductTable) -> ProductTable:
     return ProductTable(C, lambda i, j: _image(project, S.pair(lift[i], lift[j])))
 
 
+def _rows(P: ProductTable) -> list[int]:
+    """Row m of P as one int, cell (m, k) at bit k*n on.  Products commute,
+    so each cell (i, j), i <= j, is read once and set in rows i and j."""
+    n = len(P.classes.labels)
+    rows = [0] * n
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        cell = P.pair(i, j)
+        rows[i] |= cell << j * n
+        rows[j] |= cell << i * n
+    return rows
+
+
+def _fold(rows, mask: int) -> int:
+    """The OR of the rows of the bits of mask: of a table's, S * C_k in field k."""
+    out = 0
+    for m in bits(mask):
+        out |= rows[m]
+    return out
+
+
 def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label) -> frozenset:
     """Exact label set of C1*C2, read from the SL2 product table."""
     return _product_table(T, "sl2").of_labels(L1, L2)
@@ -381,23 +402,30 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
         return Mismatch(tuple(labels[i] for i in cell), names(got), names(want),
                         _counterexample(T, kind, brute, cell, missing) if missing else None)
 
-    for i, j in itertools.product(range(n), repeat=2):
+    law_rows, brute_rows = _rows(law), _rows(brute)
+    differ = [i for i in range(n) if law_rows[i] != brute_rows[i]]     # go cell by cell
+    for i, j in itertools.product(differ, range(n)):
         got, want = law.pair(i, j), brute.pair(i, j)
         if got != want:
             pair_mismatches.append(mismatch((i, j), got, want))
 
     # a (key, k), read at its pair of least j, goes triple by triple if it fails, or misses a
-    # non-central class with C_i non-central: no triple with a central factor expects containment
+    # non-central class with C_i non-central: no triple with a central factor expects containment.
+    # A closed-form law triple is read from law.triple, the code that answers triple queries
     noncentral = C.full >> C.n_central << C.n_central     # central classes come first
     keys: dict[tuple, list] = {}
     for i, j in itertools.combinations_with_replacement(range(n), 2):
-        keys.setdefault((law.pair(i, j), brute.pair(i, j), i < C.n_central), []).append((i, j))
+        key = law_rows[i] >> j * n & C.full, brute_rows[i] >> j * n & C.full, i < C.n_central
+        keys.setdefault(key, []).append((i, j))
     suspect = []
-    for (_, _, central), cells in keys.items():
+    for (law_cell, brute_cell, central), cells in keys.items():
         i, j = min(cells, key=lambda cell: cell[1])
+        want = _fold(brute_rows, brute_cell)
+        got = None if law.closed is not None and not central else _fold(law_rows, law_cell)
         for k in range(j, n):
-            want = brute.triple(i, j, k)
-            if law.triple(i, j, k) != want or noncentral & ~want and not central:
+            brute_k = want >> k * n & C.full
+            law_k = law.triple(i, j, k) if got is None else got >> k * n & C.full
+            if law_k != brute_k or noncentral & ~brute_k and not central:
                 suspect += [(a, b, k) for a, b in cells if b <= k]
     for i, j, k in sorted(suspect):
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
@@ -421,15 +449,16 @@ COVERING_LIMIT = 8
 
 
 def covering_numbers(F: FieldCtx, kind: str) -> tuple:
-    """(cn, ecn) computed from literal brute n-fold class products.
+    """(cn, ecn) computed from n-fold class products, folded over the rows
+    of the brute table: one fold of a mask S gives S * C_k for every k.
 
     cn: least n with C^n = G for every non-central class C.
     ecn: least n with C_1...C_n = G for every n-tuple of non-central classes.
     Returns None in a slot not reached within COVERING_LIMIT factors."""
     _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
-    P = _product_table(enumerate_sl2(F), kind)
-    noncentral = range(C.n_central, len(C.labels))     # central classes come first
+    rows, size = _rows(_product_table(enumerate_sl2(F), kind)), len(C.labels)
+    noncentral = range(C.n_central, size)     # central classes come first
 
     def least(level, step):
         """Least n <= COVERING_LIMIT at which every mask of level, after
@@ -441,8 +470,10 @@ def covering_numbers(F: FieldCtx, kind: str) -> tuple:
                 return n
         return None
 
-    cn = least([1 << C for C in noncentral],       # C^n for each class C
-               lambda level: [P.compose(S, C) for S, C in zip(level, noncentral)])
-    ecn = least({1 << C for C in noncentral},      # every n-fold product
-                lambda level: {P.compose(S, C) for S in level for C in noncentral})
+    cn = least([1 << k for k in noncentral],       # C_k^n for each class C_k
+               lambda level: [_fold(rows, S) >> k * size & C.full
+                              for S, k in zip(level, noncentral)])
+    ecn = least({1 << k for k in noncentral},      # every n-fold product
+                lambda level: {out >> k * size & C.full for out in
+                               (_fold(rows, S) for S in level) for k in noncentral})
     return cn, ecn

@@ -210,9 +210,11 @@ def test_certify_column_passes(monkeypatch):
 
 def test_certify_fold_walks(monkeypatch):
     """verify at q = 27 and 31, both groups and covering included, from fresh
-    fields, walks at most 9287 masks through classes.bits: each fold walks
-    its mask once, in index order, where a fold that took its central rows
-    first walked two parts of it, 16442 walks in all."""
+    fields, walks at most 2385 masks through classes.bits: a key folds its
+    brute cell once, for every k at once, and its law cell only where the law
+    table has no closed form for it; covering numbers fold each mask once.
+    One compose per (mask, class) walked 9287, and before that a fold that
+    took its central rows first walked two parts, 16442."""
     walks, bits = [], oracle.bits
     monkeypatch.setattr(oracle, "bits", lambda mask: walks.append(mask) or bits(mask))
     monkeypatch.setattr(classes, "bits", oracle.bits)
@@ -220,7 +222,7 @@ def test_certify_fold_walks(monkeypatch):
         F = FieldCtx(*pa)
         for kind in ("sl2", "psl2"):
             assert verify_laws(F, kind).ok
-    assert len(walks) <= 9287
+    assert len(walks) <= 2385
 
 
 def test_certify_trace_walks(monkeypatch):
@@ -639,27 +641,41 @@ def test_verify_reports_containment_failures(monkeypatch):
 # -- the triple check, key by key, against one check per triple -------------
 
 
-def _per_triple_verify(F, kind):
-    """verify_laws with one check per triple i <= j <= k, in index order."""
+def _names(C, mask):
+    return tuple(C.labels[k] for k in classes.bits(mask))
+
+
+def _reference_tables(F, kind):
+    """The class index, law table, brute table and the Mismatch of a cell
+    whose law mask got differs from its brute mask want."""
     C = class_index(F, kind)
     T = enumerate_sl2(F)
     law, brute = laws.law_table(F, kind), oracle._product_table(T, kind)
-    labels, n = C.labels, len(C.labels)
-    pair_mismatches, triple_mismatches, containment_failures = [], [], []
-
-    def names(mask):
-        return tuple(labels[k] for k in classes.bits(mask))
 
     def mismatch(cell, got, want):
         missing = want & ~got
         return oracle.Mismatch(
-            tuple(labels[i] for i in cell), names(got), names(want),
+            tuple(C.labels[i] for i in cell), _names(C, got), _names(C, want),
             oracle._counterexample(T, kind, brute, cell, missing) if missing else None)
+    return C, law, brute, mismatch
 
-    for i, j in itertools.product(range(n), repeat=2):
-        got, want = law.pair(i, j), brute.pair(i, j)
-        if got != want:
-            pair_mismatches.append(mismatch((i, j), got, want))
+
+def _per_cell_pair_mismatches(F, kind):
+    """The pair check of verify_laws, one cell at a time, in (i, j) order."""
+    C, law, brute, mismatch = _reference_tables(F, kind)
+    n = len(C.labels)
+    return [mismatch((i, j), law.pair(i, j), brute.pair(i, j))
+            for i, j in itertools.product(range(n), repeat=2)
+            if law.pair(i, j) != brute.pair(i, j)]
+
+
+def _per_triple_verify(F, kind):
+    """verify_laws with one check per pair cell and one per triple
+    i <= j <= k, in index order."""
+    C, law, brute, mismatch = _reference_tables(F, kind)
+    labels, n = C.labels, len(C.labels)
+    triple_mismatches, containment_failures = [], []
+    pair_mismatches = _per_cell_pair_mismatches(F, kind)
     noncentral = C.full >> C.n_central << C.n_central
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         got, want = law.triple(i, j, k), brute.triple(i, j, k)
@@ -669,7 +685,7 @@ def _per_triple_verify(F, kind):
         if noncentral & ~want and oracle.triple_containment_expected(F, kind, trip):
             containment_failures.append({
                 "triple": [str(L) for L in trip],
-                "missing": [str(L) for L in names(noncentral & ~want)]})
+                "missing": [str(L) for L in _names(C, noncentral & ~want)]})
     return oracle.VerificationReport(
         F.q, kind, n * n, pair_mismatches, math.comb(n + 2, 3), triple_mismatches,
         containment_failures, covering_numbers(F, kind))
@@ -701,8 +717,9 @@ def test_grouped_triples_match_per_triple_check(pa):
 def test_grouped_triples_match_per_triple_check_broken_law(monkeypatch, kind, name,
                                                            args, where, dropped):
     """With the broken pair laws of test_verify_catches_broken_pair_law,
-    the key-wise check reports the same triple mismatches, in the same
-    order and with the same counterexamples, as one check per triple."""
+    the row-wise pair check and the key-wise triple check report the same
+    mismatches, in the same order and with the same counterexamples, as one
+    check per cell and one per triple."""
     F = make_field(7)
     C = _break_law(monkeypatch, F, kind, name, args, dropped)
     C.law = None
@@ -710,6 +727,7 @@ def test_grouped_triples_match_per_triple_check_broken_law(monkeypatch, kind, na
         rep, ref = verify_laws(F, kind), _per_triple_verify(F, kind)
     finally:
         C.law = None
+    assert [m.where for m in rep.pair_mismatches] == list(where)
     assert rep.triple_mismatches
     _assert_same_report(rep, ref)
 
@@ -734,6 +752,98 @@ def test_grouped_triples_match_per_triple_check_broken_brute(monkeypatch):
         C.brute = None
     assert rep.triple_mismatches and len(rep.containment_failures) == 156
     _assert_same_report(rep, ref)
+
+
+def test_grouped_triples_match_per_triple_check_shared_gap():
+    """SL2(5) has no closed-form triples, so its law folds are compared
+    with the brute folds.  Law and brute tables that both drop SS[0] from
+    every cell agree on every pair and triple, and the key-wise check must
+    still find the triples whose fold misses SS[0] where the source
+    results promise containment, as one check per triple does."""
+    F = FieldCtx(5, 1)
+    C = class_index(F, "sl2")
+    true = oracle._product_table(enumerate_sl2(F), "sl2")
+    ss0 = C.at(SL2Label("SS", 0))
+    assert laws.law_table(F, "sl2").closed is None
+    C.law = ProductTable(C, lambda i, j: true.pair(i, j) & ~(1 << ss0))
+    C.brute = ProductTable(C, C.law.pair)
+    rep, ref = verify_laws(F, "sl2"), _per_triple_verify(F, "sl2")
+    assert not (rep.pair_mismatches or rep.triple_mismatches)
+    assert rep.containment_failures
+    assert all("SS[0]" in f["missing"] for f in rep.containment_failures)
+    _assert_same_report(rep, ref)
+
+
+def test_verify_makes_no_compose_call(monkeypatch):
+    """verify at q = 27 and 31, both groups and covering included, from
+    fresh fields, folds whole table rows: clean tables take no
+    ProductTable.compose call."""
+    calls, compose = [], ProductTable.compose
+    monkeypatch.setattr(ProductTable, "compose",
+                        lambda self, *args: calls.append(args) or compose(self, *args))
+    for pa in ((3, 3), (31, 1)):
+        F = FieldCtx(*pa)
+        for kind in ("sl2", "psl2"):
+            assert verify_laws(F, kind).ok
+    assert calls == []
+
+
+def _compose_covering_numbers(F, kind):
+    """covering_numbers with one ProductTable.compose per (mask, class), as
+    it was before the row folds."""
+    C = class_index(F, kind)
+    P = oracle._product_table(enumerate_sl2(F), kind)
+    noncentral = range(C.n_central, len(C.labels))
+
+    def least(level, step):
+        for n in range(1, oracle.COVERING_LIMIT + 1):
+            if n > 1:
+                level = step(level)
+            if all(S == C.full for S in level):
+                return n
+        return None
+
+    cn = least([1 << k for k in noncentral],
+               lambda level: [P.compose(S, k) for S, k in zip(level, noncentral)])
+    ecn = least({1 << k for k in noncentral},
+                lambda level: {P.compose(S, k) for S in level for k in noncentral})
+    return cn, ecn
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
+def test_covering_numbers_match_compose_reference(pa):
+    """The covering numbers from row folds equal those from one compose per
+    (mask, class), at every odd prime power up to 61."""
+    F = FieldCtx(*pa)
+    for kind in ("sl2", "psl2"):
+        assert covering_numbers(F, kind) == _compose_covering_numbers(F, kind)
+
+
+def test_covering_numbers_match_compose_reference_planted(monkeypatch):
+    """Planted brute tables at q = 7 whose covering numbers are not (3, 4)
+    give the same numbers from row folds as from compose: every cell of two
+    non-central classes the whole group gives (2, 2), U[1]^2 without U[3]
+    (PU in PSL2) gives (4, 4), and every cell without SS[6] (PNSS[3]) gives
+    (None, None); the true table with COVERING_LIMIT 3 gives (3, None)."""
+    F = FieldCtx(7, 1)
+    for kind, (U1, U3), gone in (("sl2", U13, SL2Label("SS", 6)),
+                                 ("psl2", PU13, PSLLabel("PNSS", 3))):
+        C = class_index(F, kind)
+        true = oracle._product_table(enumerate_sl2(F), kind)
+        u1, u3, g = C.at(U1), C.at(U3), C.at(gone)
+        plants = {
+            (2, 2): lambda i, j: C.full if min(i, j) >= C.n_central else true.pair(i, j),
+            (4, 4): lambda i, j: true.pair(i, j) & ~((i == j == u1) << u3),
+            (None, None): lambda i, j: true.pair(i, j) & ~(1 << g)}
+        for want, fill in plants.items():
+            C.brute = ProductTable(C, fill)
+            got = covering_numbers(F, kind)
+            C.brute = ProductTable(C, fill)     # a fresh table for compose
+            assert got == _compose_covering_numbers(F, kind) == want
+        C.brute = true
+    monkeypatch.setattr(oracle, "COVERING_LIMIT", 3)
+    for kind in ("sl2", "psl2"):
+        assert covering_numbers(F, kind) == _compose_covering_numbers(F, kind) == (3, None)
 
 
 def test_verify_reports_unreached_covering_number(monkeypatch):
