@@ -4,7 +4,7 @@ fixed inputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error (even characteristic, q < 5 or q > 10^5, malformed label or matrix,
-verify/covering above q = 127), 4 internal error (a witness construction
+verify/covering above q = 251), 4 internal error (a witness construction
 failed where one is promised).
 """
 

@@ -16,10 +16,11 @@ live on the field's class indices.
   +-2 comes by duality.  Only the lesser class of each negation pair other
   than {I, -I} takes a pass, (q+3)/2 at every q, as C_i * (-C_j) =
   -(C_i * C_j).  A pass walks only the rows whose own column is still
-  missing, one of each negation pair, q traces at a time until all q are
-  seen; only the passes of U[1] and U[nu] walk the classes of trace +-2,
-  which every later pass finds among its known rows.  At q = 27 and 31 the
-  32 passes walk 82573 traces, not 206222.
+  missing, one of each negation pair, a q-element chunk at a time (built
+  when first reached, and kept) until all q traces are seen; only the
+  passes of U[1] and U[nu] walk the classes of trace +-2, which every later
+  pass finds among its known rows.  At q = 27 and 31 the 32 passes walk
+  80635 traces, not 206222.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -34,14 +35,16 @@ live on the field's class indices.
   Containment and covering numbers come from the brute folds.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
-ENUMERATION_BOUND = 127 before building anything; on a shared 2-core host
-(Python 3.11), `sl2prod verify --field 127` peaks at 100 MB max RSS.
+ENUMERATION_BOUND = 251 before building anything; on a shared 2-core host
+(Python 3.11), `sl2prod verify --field 251` peaks at 83 MB max RSS.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from typing import NamedTuple
 
 from .field import FieldCtx
@@ -51,7 +54,7 @@ from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
                       negate_class, psl_lift_pair, psl_project, representative)
 from . import laws
 
-ENUMERATION_BOUND = 127
+ENUMERATION_BOUND = 251
 
 
 class EnumerationBoundError(ValueError):
@@ -118,8 +121,8 @@ def _direct_columns(T: GroupTable):
     walks each D with w = y^-1 (or y for semisimple C_j, as then y^-1 is
     conjugate to y): D goes into a semisimple row when tr(z w) = tr(C_i) for
     some z in D, and into a row of trace +-2 when classify_sl2 puts some
-    z w there.  A fiber is packed on its first walk, in stride q, and kept;
-    a walk reads q elements at a time, and a row's trace set stops at all q."""
+    z w there.  A walk reads chunks of a fiber, each built on first reach
+    and kept, and a row's trace set stops at all q traces."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
@@ -129,14 +132,24 @@ def _direct_columns(T: GroupTable):
     pm2 = {k: C.at(inverse_class(F, L)) for k, L in enumerate(C.labels)
            if not L.is_semisimple}      # each class of trace +-2: its inverse
     neg = _negation(F, C)
-    packed = {}         # class: the a*q + b and c*q + d of its fiber
+    spans = [list(range(b, q * q, q)) for b in range(q)]      # u = a*q + b over every a
+    inv = [0] + [F.inv(b) for b in range(1, q)]
+    ds = {k: [F.sub(t, a) for a in range(q)] for t, k in row.items()}          # d = t - a
+    ms = {k: [F.sub(MUL[a * q + d], 1) * q for a, d in enumerate(ds[k])] for k in ds}   # (ad - 1) q
 
-    def fiber(i):
-        if i not in packed:
-            fib = T.fiber(C.labels[i])
-            fib = [x for r in range(q) for x in fib[r::q]]     # stride q: each chunk spans every a
-            packed[i] = [a * q + b for a, b, _, _ in fib], [c * q + d for _, _, c, d in fib]
-        return packed[i]
+    @functools.cache
+    def packed(i):      # a fiber of trace +-2 in stride q: each chunk spans every a
+        fib = T.fiber(C.labels[i])
+        fib = [x for r in range(q) for x in fib[r::q]]
+        return [a * q + b for a, b, _, _ in fib], [c * q + d for _, _, c, d in fib]
+
+    @functools.cache
+    def chunk(i, b):    # b != 0: (a, b, (ad - 1)/b, d) over every a; 0: (a, 0, c, d), ad = 1
+        if b:
+            return spans[b], array("l", [MUL[m + inv[b]] * q + d for m, d in zip(ms[i], ds[i])])
+        eig = [a for a, m in enumerate(ms[i]) if m == 0]
+        return (array("l", [a * q for a in eig for _ in range(q)]),
+                array("l", [c * q + ds[i][a] for a in eig for c in range(q)]))
 
     def traces(w):
         """traces(w)(i) yields tr(x w) = ae + bg + cf + dh over x in C_i, q at a time."""
@@ -145,9 +158,11 @@ def _direct_columns(T: GroupTable):
         right = [ADD[x + h] for x in [f * q for f in mf] for h in mh]       # at c*q + d
 
         def of(i):
-            us, vs = fiber(i)
-            for s in range(0, len(us), q):
-                yield _traces(ADD, left, right, us[s:s + q], vs[s:s + q])
+            if i not in pm2:
+                return (_traces(ADD, left, right, *chunk(i, b)) for b in (*range(1, q), 0))
+            us, vs = packed(i)
+            return (_traces(ADD, left, right, us[s:s + q], vs[s:s + q])
+                    for s in range(0, len(us), q))
         return of
 
     def column(j, known=None):
@@ -170,7 +185,7 @@ def _direct_columns(T: GroupTable):
                 for t in set(duals):
                     if row.get(t) in walked:
                         masks[row[t]] |= 1 << k
-                for u, v, t in zip(*fiber(k), duals):
+                for u, v, t in zip(*packed(k), duals):
                     if t not in row:
                         z = (*divmod(u, q), *divmod(v, q))
                         i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
@@ -221,12 +236,13 @@ def _sl2_products(T: GroupTable) -> ProductTable:
     C = class_index(T.field, "sl2")
     n = len(C.labels)
     direct, neg = _direct_columns(T), _negation(T.field, C)
+    negate = functools.cache(lambda mask: _image(neg, mask))     # columns share most masks
     columns: dict[int, list[int]] = {}
     for r in range(n):
         if r not in columns:
             columns[r] = ([1 << i for i in range(n)] if r == 0      # I, as C_i * I = C_i
                           else direct(r, {i: column[r] for i, column in columns.items()}))
-            columns[neg[r]] = [_image(neg, mask) for mask in columns[r]]
+            columns[neg[r]] = list(map(negate, columns[r]))
     return ProductTable(C, lambda i, j: columns[j][i])
 
 

@@ -108,7 +108,7 @@ def test_commutator_command():
 
 
 def test_commutator_above_enumeration_bound():
-    code, out, _ = run_cli(["commutator", "--field", "131", "[[1,1],[0,1]]"])
+    code, out, _ = run_cli(["commutator", "--field", "257", "[[1,1],[0,1]]"])
     data = json.loads(out)
     assert code == 0 and data["expressible"] and data["check"] == "ok"
 
@@ -191,9 +191,9 @@ def test_domain_error_exit_3(no_group_table):
                  ["classify", "--field", "7", "[" * 100000],
                  ["classes", "--field", "3^20"],
                  ["classify", "[[1,0],[0,1]]"],
-                 ["verify", "--field", "131"],
-                 ["verify", "--field", "131", "--jobs", "2"],
-                 ["covering", "--field", "131"],
+                 ["verify", "--field", "257"],
+                 ["verify", "--field", "257", "--jobs", "2"],
+                 ["covering", "--field", "257"],
                  ["covering", "--field", "1009"]]:
         code, out, err = run_cli(argv)
         assert code == 3 and out == "", argv

@@ -39,23 +39,23 @@ def test_enumeration_counts():
 def test_enumeration_bound(no_group_table):
     """Above oracle.ENUMERATION_BOUND every entry point that enumerates
     raises EnumerationBoundError before a group table is built."""
-    F131 = make_field(131)
-    for call in (lambda: enumerate_sl2(F131), lambda: verify_laws(F131, "sl2"),
-                 lambda: covering_numbers(F131, "psl2")):
-        with pytest.raises(EnumerationBoundError, match="131"):
+    F257 = make_field(257)
+    for call in (lambda: enumerate_sl2(F257), lambda: verify_laws(F257, "sl2"),
+                 lambda: covering_numbers(F257, "psl2")):
+        with pytest.raises(EnumerationBoundError, match="257"):
             call()
-    assert class_index(F131, "sl2").group is None
+    assert class_index(F257, "sl2").group is None
     assert issubclass(EnumerationBoundError, ValueError)
 
 
 def test_bound_refused_before_anything_is_built():
     """GroupTable itself refuses a q above the bound, and verify_laws and
     covering_numbers refuse it before they build a class index."""
-    with pytest.raises(EnumerationBoundError, match="131"):
-        oracle.GroupTable(FieldCtx(131, 1))
+    with pytest.raises(EnumerationBoundError, match="257"):
+        oracle.GroupTable(FieldCtx(257, 1))
     for call in (verify_laws, covering_numbers):
-        F = FieldCtx(131, 1)
-        with pytest.raises(EnumerationBoundError, match="131"):
+        F = FieldCtx(257, 1)
+        with pytest.raises(EnumerationBoundError, match="257"):
             call(F, "sl2")
         assert F.memo == {}, call
 
@@ -226,12 +226,13 @@ def test_certify_fold_walks(monkeypatch):
 
 
 def test_certify_trace_walks(monkeypatch):
-    """The SL2 fills at q = 27 and 31, from fresh fields, walk 82573 trace
-    elements tr(x w): a row's traces are read q at a time and only until
-    all q have been seen, and only the passes of U[1] and U[nu] walk the
+    """The SL2 fills at q = 27 and 31, from fresh fields, walk 80635 trace
+    elements tr(x w): a row's traces are read a chunk of q at a time and only
+    until all q have been seen, and only the passes of U[1] and U[nu] walk the
     dual traces of the classes D of trace +-2, the others reading D from
-    known rows.  Walking each fiber whole, both classes of each dual pair
-    included, took 206222."""
+    known rows.  A semisimple row reads its chunks b = 1 ... q - 1 first,
+    then that of b = 0.  Packed fibers in stride q walked 82573, and walking
+    each fiber whole, both classes of each dual pair included, 206222."""
     walked, traces = [], oracle._traces
 
     def counted(*args):
@@ -241,7 +242,59 @@ def test_certify_trace_walks(monkeypatch):
     monkeypatch.setattr(oracle, "_traces", counted)
     for pa in ((3, 3), (31, 1)):
         oracle._sl2_products(enumerate_sl2(FieldCtx(*pa)))
-    assert sum(walked) == 82573
+    assert sum(walked) == 80635
+
+
+def _walked_chunks(monkeypatch, F):
+    """Record each nonempty chunk that a walk reads through oracle._traces,
+    as (class, us, vs): a chunk holds elements of one class, so its first
+    element x = [[a, b], [c, d]], with u = a*q + b and v = c*q + d, names it."""
+    walked, traces = [], oracle._traces
+
+    def recorded(ADD, left, right, us, vs):
+        if len(us):
+            x = (*divmod(us[0], F.q), *divmod(vs[0], F.q))
+            walked.append((classify_sl2(F, x), us, vs))
+        return traces(ADD, left, right, us, vs)
+    monkeypatch.setattr(oracle, "_traces", recorded)
+    return walked
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
+def test_chunks_hold_the_fiber(monkeypatch, pa):
+    """Walked whole, the chunks of each semisimple class hold exactly its
+    GroupTable fiber, each element once.  Each class is walked on its own:
+    every other row is known, so the pass of I walks that row alone."""
+    F = FieldCtx(*pa)
+    T = enumerate_sl2(F)
+    C = class_index(F, "sl2")
+    n = len(C.labels)
+    monkeypatch.setattr(oracle, "_trace_set",
+                        lambda chunks, q: {t for chunk in chunks for t in chunk})
+    walked = _walked_chunks(monkeypatch, F)
+    for i, L in enumerate(C.labels):
+        if L.is_semisimple:
+            walked.clear()
+            oracle._direct_columns(T)(0, {k: 0 for k in range(n) if k != i})
+            assert {K for K, _, _ in walked} == {L}
+            got = [(*divmod(u, F.q), *divmod(v, F.q))
+                   for _, us, vs in walked for u, v in zip(us, vs)]
+            assert sorted(got) == sorted(T.fiber(L)), str(L)
+
+
+def test_sl2_fill_memory():
+    """The SL2 fill at q = 61 keeps the semisimple chunks that its walks
+    reach as arrays, and packs only the fibers of trace +-2: its tracemalloc
+    peak stays at 4 MiB or less, where packing every fiber it walked took
+    9.3 MiB."""
+    T = enumerate_sl2(FieldCtx(61, 1))
+    tracemalloc.start()
+    try:
+        oracle._sl2_products(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
@@ -330,33 +383,41 @@ def test_direct_columns_match_literal_products(pa):
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
 def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
-    """A pass with no known rows reads each class fiber at most once, and
-    none of a semisimple row whose negation partner is the lesser index (the
-    pass walks the partner and negates its mask).  Fibers stay packed, so
-    the passes of the other columns read none twice either."""
+    """A pass with no known rows reads each fiber of trace +-2 from the
+    group table at most once, and walks no chunk of a semisimple row whose
+    negation partner is the lesser index (the pass walks the partner and
+    negates its mask).  Fibers of trace +-2 stay packed and semisimple
+    chunks are kept, so the passes of the other columns read no fiber twice,
+    and every later walk of a chunk reads the same object."""
     F = make_field(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
     reads, fiber = Counter(), T.fiber
     monkeypatch.setattr(T, "fiber", lambda L: reads.update([L]) or fiber(L))
+    walked = _walked_chunks(monkeypatch, F)
     direct = oracle._direct_columns(T)
     first = next(k for k, L in enumerate(C.labels) if L.is_semisimple)
     direct(first)
     assert max(reads.values()) == 1
+    assert not {L for L in reads if L.is_semisimple}
     negated = {L for L in C.labels
                if L.is_semisimple and C.at(negate_class(F, L)) < C.at(L)}
-    assert negated and not negated & reads.keys()
+    assert negated and not negated & {L for L, _, _ in walked}
     for j in range(len(C.labels)):
         direct(j)
     assert max(reads.values()) == 1
+    kept = {}
+    for L, us, vs in walked:
+        if L.is_semisimple:
+            assert kept.setdefault((L, us[0]), vs) is vs, str(L)
 
 
 @pytest.mark.parametrize("F", [F7, make_field(3, 2)], ids=["q7", "q9"])
 @pytest.mark.parametrize("semisimple", [False, True], ids=["U1", "SS"])
 def test_known_rows_stay_as_given(monkeypatch, F, semisimple):
     """Rows given as known, true cells of the brute table, come back as
-    given, every other row as the pass with no rows known fills it, and the
-    fiber of no known semisimple row is read.  The column is U[1] or the
+    given, every other row as the pass with no rows known fills it, and no
+    chunk of a known semisimple row is walked.  The column is U[1] or the
     first semisimple class; the known rows are every row of trace +-2 and
     every other semisimple row, which a pass reads its duals from, or I and
     -I alone, as in the pass of U[1]."""
@@ -367,16 +428,17 @@ def test_known_rows_stay_as_given(monkeypatch, F, semisimple):
     j = next(k for k, L in enumerate(C.labels) if L.is_semisimple) if semisimple \
         else C.at(SL2Label("U", 1))
     want = oracle._direct_columns(T)(j)
-    reads, fiber = set(), T.fiber
-    monkeypatch.setattr(T, "fiber", lambda L: reads.add(L) or fiber(L))
+    walked = _walked_chunks(monkeypatch, F)
     for rows in ([i for i, L in enumerate(C.labels) if not L.is_semisimple or i % 2],
                  [C.at(SL2Label("I")), C.at(SL2Label("-I"))]):
         known = {i: S.pair(i, j) for i in rows}
-        reads.clear()
+        walked.clear()
         got = oracle._direct_columns(T)(j, known)
         for i in range(n):
             assert got[i] == known.get(i, want[i]), (rows, str(C.labels[i]))
-        assert not {C.labels[i] for i in rows if C.labels[i].is_semisimple} & reads
+        assert walked
+        assert not {C.labels[i] for i in rows if C.labels[i].is_semisimple} & \
+            {L for L, _, _ in walked}
 
 
 def test_brute_pair_symmetric(small_F):

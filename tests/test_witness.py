@@ -583,7 +583,7 @@ def test_factor_pair_unipotent_checks_the_law(monkeypatch, F):
 # -- large q: witnesses need no enumeration, up to and above its bound ------
 
 
-@pytest.mark.parametrize("q", [37, 101, 131])
+@pytest.mark.parametrize("q", [37, 101, 131, 257])
 def test_commutator_witness_above_enumeration_bound(q):
     F = make_field(q)
     for P in all_classes_psl(F):
