@@ -281,10 +281,10 @@ class ClassIndex:
     (the laws.ProductLaw of each public pair query, keyed by the ordered
     class indices), shifts (the mask of the semisimple classes with 2 - t a
     square, from which laws._semisimple_by_shift reads its masks),
-    central_rows, law by laws, and brute and (SL2 only) group by the oracle."""
+    central_rows, law by laws, and brute by the oracle."""
 
     def __init__(self, F: FieldCtx, labels, name: str):
-        self.law = self.brute = self.group = self.shifts = None
+        self.law = self.brute = self.shifts = None
         self.label_type = type(labels[0])       # SL2Label or PSLLabel
         self.pairs: dict[tuple[int, int], tuple] = {}
         self.field, self.labels, self.name = F, labels, name

@@ -200,14 +200,6 @@ class FieldCtx:
             return self.mul(self.of(x), self.inv(y))
         return self._exp[(self._log[x] - self._log[y]) % (self.q - 1)]
 
-    def power(self, x: int, n: int) -> int:
-        if not 0 < x < self.q:
-            self.of(x)          # ValueError outside 0..q-1
-            if n < 0:
-                raise ZeroDivisionError("negative power of 0")
-            return 1 if n == 0 else 0
-        return self._exp[(self._log[x] * n) % (self.q - 1)]
-
     # -- square classes --------------------------------------------------
 
     def is_square(self, x: int) -> bool:

@@ -62,18 +62,6 @@ def mat_trace(F: FieldCtx, m: Mat) -> int:
     return F.add(m[0], m[3])
 
 
-def mat_pow(F: FieldCtx, m: Mat, n: int) -> Mat:
-    if n < 0:
-        return mat_pow(F, mat_inv(F, m), -n)
-    r = IDENT
-    while n:
-        if n & 1:
-            r = mat_mul(F, r, m)
-        m = mat_mul(F, m, m)
-        n >>= 1
-    return r
-
-
 def conjugate(F: FieldCtx, g: Mat, x: Mat) -> Mat:
     """g * x * g^-1."""
     return mat_mul(F, mat_mul(F, g, x), mat_inv(F, g))

@@ -6,8 +6,8 @@ any disagreement with the laws module is reported with a counterexample.
 
 Class products come from one ProductTable per group over the shared
 ClassIndex (see classes), whose cell (i, j) is the class mask of C_i * C_j.
-Both tables and the group (its fibers of trace +-2 alone, see GroupTable)
-live on the field's class indices.
+Both tables live on the field's class indices; the group is kept nowhere,
+as the fill reads every class as chunks of its trace fiber.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the group per y can
@@ -16,8 +16,8 @@ live on the field's class indices.
   +-2 comes by duality.  Only the lesser class of each negation pair other
   than {I, -I} takes a pass, (q+3)/2 at every q, as C_i * (-C_j) =
   -(C_i * C_j).  A pass walks only the rows whose own column is still
-  missing, one of each negation pair, a q-element chunk at a time (built
-  when first reached, and kept) until all q traces are seen; only the
+  missing, one of each negation pair, a chunk of its trace fiber at a time
+  (built when first reached, and kept) until all q traces are seen; only the
   passes of U[1] and U[nu] walk the classes of trace +-2, which every later
   pass finds among its known rows.  At q = 27 and 31 the 32 passes walk
   80635 traces, not 206222.
@@ -36,7 +36,7 @@ live on the field's class indices.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 251 before building anything; on a shared 2-core host
-(Python 3.11), `sl2prod verify --field 251` peaks at 83 MB max RSS.
+(Python 3.11), `sl2prod verify --field 251` peaks at 64 MB max RSS.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from array import array
 from typing import NamedTuple
 
 from .field import FieldCtx
-from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul
+from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul, mat_trace
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
                       bits, class_index, classify_sl2, inverse_class,
                       negate_class, psl_lift_pair, psl_project, representative)
@@ -69,30 +69,25 @@ def _check_bound(F: FieldCtx):
 
 class GroupTable:
     """SL2(F_q) as its class fibers: fiber(L) lists class L in the order of
-    iter_sl2.  A trace other than +-2 is one SS or NSS class, rebuilt from
-    its trace on each call; only the classes of trace +-2 are kept."""
+    iter_sl2, read from the trace fiber of L on each call (at trace +-2, the
+    elements that classify_sl2 puts in L).  The table keeps only its field."""
 
     def __init__(self, F: FieldCtx):
         _check_bound(F)
         self.field = F
-        self._classified = {L: [] for L in all_classes_sl2(F) if not L.is_semisimple}
-        for t in (F.scalar(2), F.neg(2)):
-            for m in iter_trace_fiber(F, t):
-                self._classified[classify_sl2(F, m, check=False)].append(m)
 
     def fiber(self, L: SL2Label) -> list[Mat]:
-        class_index(self.field, "sl2").at(L)    # ValueError for a label of no class
-        return (list(iter_trace_fiber(self.field, L.param)) if L.is_semisimple
-                else self._classified[L])
+        F = self.field
+        t = mat_trace(F, representative(F, L))      # ValueError for a label of no class
+        fiber = iter_trace_fiber(F, t)
+        return (list(fiber) if L.is_semisimple
+                else [m for m in fiber if classify_sl2(F, m, check=False) == L])
 
 
 def enumerate_sl2(F: FieldCtx) -> GroupTable:
-    """Every class fiber of SL2(F), kept on F's class index."""
+    """SL2(F) as its class fibers, each read when asked for."""
     _check_bound(F)
-    C = class_index(F, "sl2")
-    if C.group is None:
-        C.group = GroupTable(F)
-    return C.group
+    return GroupTable(F)
 
 
 # -- class-product tables ----------------------------------------------------
@@ -121,8 +116,17 @@ def _direct_columns(T: GroupTable):
     walks each D with w = y^-1 (or y for semisimple C_j, as then y^-1 is
     conjugate to y): D goes into a semisimple row when tr(z w) = tr(C_i) for
     some z in D, and into a row of trace +-2 when classify_sl2 puts some
-    z w there.  A walk reads chunks of a fiber, each built on first reach
-    and kept, and a row's trace set stops at all q traces."""
+    z w there.
+
+    A walk reads a class as chunks of its trace-t fiber, each built on
+    first reach and kept, and a row's trace set stops at all q traces.
+    Chunk b != 0 holds (a, b, (a(t - a) - 1)/b, t - a) over every a, and
+    chunk 0 the (a, 0, c, t - a) with a(t - a) = 1.  A semisimple class is
+    its whole fiber: every b, and every c.  At t = +-2, with s = t/2, the
+    element of chunk b != 0 has c = -(a - s)^2/b, so it lies in U or NU
+    [class(b)], and chunk 0 holds (s, 0, c, s), which is s I at c = 0 and
+    in U or NU[class(-c)] otherwise: U or NU[e] walks the b and c != 0 of
+    square class e, and +-I (param 0, the class of 0 here) only c = 0."""
     F = T.field
     q = F.q
     C = class_index(F, "sl2")
@@ -134,36 +138,35 @@ def _direct_columns(T: GroupTable):
     neg = _negation(F, C)
     spans = [list(range(b, q * q, q)) for b in range(q)]      # u = a*q + b over every a
     inv = [0] + [F.inv(b) for b in range(1, q)]
-    ds = {k: [F.sub(t, a) for a in range(q)] for t, k in row.items()}          # d = t - a
-    ms = {k: [F.sub(MUL[a * q + d], 1) * q for a, d in enumerate(ds[k])] for k in ds}   # (ad - 1) q
-
-    @functools.cache
-    def packed(i):      # a fiber of trace +-2 in stride q: each chunk spans every a
-        fib = T.fiber(C.labels[i])
-        fib = [x for r in range(q) for x in fib[r::q]]
-        return [a * q + b for a, b, _, _ in fib], [c * q + d for _, _, c, d in fib]
+    minus = [F.neg(x) for x in range(q)]
+    less1 = [F.sub(x, 1) * q for x in range(q)]                 # (x - 1) q
+    square = [0] + [F.square_class(x) for x in range(1, q)]
+    bs, cs, ds, ms = [], [], [], []     # per class: its chunks' b, chunk 0's c, d, (ad - 1) q
+    for L in C.labels:
+        t = mat_trace(F, representative(F, L))
+        whole = L.is_semisimple
+        bs.append((*(b for b in range(1, q) if whole or square[b] == L.param), 0))
+        cs.append([c for c in range(q) if whole or square[minus[c]] == L.param])
+        ds.append([ADD[t * q + x] for x in minus])                      # d = t - a
+        ms.append([less1[MUL[a * q + d]] for a, d in enumerate(ds[-1])])
 
     @functools.cache
     def chunk(i, b):    # b != 0: (a, b, (ad - 1)/b, d) over every a; 0: (a, 0, c, d), ad = 1
         if b:
             return spans[b], array("l", [MUL[m + inv[b]] * q + d for m, d in zip(ms[i], ds[i])])
         eig = [a for a, m in enumerate(ms[i]) if m == 0]
-        return (array("l", [a * q for a in eig for _ in range(q)]),
-                array("l", [c * q + ds[i][a] for a in eig for c in range(q)]))
+        return (array("l", [a * q for a in eig for _ in cs[i]]),
+                array("l", [c * q + ds[i][a] for a in eig for c in cs[i]]))
+
+    def chunks(i):
+        return (chunk(i, b) for b in bs[i])
 
     def traces(w):
-        """traces(w)(i) yields tr(x w) = ae + bg + cf + dh over x in C_i, q at a time."""
+        """traces(w)(i) yields tr(x w) = ae + bg + cf + dh over x in C_i, a chunk at a time."""
         me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in w)
         left = [ADD[x + g] * q for x in [e * q for e in me] for g in mg]     # at a*q + b
         right = [ADD[x + h] for x in [f * q for f in mf] for h in mh]       # at c*q + d
-
-        def of(i):
-            if i not in pm2:
-                return (_traces(ADD, left, right, *chunk(i, b)) for b in (*range(1, q), 0))
-            us, vs = packed(i)
-            return (_traces(ADD, left, right, us[s:s + q], vs[s:s + q])
-                    for s in range(0, len(us), q))
-        return of
+        return lambda i: (_traces(ADD, left, right, us, vs) for us, vs in chunks(i))
 
     def column(j, known=None):
         known = known or {}
@@ -181,16 +184,18 @@ def _direct_columns(T: GroupTable):
             w = y if C.labels[j].is_semisimple else mat_inv(F, y)
             of_w = traces(w)
             for k in pm2:
-                duals = [t for chunk in of_w(k) for t in chunk]     # tr(z w) for z in C_k
-                for t in set(duals):
+                duals = set()       # tr(z w) for z in C_k
+                for (us, vs), ts in zip(chunks(k), of_w(k)):
+                    duals.update(ts)
+                    for u, v, t in zip(us, vs, ts):
+                        if t not in row:
+                            z = (*divmod(u, q), *divmod(v, q))
+                            i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
+                            if i in walked:
+                                masks[i] |= 1 << k
+                for t in duals:
                     if row.get(t) in walked:
                         masks[row[t]] |= 1 << k
-                for u, v, t in zip(*packed(k), duals):
-                    if t not in row:
-                        z = (*divmod(u, q), *divmod(v, q))
-                        i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
-                        if i in walked:
-                            masks[i] |= 1 << k
         for i in missing - walked:
             masks[i] = _image(neg, masks[neg[i]])
         return masks

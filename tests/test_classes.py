@@ -15,7 +15,7 @@ from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
                      ProductLaw, SL2Label, Torus, VerificationReport,
                      all_classes_psl, all_classes_sl2, classify_sl2, conjugate,
                      inverse_class, is_q_good, iter_sl2, make_field, mat_inv,
-                     mat_mul, mat_neg, mat_pow, mat_trace, negate_class, parse_descriptor,
+                     mat_mul, mat_neg, mat_trace, negate_class, parse_descriptor,
                      parse_label, parse_psl_label, parse_sl2_label,
                      psl_classify, psl_element_order, psl_lift_pair,
                      psl_project, psl_representative, representative, sl2,
@@ -210,16 +210,25 @@ def test_element_order_matches_repeated_multiplication(pa):
 
 @pytest.mark.parametrize("pa", [(5, 2), (211, 1), (3, 5), (10007, 1)], ids=_qid)
 def test_lucas_trace_is_the_trace_of_the_power(pa):
-    """The Lucas ladder gives tr(m^n) = mat_trace(mat_pow(m, n)) for 60
+    """The Lucas ladder gives tr(m^n), m^n by square and multiply, for 60
     seeded (m, n), with m in SL2 and 0 <= n <= q^2, and n = 0, 1, 2."""
     F = make_field(*pa)
+
+    def power(m, n):
+        out = IDENT
+        while n:
+            if n & 1:
+                out = mat_mul(F, out, m)
+            m, n = mat_mul(F, m, m), n >> 1
+        return out
+
     rng = random.Random(F.q)
     for trial in range(60):
         a, b, c = rng.randrange(1, F.q), rng.randrange(F.q), rng.randrange(F.q)
         m = (a, b, c, F.div(F.add(1, F.mul(b, c)), a))
         n = trial if trial < 3 else rng.randrange(F.q ** 2)
         assert classes._lucas_trace(F, mat_trace(F, m), n) == \
-            mat_trace(F, mat_pow(F, m, n)), (m, n)
+            mat_trace(F, power(m, n)), (m, n)
 
 
 def test_order_divides_group_exponent(F):
@@ -408,14 +417,13 @@ def test_public_functions_reject_malformed_input(name, bad):
 # enumerate_sl2 and the class index made them
 EXEMPT = {
     tuple(f"FieldCtx.{name}" for name in (
-        "scalar", "add", "neg", "sub", "mul", "inv", "div", "power", "is_square",
+        "scalar", "add", "neg", "sub", "mul", "inv", "div", "is_square",
         "sqrt", "square_class", "same_class", "elements", "units")):
         "element arithmetic other than of, unchecked by design as a hot "
         "primitive; of (swept) rejects an int outside 0..q-1, and so do inv, "
-        "div, power, is_square and sqrt",
-    ("mat_mul", "mat_inv", "mat_neg", "mat_det", "mat_trace", "mat_pow",
-     "conjugate"): "mat2 arithmetic, unchecked by design on the matrices "
-                   "that sl2 validates",
+        "div, is_square and sqrt",
+    ("mat_mul", "mat_inv", "mat_neg", "mat_det", "mat_trace", "conjugate"):
+        "mat2 arithmetic, unchecked by design on the matrices that sl2 validates",
     ("bruhat_compose", "bruhat_decompose", "bruhat_product", "bruhat_trace"):
         "Bruhat helpers, unchecked like the mat2 arithmetic",
     ("iter_sl2",): "a fiber iterator: it takes only a field context",

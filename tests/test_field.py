@@ -154,13 +154,6 @@ def test_element_check():
             F7.of(v)
 
 
-def test_power_of_zero():
-    F7 = make_field(7)
-    assert F7.power(0, 0) == 1 and F7.power(0, 3) == 0
-    with pytest.raises(ZeroDivisionError, match="negative power of 0"):
-        F7.power(0, -1)
-
-
 def test_parse_descriptor():
     assert parse_descriptor("7").q == 7
     assert parse_descriptor("3^2").q == 9
@@ -203,7 +196,6 @@ def _q7_tables():
         C = class_index(F, kind)
         assert C.law.closed and C.brute._columns
         refs += [weakref.ref(C), weakref.ref(C.law), weakref.ref(C.brute)]
-    assert class_index(F, "sl2").group is not None
     return refs
 
 
@@ -254,9 +246,19 @@ def test_square_count_and_minus_one(F):
     assert F.is_square(F.neg(1)) == (F.q % 4 == 1)
 
 
+def _power(F, x, n):
+    """x^n for n >= 0, by square and multiply on F.mul."""
+    out = 1
+    while n:
+        if n & 1:
+            out = F.mul(out, x)
+        x, n = F.mul(x, x), n >> 1
+    return out
+
+
 def test_is_square_matches_euler_criterion(F):
     for x in F.units():
-        assert F.is_square(x) == (F.power(x, (F.q - 1) // 2) == 1)
+        assert F.is_square(x) == (_power(F, x, (F.q - 1) // 2) == 1)
     with pytest.raises(ValueError):
         F.is_square(0)
 
@@ -357,13 +359,13 @@ def test_field_ops_random_associativity(data):
 
 
 def test_square_data_rejects_non_elements():
-    """is_square, sqrt, inv, square_class, power and the dividend of div
+    """is_square, sqrt, inv, square_class and the dividend of div
     reject an encoding outside 0..q-1 as of does, instead of reading a
     negative one through Python's negative list index (at q = 5, -1 would
     pass for the square 4)."""
     F5 = make_field(5)
     for fn in (F5.is_square, F5.sqrt, F5.inv, F5.square_class,
-               lambda v: F5.power(v, 1), lambda v: F5.div(v, 1)):
+               lambda v: F5.div(v, 1)):
         for v in (-1, -4, 5, 7):
             with pytest.raises(ValueError):
                 fn(v)

@@ -44,7 +44,7 @@ def test_enumeration_bound(no_group_table):
                  lambda: covering_numbers(F257, "psl2")):
         with pytest.raises(EnumerationBoundError, match="257"):
             call()
-    assert class_index(F257, "sl2").group is None
+    assert class_index(F257, "sl2").brute is None
     assert issubclass(EnumerationBoundError, ValueError)
 
 
@@ -79,22 +79,30 @@ def test_fibers_partition(F):
         assert T.fiber(L) == [m for m, K in classified if K == L], L
 
 
-def test_group_table_memory():
-    """The group table keeps only the fibers of trace +-2, about 2q^2
-    elements, and rebuilds a semisimple fiber from its trace: at q = 61 it
-    holds under 1 MiB, where all q^3 - q elements took 17 MiB."""
+def test_group_table_memory(monkeypatch):
+    """Building the group table classifies nothing and keeps nothing but its
+    field: every fiber, those of trace +-2 too, is read from its trace when
+    asked for.  At q = 61 the table holds under 1 KiB, where keeping the
+    fibers of trace +-2 (about 2q^2 elements) took 0.6 MiB and all q^3 - q
+    elements 17 MiB."""
     F = FieldCtx(61, 1)
     all_classes_sl2(F)      # the class index is the field's, not the table's
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        T = oracle.GroupTable(F)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+
+    def classify_called(*args, **kwargs):
+        raise AssertionError("the group table classified an element")
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "classify_sl2", classify_called)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            T = oracle.GroupTable(F)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert vars(T) == {"field": F}
     assert sum(len(T.fiber(L)) for L in all_classes_sl2(F)
                if not L.is_semisimple) == 2 * 61 ** 2
-    assert held < 2 ** 20, held
+    assert held < 2 ** 10, held
 
 
 @pytest.mark.parametrize("name", ["verify_laws", "covering_numbers",
@@ -262,31 +270,34 @@ def _walked_chunks(monkeypatch, F):
 
 @pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
 def test_chunks_hold_the_fiber(monkeypatch, pa):
-    """Walked whole, the chunks of each semisimple class hold exactly its
-    GroupTable fiber, each element once.  Each class is walked on its own:
-    every other row is known, so the pass of I walks that row alone."""
+    """Walked whole, the chunks of each class, those of trace +-2 and of +-I
+    included, hold exactly its GroupTable fiber, each element once.  Each
+    class is walked on its own: every other row is known, so the pass of I
+    walks that row alone, and for a class of trace +-2 walks the dual
+    traces of every class of trace +-2 too, which reads the same kept
+    chunks; so a chunk is counted once, by its identity."""
     F = FieldCtx(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
     n = len(C.labels)
+    pm2 = {L for L in C.labels if not L.is_semisimple}
     monkeypatch.setattr(oracle, "_trace_set",
                         lambda chunks, q: {t for chunk in chunks for t in chunk})
     walked = _walked_chunks(monkeypatch, F)
     for i, L in enumerate(C.labels):
-        if L.is_semisimple:
-            walked.clear()
-            oracle._direct_columns(T)(0, {k: 0 for k in range(n) if k != i})
-            assert {K for K, _, _ in walked} == {L}
-            got = [(*divmod(u, F.q), *divmod(v, F.q))
-                   for _, us, vs in walked for u, v in zip(us, vs)]
-            assert sorted(got) == sorted(T.fiber(L)), str(L)
+        walked.clear()
+        oracle._direct_columns(T)(0, {k: 0 for k in range(n) if k != i})
+        assert {K for K, _, _ in walked} == (pm2 if L in pm2 else {L})
+        chunks = {id(vs): (us, vs) for K, us, vs in walked if K == L}
+        got = [(*divmod(u, F.q), *divmod(v, F.q))
+               for us, vs in chunks.values() for u, v in zip(us, vs)]
+        assert sorted(got) == sorted(T.fiber(L)), str(L)
 
 
 def test_sl2_fill_memory():
-    """The SL2 fill at q = 61 keeps the semisimple chunks that its walks
-    reach as arrays, and packs only the fibers of trace +-2: its tracemalloc
-    peak stays at 4 MiB or less, where packing every fiber it walked took
-    9.3 MiB."""
+    """The SL2 fill at q = 61 keeps the chunks that its walks reach as
+    arrays: its tracemalloc peak stays at 4 MiB or less, where packing every
+    fiber it walked took 9.3 MiB."""
     T = enumerate_sl2(FieldCtx(61, 1))
     tracemalloc.start()
     try:
@@ -383,33 +394,34 @@ def test_direct_columns_match_literal_products(pa):
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
 def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
-    """A pass with no known rows reads each fiber of trace +-2 from the
-    group table at most once, and walks no chunk of a semisimple row whose
-    negation partner is the lesser index (the pass walks the partner and
-    negates its mask).  Fibers of trace +-2 stay packed and semisimple
-    chunks are kept, so the passes of the other columns read no fiber twice,
-    and every later walk of a chunk reads the same object."""
+    """A fill reads no fiber from the group table: each fiber is built a
+    chunk at a time from its trace, and each chunk, those of trace +-2
+    included, once, and kept, so every later walk of a chunk, in the same
+    pass or another, reads the same object.  A pass with no known rows walks
+    no chunk of a semisimple row whose negation partner is the lesser index
+    (the pass walks the partner and negates its mask)."""
     F = make_field(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
-    reads, fiber = Counter(), T.fiber
-    monkeypatch.setattr(T, "fiber", lambda L: reads.update([L]) or fiber(L))
+
+    def fiber_read(self, L):
+        raise AssertionError(f"the fill read the fiber of {L}")
+    monkeypatch.setattr(oracle.GroupTable, "fiber", fiber_read)
+    oracle._sl2_products(T)
     walked = _walked_chunks(monkeypatch, F)
     direct = oracle._direct_columns(T)
     first = next(k for k, L in enumerate(C.labels) if L.is_semisimple)
     direct(first)
-    assert max(reads.values()) == 1
-    assert not {L for L in reads if L.is_semisimple}
     negated = {L for L in C.labels
                if L.is_semisimple and C.at(negate_class(F, L)) < C.at(L)}
     assert negated and not negated & {L for L, _, _ in walked}
     for j in range(len(C.labels)):
         direct(j)
-    assert max(reads.values()) == 1
+    assert {L for L in C.labels if not L.is_semisimple} <= {L for L, _, _ in walked}
     kept = {}
     for L, us, vs in walked:
-        if L.is_semisimple:
-            assert kept.setdefault((L, us[0]), vs) is vs, str(L)
+        assert kept.setdefault((L, us[0]), vs) is vs, str(L)
+    assert len(kept) < len(walked)
 
 
 @pytest.mark.parametrize("F", [F7, make_field(3, 2)], ids=["q7", "q9"])
