@@ -5,9 +5,8 @@ an exhaustive brute-force oracle that certifies every law.
 """
 
 from .field import FieldCtx, eps_shift_solvable, make_field, parse_descriptor
-from .mat2 import (BigCell, Mat, Torus, bruhat_compose, bruhat_decompose,
-                   bruhat_product, bruhat_trace, conjugate, iter_sl2, mat_det,
-                   mat_inv, mat_mul, mat_neg, mat_trace, sl2)
+from .mat2 import (Mat, conjugate, iter_sl2, mat_det, mat_inv, mat_mul, mat_neg,
+                   mat_trace, sl2)
 from .classes import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                       classify_sl2, inverse_class, is_q_good, negate_class,
                       parse_label, parse_psl_label, parse_sl2_label,

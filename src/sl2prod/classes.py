@@ -343,9 +343,9 @@ def class_index(F: FieldCtx, kind: str) -> ClassIndex:
 class ProductTable:
     """Class products of one group: cell (i, j) is the mask of C_i * C_j; they
     commute (xy = y * y^-1 x y), so one fill(i, j), i <= j, on first use of
-    either order, serves both.  Each fold compose(mask, j) is kept in composed.
-    A fold ORs the cells of the bits of mask in index order and stops once it
-    is the whole group, so the cells it skips stay unfilled."""
+    either order, serves both.  A fold compose(mask, j) ORs the cells of the
+    bits of mask in index order and stops once it is the whole group, so the
+    cells it skips stay unfilled."""
     closed: dict | None = None      # closed-form triples by (cell, k), if laws.law_table allows
 
     def __init__(self, classes: ClassIndex, fill):
@@ -354,7 +354,6 @@ class ProductTable:
         c = classes.n_central   # each closed-form triple is one of these 2^c masks
         self._forms = tuple(classes.full >> c << c | z for z in range(1 << c))
         self._columns: dict[int, dict[int, int]] = defaultdict(dict)  # filled cells only
-        self.composed: dict[tuple[int, int], int] = {}
 
     def pair(self, i: int, j: int) -> int:
         cell = self._columns[j].get(i)
@@ -364,15 +363,12 @@ class ProductTable:
 
     def compose(self, mask: int, j: int) -> int:
         """Mask of S * C_j for the class set S given by mask."""
-        out = self.composed.get((mask, j))
-        if out is None:
-            column, full, out = self._columns[j], self.classes.full, 0
-            for i in bits(mask):
-                cell = column.get(i)
-                out |= self.pair(i, j) if cell is None else cell
-                if out == full:     # no further cell can change the fold
-                    break
-            self.composed[mask, j] = out
+        column, full, out = self._columns[j], self.classes.full, 0
+        for i in bits(mask):
+            cell = column.get(i)
+            out |= self.pair(i, j) if cell is None else cell
+            if out == full:     # no further cell can change the fold
+                break
         return out
 
     def triple(self, i: int, j: int, k: int) -> int:

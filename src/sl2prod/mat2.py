@@ -1,4 +1,4 @@
-"""2x2 matrices over GF(q), the sharp Bruhat decomposition, and trace fibers.
+"""2x2 matrices over GF(q) and their trace fibers.
 
 Matrices are row-major 4-tuples (a, b, c, d) of canonical field encodings.
 The SL2 constructor validates entries and the determinant; the arithmetic
@@ -12,7 +12,6 @@ instead of walking the fiber.
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
 
 from .field import FieldCtx
 
@@ -70,81 +69,6 @@ def conjugate(F: FieldCtx, g: Mat, x: Mat) -> Mat:
 def minus_ident(F: FieldCtx) -> Mat:
     n1 = F.neg(1)
     return (n1, 0, 0, n1)
-
-
-# -- sharp Bruhat form -----------------------------------------------------
-#
-# Generators: h(a) = diag(a, a^-1), n(a) = h(a) * [[0,1],[-1,0]],
-# X12(t) = [[1,t],[0,1]].  Every SL2 element is uniquely h(alpha) X12(psi)
-# (the Borel cell, c = 0) or X12(tau) n(alpha) X12(psi) (the big cell).
-
-
-class Torus(NamedTuple):
-    alpha: int
-    psi: int
-
-
-class BigCell(NamedTuple):
-    tau: int
-    alpha: int
-    psi: int
-
-BruhatForm = Torus | BigCell
-
-
-def bruhat_decompose(F: FieldCtx, m: Mat) -> BruhatForm:
-    a, b, c, d = m
-    if c == 0:
-        return Torus(a, F.div(b, a))
-    cinv = F.inv(c)
-    return BigCell(F.mul(a, cinv), F.neg(cinv), F.mul(d, cinv))
-
-
-def bruhat_compose(F: FieldCtx, f: BruhatForm) -> Mat:
-    if f.alpha == 0:
-        raise ValueError("alpha must be a unit")
-    if isinstance(f, Torus):
-        return (f.alpha, F.mul(f.alpha, f.psi), 0, F.inv(f.alpha))
-    ainv = F.inv(f.alpha)
-    # X12(tau) n(alpha) X12(psi) = [[-tau/alpha, alpha - tau*psi/alpha],
-    #                               [-1/alpha,   -psi/alpha]]
-    return (F.neg(F.mul(f.tau, ainv)),
-            F.sub(f.alpha, F.mul(F.mul(f.tau, f.psi), ainv)),
-            F.neg(ainv),
-            F.neg(F.mul(f.psi, ainv)))
-
-
-def bruhat_trace(F: FieldCtx, f: BruhatForm) -> int:
-    if isinstance(f, Torus):
-        return F.add(f.alpha, F.inv(f.alpha))
-    return F.neg(F.mul(F.inv(f.alpha), F.add(f.tau, f.psi)))
-
-
-def bruhat_product(F: FieldCtx, f1: BruhatForm, f2: BruhatForm) -> BruhatForm:
-    """Sharp form of compose(f1) * compose(f2), computed symbolically."""
-    if isinstance(f1, Torus) and isinstance(f2, Torus):
-        a2sq = F.mul(f2.alpha, f2.alpha)
-        return Torus(F.mul(f1.alpha, f2.alpha),
-                     F.add(F.div(f1.psi, a2sq), f2.psi))
-    if isinstance(f1, Torus):
-        a1sq = F.mul(f1.alpha, f1.alpha)
-        return BigCell(F.mul(a1sq, F.add(f1.psi, f2.tau)),
-                       F.mul(f1.alpha, f2.alpha),
-                       f2.psi)
-    if isinstance(f2, Torus):
-        a2sq = F.mul(f2.alpha, f2.alpha)
-        return BigCell(f1.tau,
-                       F.div(f1.alpha, f2.alpha),
-                       F.add(F.div(f1.psi, a2sq), f2.psi))
-    s = F.add(f1.psi, f2.tau)
-    if s == 0:
-        ratio = F.div(f2.alpha, f1.alpha)
-        return Torus(F.neg(F.div(f1.alpha, f2.alpha)),
-                     F.add(F.mul(F.mul(ratio, ratio), f1.tau), f2.psi))
-    sinv = F.inv(s)
-    return BigCell(F.sub(f1.tau, F.mul(F.mul(f1.alpha, f1.alpha), sinv)),
-                   F.neg(F.mul(F.mul(f1.alpha, f2.alpha), sinv)),
-                   F.sub(f2.psi, F.mul(F.mul(f2.alpha, f2.alpha), sinv)))
 
 
 def iter_sl2(F: FieldCtx):

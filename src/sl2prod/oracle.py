@@ -36,7 +36,7 @@ as the fill reads every class as chunks of its trace fiber.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 251 before building anything; on a shared 2-core host
-(Python 3.11), `sl2prod verify --field 251` peaks at 64 MB max RSS.
+(Python 3.11), `sl2prod verify --field 251` peaks at 62 MB max RSS.
 """
 
 from __future__ import annotations
@@ -67,41 +67,44 @@ def _check_bound(F: FieldCtx):
             f"q = {F.q} exceeds the enumeration bound {ENUMERATION_BOUND}")
 
 
+def _fiber(F: FieldCtx, L: SL2Label) -> list[Mat]:
+    """Class L in the order of iter_sl2, read from the trace fiber of L (at
+    trace +-2, the elements that classify_sl2 puts in L)."""
+    t = mat_trace(F, representative(F, L))      # ValueError for a label of no class
+    fiber = iter_trace_fiber(F, t)
+    return (list(fiber) if L.is_semisimple
+            else [m for m in fiber if classify_sl2(F, m, check=False) == L])
+
+
 class GroupTable:
-    """SL2(F_q) as its class fibers: fiber(L) lists class L in the order of
-    iter_sl2, read from the trace fiber of L on each call (at trace +-2, the
-    elements that classify_sl2 puts in L).  The table keeps only its field."""
+    """SL2(F_q) as its class fibers: fiber(L) is class L, read from its trace
+    on each call.  The table keeps only its field."""
 
     def __init__(self, F: FieldCtx):
         _check_bound(F)
         self.field = F
 
     def fiber(self, L: SL2Label) -> list[Mat]:
-        F = self.field
-        t = mat_trace(F, representative(F, L))      # ValueError for a label of no class
-        fiber = iter_trace_fiber(F, t)
-        return (list(fiber) if L.is_semisimple
-                else [m for m in fiber if classify_sl2(F, m, check=False) == L])
+        return _fiber(self.field, L)
 
 
 def enumerate_sl2(F: FieldCtx) -> GroupTable:
     """SL2(F) as its class fibers, each read when asked for."""
-    _check_bound(F)
     return GroupTable(F)
 
 
 # -- class-product tables ----------------------------------------------------
 
 
-def _product_table(T: GroupTable, kind: str) -> ProductTable:
-    C = class_index(T.field, kind)
+def _product_table(F: FieldCtx, kind: str) -> ProductTable:
+    C = class_index(F, kind)
     if C.brute is None:
-        C.brute = (_sl2_products(T) if kind == "sl2"
-                   else _psl_products(T.field, _product_table(T, "sl2")))
+        C.brute = (_sl2_products(F) if kind == "sl2"
+                   else _psl_products(F, _product_table(F, "sl2")))
     return C.brute
 
 
-def _direct_columns(T: GroupTable):
+def _direct_columns(F: FieldCtx):
     """The base case of the SL2 table: column(j, known) is the list of the
     masks of C_i * C_j over all i, from one pass over the group with the
     representative y of C_j; a row i in the dict known is its mask there,
@@ -127,7 +130,6 @@ def _direct_columns(T: GroupTable):
     [class(b)], and chunk 0 holds (s, 0, c, s), which is s I at c = 0 and
     in U or NU[class(-c)] otherwise: U or NU[e] walks the b and c != 0 of
     square class e, and +-I (param 0, the class of 0 here) only c = 0."""
-    F = T.field
     q = F.q
     C = class_index(F, "sl2")
     ADD = [F.add(x, y) for x in range(q) for y in range(q)]    # ADD[x*q + y]
@@ -230,7 +232,7 @@ def _negation(F: FieldCtx, C) -> list[int]:
     return [C.at(negate_class(F, L)) for L in C.labels]
 
 
-def _sl2_products(T: GroupTable) -> ProductTable:
+def _sl2_products(F: FieldCtx) -> ProductTable:
     """The SL2 table.  Filled in class order, a class whose column is
     missing takes one pass (none for I, as C_i * I = C_i), and the column
     of its negation is derived from it cell by cell, as
@@ -238,9 +240,9 @@ def _sl2_products(T: GroupTable) -> ProductTable:
     (xy = y * y^-1 x y), so the pass walks only the rows whose own column
     is still missing, and reads cell (i, r) of every other row i as cell
     (r, i)."""
-    C = class_index(T.field, "sl2")
+    C = class_index(F, "sl2")
     n = len(C.labels)
-    direct, neg = _direct_columns(T), _negation(T.field, C)
+    direct, neg = _direct_columns(F), _negation(F, C)
     negate = functools.cache(lambda mask: _image(neg, mask))     # columns share most masks
     columns: dict[int, list[int]] = {}
     for r in range(n):
@@ -281,19 +283,19 @@ def _fold(rows, mask: int) -> int:
 
 def brute_pair_product(T: GroupTable, L1: SL2Label, L2: SL2Label) -> frozenset:
     """Exact label set of C1*C2, read from the SL2 product table."""
-    return _product_table(T, "sl2").of_labels(L1, L2)
+    return _product_table(T.field, "sl2").of_labels(L1, L2)
 
 
 def brute_pair_product_psl(T: GroupTable, P1: PSLLabel, P2: PSLLabel) -> frozenset:
     """Exact PSL label set, projected from the SL2 cell of one lift of each
     class."""
-    return _product_table(T, "psl2").of_labels(P1, P2)
+    return _product_table(T.field, "psl2").of_labels(P1, P2)
 
 
 def brute_triple_product(T: GroupTable, L1, L2, L3, kind: str = "sl2") -> frozenset:
     """Triple product folded from the brute pair table; exact since class
     products are conjugation closed."""
-    return _product_table(T, kind).of_labels(L1, L2, L3)
+    return _product_table(T.field, kind).of_labels(L1, L2, L3)
 
 
 def brute_commutator_set(T: GroupTable, kind: str = "psl2") -> frozenset:
@@ -363,14 +365,14 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _counterexample(T: GroupTable, kind, brute: ProductTable, cell, missing):
+def _counterexample(F: FieldCtx, kind, brute: ProductTable, cell, missing):
     """A product of the classes of cell in a class of the nonzero mask
     missing, which the brute cell holds.  For a pair (i, j) it is the first
     x * y, over x in the fiber of C_i and y the representative of C_j (for
     PSL2, of their SL2 lifts).  A triple (i, j, k) takes the pair (m, k) for
     the first class C_m of the brute cell C_i * C_j whose product with C_k
     meets missing."""
-    F, C = T.field, brute.classes
+    C = brute.classes
     if len(cell) == 3:
         i, j, k = cell
         cell = next((m, k) for m in bits(brute.pair(i, j)) if brute.pair(m, k) & missing)
@@ -380,7 +382,7 @@ def _counterexample(T: GroupTable, kind, brute: ProductTable, cell, missing):
         L1, L2 = psl_lift_pair(F, L1)[0], psl_lift_pair(F, L2)[0]
         at = lambda L: C.at(psl_project(F, L))
     y = representative(F, L2)
-    for x in T.fiber(L1):
+    for x in _fiber(F, L1):
         m = mat_mul(F, x, y)
         if missing >> at(classify_sl2(F, m, check=False)) & 1:
             return m
@@ -410,8 +412,7 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
     brute table, plus covering numbers."""
     _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
-    T = enumerate_sl2(F)
-    law, brute = laws.law_table(F, kind), _product_table(T, kind)
+    law, brute = laws.law_table(F, kind), _product_table(F, kind)
     labels, n = C.labels, len(C.labels)
     pair_mismatches, triple_mismatches, containment_failures = [], [], []
 
@@ -421,7 +422,7 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
     def mismatch(cell, got, want):
         missing = want & ~got
         return Mismatch(tuple(labels[i] for i in cell), names(got), names(want),
-                        _counterexample(T, kind, brute, cell, missing) if missing else None)
+                        _counterexample(F, kind, brute, cell, missing) if missing else None)
 
     law_rows, brute_rows = _rows(law), _rows(brute)
     differ = [i for i in range(n) if law_rows[i] != brute_rows[i]]     # go cell by cell
@@ -478,7 +479,7 @@ def covering_numbers(F: FieldCtx, kind: str) -> tuple:
     Returns None in a slot not reached within COVERING_LIMIT factors."""
     _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
-    rows, size = _rows(_product_table(enumerate_sl2(F), kind)), len(C.labels)
+    rows, size = _rows(_product_table(F, kind)), len(C.labels)
     noncentral = range(C.n_central, size)     # central classes come first
 
     def least(level, step):

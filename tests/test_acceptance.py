@@ -13,7 +13,6 @@ import time
 from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      brute_commutator_set, brute_pair_product,
                      brute_pair_product_psl, brute_triple_product,
-                     bruhat_compose, bruhat_decompose, bruhat_product,
                      classify_sl2, commutator_expressible_psl,
                      covering_numbers, enumerate_sl2, factor_pair, is_q_good,
                      inverse_class, iter_sl2, macbeath_triple, make_field,
@@ -24,6 +23,8 @@ from sl2prod import (PSLLabel, SL2Label, all_classes_psl, all_classes_sl2,
                      verify_laws)
 from sl2prod.cli import DEFAULT_SUITE
 from sl2prod.oracle import triple_containment_expected
+
+from bruhat import bruhat_compose, bruhat_decompose, bruhat_product
 
 FIELDS = [make_field(p, a) for p, a in DEFAULT_SUITE]
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sl2prod
-from sl2prod import (BigCell, CommutatorCert, Factorization, PSLLabel,
-                     ProductLaw, SL2Label, Torus, VerificationReport,
+from sl2prod import (CommutatorCert, Factorization, PSLLabel, ProductLaw,
+                     SL2Label, VerificationReport,
                      all_classes_psl, all_classes_sl2, classify_sl2, conjugate,
                      inverse_class, is_q_good, iter_sl2, make_field, mat_inv,
                      mat_mul, mat_neg, mat_trace, negate_class, parse_descriptor,
@@ -424,8 +424,6 @@ EXEMPT = {
         "div, is_square and sqrt",
     ("mat_mul", "mat_inv", "mat_neg", "mat_det", "mat_trace", "conjugate"):
         "mat2 arithmetic, unchecked by design on the matrices that sl2 validates",
-    ("bruhat_compose", "bruhat_decompose", "bruhat_product", "bruhat_trace"):
-        "Bruhat helpers, unchecked like the mat2 arithmetic",
     ("iter_sl2",): "a fiber iterator: it takes only a field context",
     ("negate_class", "inverse_class", "psl_project", "psl_inverse_class"):
         "label-to-label maps, documented as unchecked (classes docstring)",
@@ -434,19 +432,21 @@ EXEMPT = {
     ("all_classes_sl2", "all_classes_psl", "enumerate_sl2",
      "psl_distinct_unipotent_product_by_order"): "take only a field context",
     ("SL2Label", "PSLLabel", "ProductLaw", "Factorization", "CommutatorCert",
-     "Torus", "BigCell", "VerificationReport", "Mat", "EnumerationBoundError"): "records and types, built unchecked; a label "
+     "VerificationReport", "Mat", "EnumerationBoundError"): "records and types, built unchecked; a label "
                                "is judged where a function takes it",
 }
 
 
 def test_sweep_covers_the_public_surface():
-    """Each public name outside the submodules is swept or exempt."""
+    """Each public name outside the submodules is swept or exempt, and each
+    exempt name is public."""
     swept = {name.split("(")[0]
              for name in (*LABEL_CONSUMERS, *MALFORMED)}
     exempt = {name for names in EXEMPT for name in names}
     public = {name for name in sl2prod.__all__
               if not inspect.ismodule(getattr(sl2prod, name))}
     assert public - {name.split(".")[0] for name in swept | exempt} == set()
+    assert {name.split(".")[0] for name in exempt} <= public     # no stale exemption
     assert not swept & exempt
 
 
@@ -467,8 +467,6 @@ ONE = SL2Label("I")
 RECORDS = [
     (U1, "SL2Label(kind='U', param=1)"),
     (PSLLabel("PU", 3), "PSLLabel(kind='PU', param=3)"),
-    (Torus(2, 3), "Torus(alpha=2, psi=3)"),
-    (BigCell(1, 2, 3), "BigCell(tau=1, alpha=2, psi=3)"),
     (ProductLaw(ONE, U1, frozenset({U1}), "central_translation"),
      "ProductLaw(left=SL2Label(kind='I', param=0), right=SL2Label(kind='U', param=1),"
      " classes=frozenset({SL2Label(kind='U', param=1)}), rule='central_translation')"),
@@ -548,12 +546,12 @@ def test_labels_of_is_the_set_of_bits():
         assert C.labels_of(mask) == frozenset(labels[k] for k in want), mask
 
 
-def test_compose_memo(monkeypatch):
+def test_compose_is_the_stopping_fold(monkeypatch):
     """compose(mask, j) equals the OR-fold of the cells (i, j) over the bits
-    i of mask, and a repeated (mask, j) neither fills a cell nor walks the
-    mask again, while a new one walks the whole mask in one bits call.  A
-    fold stops at the whole group: a mask whose first cell is the whole
-    group fills that one cell."""
+    i of mask.  A repeated (mask, j) fills no cell, as cells are kept, and
+    walks the mask again in one bits call, as folds are not.  A fold stops
+    at the whole group: a mask whose first cell is the whole group fills
+    that one cell."""
     F = make_field(13)
     C, law = class_index(F, "sl2"), law_table(F, "sl2")
     fills = []
@@ -571,16 +569,13 @@ def test_compose_memo(monkeypatch):
             for i in bits(mask):
                 want |= law.pair(i, j)
             assert P.compose(mask, j) == want, (mask, j)
-    assert len(P.composed) == len(set(masks)) * n
     filled, walks = len(fills), []
     monkeypatch.setattr(classes, "bits", lambda mask: walks.append(mask) or bits(mask))
     for mask in masks:
         for j in range(n):
             P.compose(mask, j)
-    assert len(fills) == filled and walks == []
-    del P.composed[masks[0], 0]     # a fold that is not kept walks the whole mask
-    P.compose(masks[0], 0)
-    assert walks == [masks[0]]
+    assert len(fills) == filled
+    assert walks == [mask for mask in masks for _ in range(n)]
 
     fills.clear()
     P = ProductTable(C, fill)
@@ -611,7 +606,7 @@ def test_fold_is_the_plain_or(kind, pa):
     C = class_index(F, kind)
     n = len(C.labels)
     rng = random.Random(pa[0] ** pa[1])
-    for table in (law_table(F, kind), brute_table(enumerate_sl2(F), kind)):
+    for table in (law_table(F, kind), brute_table(F, kind)):
         masks = {table.pair(i, j) for i in range(n) for j in range(n)}
         masks.update(rng.randrange(1, C.full + 1) for _ in range(200))
         for mask in masks:
@@ -626,7 +621,7 @@ def test_central_rows_are_the_rows_reaching_the_centre(kind, pa):
     holds a central class."""
     F = make_field(*pa)
     C = class_index(F, kind)
-    brute = brute_table(enumerate_sl2(F), kind)
+    brute = brute_table(F, kind)
     center = sum(1 << k for k, L in enumerate(C.labels) if L.is_central)
     n = len(C.labels)
     for k in range(n):

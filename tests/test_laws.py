@@ -431,12 +431,16 @@ def test_closed_form_triples_equal_the_fold(pa):
             assert law.triple(i, j, k) == law.compose(law.pair(i, j), k), (kind, i, j, k)
 
 
-def test_triple_missing_the_centre_at_large_q_fills_one_cell():
+def test_triple_missing_the_centre_at_large_q_fills_one_cell(monkeypatch):
     """U[1]·U[1]·SS[3] at q = 99991 misses I, so a fold could not stop early
     and would fill about q/2 cells of q bits (637 MB); the closed form fills
     the one cell U[1]·U[1], composes nothing, and stays within 40 MiB with
     the class index built."""
     F = FieldCtx(99991, 1)
+
+    def compose_called(*args):
+        raise AssertionError("a closed-form triple composed")
+    monkeypatch.setattr(ProductTable, "compose", compose_called)
     tracemalloc.start()
     try:
         law = law_table(F, "sl2")
@@ -446,8 +450,28 @@ def test_triple_missing_the_centre_at_large_q_fills_one_cell():
         tracemalloc.stop()
     assert SL2Label("I") not in out and SL2Label("-I") in out
     assert {j: list(column) for j, column in law._columns.items()} == {2: [2]}
-    assert law.composed == {}
     assert peak < 40 * 2 ** 20, peak
+
+
+def test_triples_keep_only_cells_and_closed_forms():
+    """A stream of triples with a central factor at q = 211 in both groups,
+    and of every SL2(5) triple, each asked twice, leaves each law table
+    holding only its filled cells and its closed forms: every answer is a
+    fold, or a closed form, of kept cells, and no fold is kept."""
+    rng, F211 = random.Random(211), FieldCtx(211, 1)
+    for F, kind in ((F211, "sl2"), (F211, "psl2"), (FieldCtx(5, 1), "sl2")):
+        law = law_table(F, kind)
+        n, c = len(law.classes.labels), law.classes.n_central
+        if F.q == 5:
+            trips = list(itertools.product(range(n), repeat=3))
+        else:
+            trips = [rng.sample([rng.randrange(c), rng.randrange(n), rng.randrange(n)], 3)
+                     for _ in range(300)]
+        for trip in trips * 2:
+            i, j, k = sorted(trip) if min(trip) < c else trip
+            assert law.triple(*trip) == law.compose(law.pair(i, j), k), (kind, trip)
+        assert set(vars(law)) == {"classes", "_fill", "_forms", "_columns", "closed"}
+        assert law.closed == ({} if F.q == 211 else None), (F.q, kind)
 
 
 def test_triple_sl2_q5_counterexample():

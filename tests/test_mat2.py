@@ -1,16 +1,20 @@
-"""Matrix arithmetic and the sharp Bruhat decomposition."""
+"""Matrix arithmetic, and the sharp Bruhat decomposition of the test helper
+bruhat."""
 
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sl2prod import (BigCell, Torus, bruhat_compose, bruhat_decompose,
-                     bruhat_product, bruhat_trace, conjugate, iter_sl2,
-                     make_field, mat_det, mat_inv, mat_mul, mat_trace, sl2)
+from sl2prod import (conjugate, iter_sl2, make_field, mat_det, mat_inv,
+                     mat_mul, mat_trace, sl2)
 from sl2prod.mat2 import (bc_solutions, fiber_solutions, iter_trace_fiber,
                           quadratic_roots)
+
+from bruhat import (BigCell, Torus, bruhat_compose, bruhat_decompose,
+                    bruhat_product, bruhat_trace)
 
 F7 = make_field(7)
 I2 = (1, 0, 0, 1)
@@ -148,6 +152,21 @@ def test_fiber_solutions_match_filtered_walk(pa):
 def test_group_order(F):
     n = sum(1 for _ in iter_sl2(F))
     assert n == F.q * (F.q ** 2 - 1)
+
+
+@pytest.mark.parametrize("record,text", [
+    (Torus(2, 3), "Torus(alpha=2, psi=3)"),
+    (BigCell(1, 2, 3), "BigCell(tau=1, alpha=2, psi=3)"),
+], ids=lambda r: type(r).__name__)
+def test_record_semantics(record, text):
+    """A sharp form hashes as the tuple of its fields, prints as it did as
+    a dataclass, cannot be assigned to, and pickles."""
+    assert hash(record) == hash(tuple(getattr(record, name) for name in record._fields))
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is type(record)
 
 
 def test_bruhat_decompose_golden():

@@ -37,22 +37,26 @@ def test_enumeration_counts():
 
 
 def test_enumeration_bound(no_group_table):
-    """Above oracle.ENUMERATION_BOUND every entry point that enumerates
-    raises EnumerationBoundError before a group table is built."""
+    """Above oracle.ENUMERATION_BOUND verify_laws and covering_numbers raise
+    EnumerationBoundError before a table is built, and up to it they build
+    no group table: the brute fill reads the field alone."""
     F257 = make_field(257)
-    for call in (lambda: enumerate_sl2(F257), lambda: verify_laws(F257, "sl2"),
-                 lambda: covering_numbers(F257, "psl2")):
+    for call in (lambda: verify_laws(F257, "sl2"), lambda: covering_numbers(F257, "psl2")):
         with pytest.raises(EnumerationBoundError, match="257"):
             call()
     assert class_index(F257, "sl2").brute is None
     assert issubclass(EnumerationBoundError, ValueError)
+    F = FieldCtx(7, 1)
+    assert verify_laws(F, "sl2").ok and covering_numbers(F, "psl2") == (3, 4)
 
 
 def test_bound_refused_before_anything_is_built():
-    """GroupTable itself refuses a q above the bound, and verify_laws and
-    covering_numbers refuse it before they build a class index."""
-    with pytest.raises(EnumerationBoundError, match="257"):
-        oracle.GroupTable(FieldCtx(257, 1))
+    """GroupTable itself, and so enumerate_sl2, refuses a q above the bound,
+    and verify_laws and covering_numbers refuse it before they build a class
+    index."""
+    for call in (oracle.GroupTable, enumerate_sl2):
+        with pytest.raises(EnumerationBoundError, match="257"):
+            call(FieldCtx(257, 1))
     for call in (verify_laws, covering_numbers):
         F = FieldCtx(257, 1)
         with pytest.raises(EnumerationBoundError, match="257"):
@@ -109,8 +113,8 @@ def test_group_table_memory(monkeypatch):
                                   "brute_triple_product", "brute_commutator_set",
                                   "triple_containment_expected"])
 def test_bad_kind_rejected(name, monkeypatch):
-    """A kind other than sl2 and psl2 is a ValueError, raised before any
-    enumeration, and leaves no class index behind in the field's memo."""
+    """A kind other than sl2 and psl2 is a ValueError, raised before the
+    brute fill starts, and leaves no class index behind in the field's memo."""
     T, U1 = enumerate_sl2(F7), SL2Label("U", 1)
     call = {"verify_laws": lambda: verify_laws(F7, "SL2"),
             "covering_numbers": lambda: covering_numbers(F7, "SL2"),
@@ -120,9 +124,9 @@ def test_bad_kind_rejected(name, monkeypatch):
                 lambda: oracle.triple_containment_expected(F7, "x", (U1, U1, U1))}[name]
     keys = set(F7.memo)
 
-    def enumerate_sl2_called(*args, **kwargs):
-        raise AssertionError("enumerated before the kind was checked")
-    monkeypatch.setattr(oracle, "enumerate_sl2", enumerate_sl2_called)
+    def direct_columns_called(*args, **kwargs):
+        raise AssertionError("filled before the kind was checked")
+    monkeypatch.setattr(oracle, "_direct_columns", direct_columns_called)
     with pytest.raises(ValueError, match="kind must be sl2 or psl2"):
         call()
     assert set(F7.memo) == keys
@@ -155,9 +159,9 @@ def _count_passes(monkeypatch, classified=None):
         calls[1] += 1
         return image(*args)
 
-    def counted(T):
-        direct = direct_columns(T)
-        n = len(all_classes_sl2(T.field))
+    def counted(F):
+        direct = direct_columns(F)
+        n = len(all_classes_sl2(F))
 
         def column(j, known=None):
             missing = n - len(known or {})
@@ -185,12 +189,11 @@ def test_symmetric_table_matches_direct_fill(monkeypatch, pa):
     """Every SL2 column filled by its own group pass equals the column the
     symmetric fill gives, and so do the PSL2 cells projected from each."""
     F = make_field(*pa)
-    T = enumerate_sl2(F)
     n = len(all_classes_sl2(F))
-    direct = oracle._direct_columns(T)
+    direct = oracle._direct_columns(F)
     want = [direct(j) for j in range(n)]
     passes = _count_passes(monkeypatch)
-    S = oracle._sl2_products(T)
+    S = oracle._sl2_products(F)
     assert [[S.pair(i, j) for i in range(n)] for j in range(n)] == want
     assert len(passes) == SYMMETRIC_PASSES[pa] == (F.q + 3) // 2
     got = oracle._psl_products(F, S)
@@ -249,7 +252,7 @@ def test_certify_trace_walks(monkeypatch):
         return out
     monkeypatch.setattr(oracle, "_traces", counted)
     for pa in ((3, 3), (31, 1)):
-        oracle._sl2_products(enumerate_sl2(FieldCtx(*pa)))
+        oracle._sl2_products(FieldCtx(*pa))
     assert sum(walked) == 80635
 
 
@@ -286,7 +289,7 @@ def test_chunks_hold_the_fiber(monkeypatch, pa):
     walked = _walked_chunks(monkeypatch, F)
     for i, L in enumerate(C.labels):
         walked.clear()
-        oracle._direct_columns(T)(0, {k: 0 for k in range(n) if k != i})
+        oracle._direct_columns(F)(0, {k: 0 for k in range(n) if k != i})
         assert {K for K, _, _ in walked} == (pm2 if L in pm2 else {L})
         chunks = {id(vs): (us, vs) for K, us, vs in walked if K == L}
         got = [(*divmod(u, F.q), *divmod(v, F.q))
@@ -298,10 +301,10 @@ def test_sl2_fill_memory():
     """The SL2 fill at q = 61 keeps the chunks that its walks reach as
     arrays: its tracemalloc peak stays at 4 MiB or less, where packing every
     fiber it walked took 9.3 MiB."""
-    T = enumerate_sl2(FieldCtx(61, 1))
+    F = FieldCtx(61, 1)
     tracemalloc.start()
     try:
-        oracle._sl2_products(T)
+        oracle._sl2_products(F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,12 +315,12 @@ def test_sl2_fill_memory():
 def test_saturating_walk_matches_full_walk(monkeypatch, pa):
     """The SL2 table whose trace sets stop once they hold all q traces
     equals the one whose trace sets read every element of the fiber."""
-    T = enumerate_sl2(FieldCtx(*pa))
-    n = len(all_classes_sl2(T.field))
-    got = oracle._sl2_products(T)
+    F = FieldCtx(*pa)
+    n = len(all_classes_sl2(F))
+    got = oracle._sl2_products(F)
     monkeypatch.setattr(oracle, "_trace_set",
                         lambda chunks, q: {t for chunk in chunks for t in chunk})
-    want = oracle._sl2_products(T)
+    want = oracle._sl2_products(F)
     assert [[got._fill(i, j) for i in range(n)] for j in range(n)] == \
         [[want._fill(i, j) for i in range(n)] for j in range(n)]
 
@@ -329,9 +332,9 @@ def test_brute_fill_is_symmetric(pa):
     The SL2 columns come from direct passes and their negation images, so a
     cell and its transpose are derived apart; the PSL2 projection is read
     from the raw SL2 fill in the order it asks."""
-    T = enumerate_sl2(FieldCtx(*pa))
-    S = oracle._sl2_products(T)
-    P = oracle._psl_products(T.field, SimpleNamespace(classes=S.classes, pair=S._fill))
+    F = FieldCtx(*pa)
+    S = oracle._sl2_products(F)
+    P = oracle._psl_products(F, SimpleNamespace(classes=S.classes, pair=S._fill))
     for table in (S, P):
         n = len(table.classes.labels)
         for i, j in itertools.combinations(range(n), 2):
@@ -362,10 +365,9 @@ def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
     them (the z y^-1 of trace +-2 over the classes z of trace +-2); every
     later pass knows the rows of trace +-2 and reads their duals there."""
     F = make_field(*pa)
-    T = enumerate_sl2(F)
     classified = []
     _count_passes(monkeypatch, classified)
-    oracle._sl2_products(T)
+    oracle._sl2_products(F)
     C = class_index(F, "sl2")
     unipotent = [C.at(SL2Label("U", 1)), C.at(SL2Label("U", F.nonsquare_rep))]
     assert [j for j, calls in classified if calls] == unipotent
@@ -382,7 +384,7 @@ def test_direct_columns_match_literal_products(pa):
     F = make_field(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
-    direct = oracle._direct_columns(T)
+    direct = oracle._direct_columns(F)
     for j, L in enumerate(C.labels):
         y = representative(F, L)
         want = [0] * len(C.labels)
@@ -394,22 +396,21 @@ def test_direct_columns_match_literal_products(pa):
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
 def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
-    """A fill reads no fiber from the group table: each fiber is built a
+    """A fill reads no class fiber through _fiber: each fiber is built a
     chunk at a time from its trace, and each chunk, those of trace +-2
     included, once, and kept, so every later walk of a chunk, in the same
     pass or another, reads the same object.  A pass with no known rows walks
     no chunk of a semisimple row whose negation partner is the lesser index
     (the pass walks the partner and negates its mask)."""
     F = make_field(*pa)
-    T = enumerate_sl2(F)
     C = class_index(F, "sl2")
 
-    def fiber_read(self, L):
+    def fiber_read(F, L):
         raise AssertionError(f"the fill read the fiber of {L}")
-    monkeypatch.setattr(oracle.GroupTable, "fiber", fiber_read)
-    oracle._sl2_products(T)
+    monkeypatch.setattr(oracle, "_fiber", fiber_read)
+    oracle._sl2_products(F)
     walked = _walked_chunks(monkeypatch, F)
-    direct = oracle._direct_columns(T)
+    direct = oracle._direct_columns(F)
     first = next(k for k, L in enumerate(C.labels) if L.is_semisimple)
     direct(first)
     negated = {L for L in C.labels
@@ -433,19 +434,18 @@ def test_known_rows_stay_as_given(monkeypatch, F, semisimple):
     first semisimple class; the known rows are every row of trace +-2 and
     every other semisimple row, which a pass reads its duals from, or I and
     -I alone, as in the pass of U[1]."""
-    T = enumerate_sl2(F)
     C = class_index(F, "sl2")
     n = len(C.labels)
-    S = oracle._sl2_products(T)
+    S = oracle._sl2_products(F)
     j = next(k for k, L in enumerate(C.labels) if L.is_semisimple) if semisimple \
         else C.at(SL2Label("U", 1))
-    want = oracle._direct_columns(T)(j)
+    want = oracle._direct_columns(F)(j)
     walked = _walked_chunks(monkeypatch, F)
     for rows in ([i for i, L in enumerate(C.labels) if not L.is_semisimple or i % 2],
                  [C.at(SL2Label("I")), C.at(SL2Label("-I"))]):
         known = {i: S.pair(i, j) for i in rows}
         walked.clear()
-        got = oracle._direct_columns(T)(j, known)
+        got = oracle._direct_columns(F)(j, known)
         for i in range(n):
             assert got[i] == known.get(i, want[i]), (rows, str(C.labels[i]))
         assert walked
@@ -692,8 +692,8 @@ def test_verify_reports_containment_failures(monkeypatch):
     orig, C = oracle._sl2_products, class_index(F, "sl2")
     ss6 = C.at(SL2Label("SS", 6))
 
-    def broken(T):
-        table = orig(T)
+    def broken(F):
+        table = orig(F)
         return ProductTable(table.classes, lambda i, j: table.pair(i, j) & ~(1 << ss6))
     monkeypatch.setattr(oracle, "_sl2_products", broken)
     C.brute = None
@@ -723,14 +723,13 @@ def _reference_tables(F, kind):
     """The class index, law table, brute table and the Mismatch of a cell
     whose law mask got differs from its brute mask want."""
     C = class_index(F, kind)
-    T = enumerate_sl2(F)
-    law, brute = laws.law_table(F, kind), oracle._product_table(T, kind)
+    law, brute = laws.law_table(F, kind), oracle._product_table(F, kind)
 
     def mismatch(cell, got, want):
         missing = want & ~got
         return oracle.Mismatch(
             tuple(C.labels[i] for i in cell), _names(C, got), _names(C, want),
-            oracle._counterexample(T, kind, brute, cell, missing) if missing else None)
+            oracle._counterexample(F, kind, brute, cell, missing) if missing else None)
     return C, law, brute, mismatch
 
 
@@ -815,8 +814,8 @@ def test_grouped_triples_match_per_triple_check_broken_brute(monkeypatch):
     orig, C = oracle._sl2_products, class_index(F, "sl2")
     ss6 = C.at(SL2Label("SS", 6))
 
-    def broken(T):
-        table = orig(T)
+    def broken(F):
+        table = orig(F)
         return ProductTable(table.classes, lambda i, j: table.pair(i, j) & ~(1 << ss6))
     monkeypatch.setattr(oracle, "_sl2_products", broken)
     C.brute = None
@@ -836,7 +835,7 @@ def test_grouped_triples_match_per_triple_check_shared_gap():
     results promise containment, as one check per triple does."""
     F = FieldCtx(5, 1)
     C = class_index(F, "sl2")
-    true = oracle._product_table(enumerate_sl2(F), "sl2")
+    true = oracle._product_table(F, "sl2")
     ss0 = C.at(SL2Label("SS", 0))
     assert laws.law_table(F, "sl2").closed is None
     C.law = ProductTable(C, lambda i, j: true.pair(i, j) & ~(1 << ss0))
@@ -866,7 +865,7 @@ def _compose_covering_numbers(F, kind):
     """covering_numbers with one ProductTable.compose per (mask, class), as
     it was before the row folds."""
     C = class_index(F, kind)
-    P = oracle._product_table(enumerate_sl2(F), kind)
+    P = oracle._product_table(F, kind)
     noncentral = range(C.n_central, len(C.labels))
 
     def least(level, step):
@@ -903,7 +902,7 @@ def test_covering_numbers_match_compose_reference_planted(monkeypatch):
     for kind, (U1, U3), gone in (("sl2", U13, SL2Label("SS", 6)),
                                  ("psl2", PU13, PSLLabel("PNSS", 3))):
         C = class_index(F, kind)
-        true = oracle._product_table(enumerate_sl2(F), kind)
+        true = oracle._product_table(F, kind)
         u1, u3, g = C.at(U1), C.at(U3), C.at(gone)
         plants = {
             (2, 2): lambda i, j: C.full if min(i, j) >= C.n_central else true.pair(i, j),
