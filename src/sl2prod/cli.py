@@ -210,20 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_classes)
 
+    dash = ", after -- if one starts with - (as -I does)"
+
     sp = sub.add_parser("product", help="closed-form product of two classes")
     common(sp)
-    sp.add_argument("labels", nargs=2, help="two class labels")
+    sp.add_argument("labels", nargs=2, help="two class labels" + dash)
     sp.set_defaults(fn=_cmd_product)
 
     sp = sub.add_parser("triple", help="product of three classes")
     common(sp)
-    sp.add_argument("labels", nargs=3, help="three class labels")
+    sp.add_argument("labels", nargs=3, help="three class labels" + dash)
     sp.set_defaults(fn=_cmd_triple)
 
     sp = sub.add_parser("witness", help="factor a matrix across two classes")
     common(sp)
     sp.add_argument("matrix", help='target matrix "[[a,b],[c,d]]"')
-    sp.add_argument("labels", nargs=2, help="two class labels")
+    sp.add_argument("labels", nargs=2, help="two class labels" + dash)
     sp.set_defaults(fn=_cmd_witness)
 
     sp = sub.add_parser("macbeath", help="trace triple realization A*B*C = I")

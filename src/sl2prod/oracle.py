@@ -12,15 +12,16 @@ as the fill reads every class as chunks of its trace fiber.
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
   and y a fixed representative of C_j, so one pass over the group per y can
   fill column j (see _direct_columns): tr(x * y) is read from q x q add and
-  mul tables, a trace other than +-2 fixes the class, and a class of trace
-  +-2 comes by duality.  Only the lesser class of each negation pair other
-  than {I, -I} takes a pass, (q+3)/2 at every q, as C_i * (-C_j) =
-  -(C_i * C_j).  A pass walks only the rows whose own column is still
-  missing, one of each negation pair, a chunk of its trace fiber at a time
-  (built when first reached, and kept) until all q traces are seen; only the
-  passes of U[1] and U[nu] walk the classes of trace +-2, which every later
-  pass finds among its known rows.  At q = 27 and 31 the 32 passes walk
-  80635 traces, not 206222.
+  mul tables, and a trace other than +-2 fixes the class.  Only the lesser
+  class of each negation pair other than {I, -I} takes a pass, (q+3)/2 at
+  every q, as C_i * (-C_j) = -(C_i * C_j).  A pass walks only the rows whose
+  own column is still missing, one of each negation pair, a chunk of its
+  trace fiber at a time (built when first reached, and kept).  A row of
+  trace +-2 is walked whole and classifies its products of trace +-2; only
+  the passes of U[1] and U[nu] walk such rows.  A semisimple row stops once
+  it has seen all q traces, and reads each class D of trace +-2 from the
+  filled row of D^-1.  At q = 27 and 31 the 32 passes walk 73875 traces,
+  not 206222.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -36,7 +37,7 @@ as the fill reads every class as chunks of its trace fiber.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 251 before building anything; on a shared 2-core host
-(Python 3.11), `sl2prod verify --field 251` peaks at 62 MB max RSS.
+(Python 3.11), `sl2prod verify --field 251` peaks at 60 MB max RSS.
 """
 
 from __future__ import annotations
@@ -111,18 +112,17 @@ def _direct_columns(F: FieldCtx):
     and its fiber is not walked.  Rows come in negation pairs, and
     (-C_i) * C_j = -(C_i * C_j): of each pair of missing rows the pass walks
     the lesser (or the only missing one) and negates its mask for the other.
-    A walked row takes the semisimple classes of the traces tr(x y), x in
-    C_i.  A class D of trace +-2 goes in by duality, D in C_i * C_j iff
-    C_i^-1 meets C_j * D^-1.  When every row of trace +-2 is known, the
-    walked rows are semisimple, so real, and bit D of row i is bit i of the
-    known row of D^-1.  Otherwise (the passes of U[1] and U[nu]) the pass
-    walks each D with w = y^-1 (or y for semisimple C_j, as then y^-1 is
-    conjugate to y): D goes into a semisimple row when tr(z w) = tr(C_i) for
-    some z in D, and into a row of trace +-2 when classify_sl2 puts some
-    z w there.
+    The pass fills its missing rows in class order, so the six rows of trace
+    +-2 come first.  A walked row of trace +-2 reads its whole class x
+    against y: a trace tr(x y) other than +-2 sets its semisimple class, and
+    classify_sl2 places a product of trace +-2.  A walked semisimple row
+    takes the semisimple classes of its traces, and a class D of trace +-2
+    as bit i of the row of D^-1, filled by then: D in C_i * C_j iff C_i in
+    D^-1 * C_j, as C_i is real.
 
     A walk reads a class as chunks of its trace-t fiber, each built on
-    first reach and kept, and a row's trace set stops at all q traces.
+    first reach and kept, and a semisimple row's trace set stops at all q
+    traces.
     Chunk b != 0 holds (a, b, (a(t - a) - 1)/b, t - a) over every a, and
     chunk 0 the (a, 0, c, t - a) with a(t - a) = 1.  A semisimple class is
     its whole fiber: every b, and every c.  At t = +-2, with s = t/2, the
@@ -177,29 +177,17 @@ def _direct_columns(F: FieldCtx):
         masks = [known.get(i, 0) for i in range(len(C.labels))]
         missing = set(range(len(C.labels))) - known.keys()
         walked = {min(i, neg[i]) if neg[i] in missing else i for i in missing}
-        for i in walked:
-            masks[i] = sum(1 << row[t] for t in _trace_set(of_y(i), q) if t in row)
-        if missing.isdisjoint(pm2):     # D in C_i * C_j iff C_i in C_j * D^-1, C_i real
-            for i in walked:
-                masks[i] |= sum(1 << k for k, r in pm2.items() if known[r] >> i & 1)
-        else:
-            w = y if C.labels[j].is_semisimple else mat_inv(F, y)
-            of_w = traces(w)
-            for k in pm2:
-                duals = set()       # tr(z w) for z in C_k
-                for (us, vs), ts in zip(chunks(k), of_w(k)):
-                    duals.update(ts)
+        for i in sorted(missing):               # the rows of trace +-2 come first
+            if i not in walked:
+                masks[i] = _image(neg, masks[neg[i]])
+            elif i in pm2:                      # its whole class, against y
+                for (us, vs), ts in zip(chunks(i), of_y(i)):
                     for u, v, t in zip(us, vs, ts):
-                        if t not in row:
-                            z = (*divmod(u, q), *divmod(v, q))
-                            i = C.at(classify_sl2(F, mat_mul(F, z, w), check=False))
-                            if i in walked:
-                                masks[i] |= 1 << k
-                for t in duals:
-                    if row.get(t) in walked:
-                        masks[row[t]] |= 1 << k
-        for i in missing - walked:
-            masks[i] = _image(neg, masks[neg[i]])
+                        masks[i] |= 1 << (row[t] if t in row else C.at(classify_sl2(
+                            F, mat_mul(F, (*divmod(u, q), *divmod(v, q)), y), check=False)))
+            else:       # D in C_i * C_j iff C_i in D^-1 * C_j, as C_i is real
+                masks[i] = sum(1 << row[t] for t in _trace_set(of_y(i), q) if t in row)
+                masks[i] |= sum(1 << k for k, r in pm2.items() if masks[r] >> i & 1)
         return masks
     return column
 

@@ -169,6 +169,25 @@ def test_usage_error_exit_2():
         assert code == 2 and out == "", argv
 
 
+def test_dash_label_needs_double_dash():
+    """A label that starts with -, as -I does, reads as an option unless it
+    comes after --: product, triple and witness then take it as a label,
+    and without -- exit 2 with nothing on stdout."""
+    for argv, want in ((["product", "--field", "7", "-I", "U[1]"], ["NU[3]"]),
+                       (["triple", "--field", "7", "-I", "I", "U[1]"], ["NU[3]"]),
+                       (["witness", "--field", "7", "[[6,6],[0,6]]", "-I", "U[1]"], None)):
+        code, out, _ = run_cli(argv)
+        assert code == 2 and out == "", argv
+        code, out, _ = run_cli([*argv[:3], "--", *argv[3:]])
+        assert code == 0, argv
+        if want is None:
+            assert json.loads(out)["found"] is True
+        else:
+            assert json.loads(out)["classes"] == want
+    code, out, _ = run_cli(["product", "--field", "7", "--", "-I", "-I"])
+    assert code == 0 and json.loads(out)["classes"] == ["I"]
+
+
 def test_domain_error_exit_3(no_group_table):
     """Bad input exits 3 with one error line and nothing on stdout.  verify
     and covering above the oracle's enumeration bound are refused before a

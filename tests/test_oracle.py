@@ -237,13 +237,15 @@ def test_certify_fold_walks(monkeypatch):
 
 
 def test_certify_trace_walks(monkeypatch):
-    """The SL2 fills at q = 27 and 31, from fresh fields, walk 80635 trace
-    elements tr(x w): a row's traces are read a chunk of q at a time and only
-    until all q have been seen, and only the passes of U[1] and U[nu] walk the
-    dual traces of the classes D of trace +-2, the others reading D from
-    known rows.  A semisimple row reads its chunks b = 1 ... q - 1 first,
-    then that of b = 0.  Packed fibers in stride q walked 82573, and walking
-    each fiber whole, both classes of each dual pair included, 206222."""
+    """The SL2 fills at q = 27 and 31, from fresh fields, walk 73875 trace
+    elements tr(x y): a semisimple row's traces are read a chunk of q at a
+    time and only until all q have been seen, and it reads each class D of
+    trace +-2 from the filled row of D^-1; only the rows of trace +-2 are
+    walked whole.  A semisimple row reads its chunks b = 1 ... q - 1 first,
+    then that of b = 0.  When the passes of U[1] and U[nu] also walked the
+    dual traces of every class of trace +-2 against y^-1, the fills walked
+    80635; packed fibers in stride q walked 82573, and walking each fiber
+    whole, both classes of each dual pair included, 206222."""
     walked, traces = [], oracle._traces
 
     def counted(*args):
@@ -253,7 +255,7 @@ def test_certify_trace_walks(monkeypatch):
     monkeypatch.setattr(oracle, "_traces", counted)
     for pa in ((3, 3), (31, 1)):
         oracle._sl2_products(FieldCtx(*pa))
-    assert sum(walked) == 80635
+    assert sum(walked) == 73875
 
 
 def _walked_chunks(monkeypatch, F):
@@ -276,24 +278,21 @@ def test_chunks_hold_the_fiber(monkeypatch, pa):
     """Walked whole, the chunks of each class, those of trace +-2 and of +-I
     included, hold exactly its GroupTable fiber, each element once.  Each
     class is walked on its own: every other row is known, so the pass of I
-    walks that row alone, and for a class of trace +-2 walks the dual
-    traces of every class of trace +-2 too, which reads the same kept
-    chunks; so a chunk is counted once, by its identity."""
+    walks that row alone, and reads no chunk of any other class, those of
+    trace +-2 included."""
     F = FieldCtx(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
     n = len(C.labels)
-    pm2 = {L for L in C.labels if not L.is_semisimple}
     monkeypatch.setattr(oracle, "_trace_set",
                         lambda chunks, q: {t for chunk in chunks for t in chunk})
     walked = _walked_chunks(monkeypatch, F)
     for i, L in enumerate(C.labels):
         walked.clear()
         oracle._direct_columns(F)(0, {k: 0 for k in range(n) if k != i})
-        assert {K for K, _, _ in walked} == (pm2 if L in pm2 else {L})
-        chunks = {id(vs): (us, vs) for K, us, vs in walked if K == L}
+        assert {K for K, _, _ in walked} == {L}
         got = [(*divmod(u, F.q), *divmod(v, F.q))
-               for us, vs in chunks.values() for u, v in zip(us, vs)]
+               for _, us, vs in walked for u, v in zip(us, vs)]
         assert sorted(got) == sorted(T.fiber(L)), str(L)
 
 
@@ -361,9 +360,11 @@ def test_certify_law_evaluations(monkeypatch):
 @pytest.mark.parametrize("pa", [(3, 3), (31, 1)], ids=["q27", "q31"])
 def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
     """Of the symmetric fill's passes, only those of U[1] and U[nu] walk
-    rows of trace +-2, so only they classify products, each at most 4q of
-    them (the z y^-1 of trace +-2 over the classes z of trace +-2); every
-    later pass knows the rows of trace +-2 and reads their duals there."""
+    rows of trace +-2, so only they classify products, each at most 2q of
+    them (the x y of trace +-2 over the walked rows x of U[1] and U[nu]);
+    every later pass knows the rows of trace +-2 and reads their duals
+    there.  When those two passes also walked every class z of trace +-2
+    against y^-1, each classified up to 4q."""
     F = make_field(*pa)
     classified = []
     _count_passes(monkeypatch, classified)
@@ -371,7 +372,7 @@ def test_only_the_unipotent_pass_classifies(monkeypatch, pa):
     C = class_index(F, "sl2")
     unipotent = [C.at(SL2Label("U", 1)), C.at(SL2Label("U", F.nonsquare_rep))]
     assert [j for j, calls in classified if calls] == unipotent
-    assert all(dict(classified)[j] <= 4 * F.q for j in unipotent)
+    assert all(dict(classified)[j] <= 2 * F.q for j in unipotent)
 
 
 @pytest.mark.parametrize("pa", [*DEFAULT_SUITE, (5, 2)], ids=_qid)
@@ -401,7 +402,9 @@ def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
     included, once, and kept, so every later walk of a chunk, in the same
     pass or another, reads the same object.  A pass with no known rows walks
     no chunk of a semisimple row whose negation partner is the lesser index
-    (the pass walks the partner and negates its mask)."""
+    (the pass walks the partner and negates its mask).  Of the classes of
+    trace +-2, the passes with no known rows walk exactly I, U[1] and
+    U[nu], and negate them for -I, NU[1] and NU[nu]."""
     F = make_field(*pa)
     C = class_index(F, "sl2")
 
@@ -418,11 +421,47 @@ def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
     assert negated and not negated & {L for L, _, _ in walked}
     for j in range(len(C.labels)):
         direct(j)
-    assert {L for L in C.labels if not L.is_semisimple} <= {L for L, _, _ in walked}
+    assert {L for L, _, _ in walked if not L.is_semisimple} == \
+        {SL2Label("I"), SL2Label("U", 1), SL2Label("U", F.nonsquare_rep)}
     kept = {}
     for L, us, vs in walked:
         assert kept.setdefault((L, us[0]), vs) is vs, str(L)
     assert len(kept) < len(walked)
+
+
+@pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
+def test_a_pass_reads_only_the_rows_it_walks(monkeypatch, pa):
+    """Every chunk a pass reads belongs to a row that the pass walks, and
+    each walked row reads one: the rows walked are the missing rows whose
+    negation partner is not a lesser missing row (a class that is its own
+    negation is walked).  So a class of trace +-2 is read only as a row of
+    its own, never for a dual of another row.  Each pass of the symmetric
+    fill is checked, then each pass with no rows known."""
+    F = make_field(*pa)
+    C = class_index(F, "sl2")
+    n = len(C.labels)
+    neg = [C.at(negate_class(F, L)) for L in C.labels]
+    walked = _walked_chunks(monkeypatch, F)
+    passes, direct_columns = [], oracle._direct_columns
+
+    def checked(F):
+        direct = direct_columns(F)
+
+        def column(j, known=None):
+            missing = set(range(n)) - set(known or {})
+            walked.clear()
+            out = direct(j, known)
+            rows = {C.labels[i] for i in missing if neg[i] not in missing or neg[i] >= i}
+            assert {L for L, _, _ in walked} == rows, str(C.labels[j])
+            passes.append(j)
+            return out
+        return column
+    monkeypatch.setattr(oracle, "_direct_columns", checked)
+    oracle._sl2_products(F)
+    direct = oracle._direct_columns(F)
+    for j in range(n):
+        direct(j)
+    assert len(passes) == (F.q + 3) // 2 + n
 
 
 @pytest.mark.parametrize("F", [F7, make_field(3, 2)], ids=["q7", "q9"])
@@ -472,20 +511,37 @@ def literal_pair_product(T, L1, L2):
 
 @pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61[:5], ids=_qid)
 def test_dual_read_matches_literal_products(pa):
-    """The identity by which a pass that knows the rows of trace +-2 reads
-    them, against the literal double loop: for semisimple C_i, C_j and a
+    """The rule by which every walked semisimple row reads its classes of
+    trace +-2, against literal products: for semisimple C_i, C_j and a
     class D of trace +-2, D is in C_i * C_j exactly when C_i is in
     C_j * D^-1 (from x y = d, x^-1 = y d^-1, and C_i is real).
     C_i * C_j = C_j * C_i, as x y = y (y^-1 x y), so each unordered pair is
-    multiplied once and read both ways."""
+    multiplied once and read both ways.  Each fiber is built once.  A cell
+    takes the trace of every product x y literally and classifies those of
+    trace +-2, the only classes of it that are asserted; every product of
+    C_j * D^-1 is classified."""
     F = make_field(*pa)
     T = enumerate_sl2(F)
-    semisimple = [L for L in all_classes_sl2(F) if L.is_semisimple]
-    duals = [D for D in all_classes_sl2(F) if not D.is_semisimple]
-    right = {(B, D): literal_pair_product(T, B, classes.inverse_class(F, D))
+    fibers = {L: T.fiber(L) for L in all_classes_sl2(F)}
+    semisimple = [L for L in fibers if L.is_semisimple]
+    duals = [D for D in fibers if not D.is_semisimple]
+    pm2 = {F.scalar(2), F.neg(F.scalar(2))}
+    add, mul = F.add, [[F.mul(a, e) for e in range(F.q)] for a in range(F.q)]
+
+    def product_classes(xs, ys, traces=None):
+        """The classes of the x y, or of those whose trace ae + bg + cf + dh
+        is in traces."""
+        out = set()
+        for x in xs:
+            a, b, c, d = (mul[v] for v in x)
+            out.update(classify_sl2(F, mat_mul(F, x, y), check=False) for y in ys
+                       if traces is None or
+                       add(add(a[y[0]], b[y[2]]), add(c[y[1]], d[y[3]])) in traces)
+        return out
+    right = {(B, D): product_classes(fibers[B], fibers[classes.inverse_class(F, D)])
              for B in semisimple for D in duals}
     for A, B in itertools.combinations_with_replacement(semisimple, 2):
-        cell = literal_pair_product(T, A, B)
+        cell = product_classes(fibers[A], fibers[B], pm2)
         for D in duals:
             assert (D in cell) == (A in right[B, D]) == (B in right[A, D]), \
                 (str(A), str(B), str(D))
