@@ -10,18 +10,17 @@ Both tables live on the field's class indices; the group is kept nowhere,
 as the fill reads every class as chunks of its trace fiber.
 
 - SL2: every element of C_i * C_j is conjugate to some x * y with x in C_i
-  and y a fixed representative of C_j, so one pass over the group per y can
-  fill column j (see _direct_columns): tr(x * y) is read from q x q add and
-  mul tables, and a trace other than +-2 fixes the class.  Only the lesser
-  class of each negation pair other than {I, -I} takes a pass, (q+3)/2 at
-  every q, as C_i * (-C_j) = -(C_i * C_j).  A pass walks only the rows whose
-  own column is still missing, one of each negation pair, a chunk of its
-  trace fiber at a time (built when first reached, and kept).  A row of
-  trace +-2 is walked whole and classifies its products of trace +-2; only
-  the passes of U[1] and U[nu] walk such rows.  A semisimple row stops once
-  it has seen all q traces, and reads each class D of trace +-2 from the
-  filled row of D^-1.  At q = 27 and 31 the 32 passes walk 73875 traces,
-  not 206222.
+  and y a fixed representative of C_j, so one pass per y can fill column j
+  (see _direct_columns), and a trace tr(x y) other than +-2 fixes the
+  class.  Only the lesser class of each negation pair other than {I, -I}
+  takes a pass, (q+3)/2 at every q, as C_i * (-C_j) = -(C_i * C_j), and a
+  pass walks one of each negation pair of the rows whose column is still
+  missing.  A row of trace +-2 reads its class element by element and
+  classifies its products of trace +-2 (only the passes of U[1] and U[nu]
+  walk such rows).  A semisimple row reads the traces of each chunk of its
+  fiber as one mask, by completing the square, and each class D of trace
+  +-2 from the filled row of D^-1.  At q = 27 and 31 the fills walk 2532
+  elements and read 2508 chunk masks, where whole fibers were 206222 traces.
 - PSL2: cells are projected from SL2 cells.  For SL2 lifts D1, D2 of P1, P2
   the other lifts are -D1, -D2, and switching a lift only negates the
   product set, which projection erases; so P1 * P2 is the projection of
@@ -37,7 +36,7 @@ as the fill reads every class as chunks of its trace fiber.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 251 before building anything; on a shared 2-core host
-(Python 3.11), `sl2prod verify --field 251` peaks at 60 MB max RSS.
+(Python 3.11), `sl2prod verify --field 251` takes about 1 s at 36 MB max RSS.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ from array import array
 from typing import NamedTuple
 
 from .field import FieldCtx
-from .mat2 import Mat, iter_trace_fiber, mat_inv, mat_mul, mat_trace
+from .mat2 import (Mat, iter_trace_fiber, mat_inv, mat_mul, mat_trace,
+                   quadratic_roots)
 from .classes import (PSLLabel, ProductTable, SL2Label, all_classes_sl2,
                       bits, class_index, classify_sl2, inverse_class,
                       negate_class, psl_lift_pair, psl_project, representative)
@@ -105,31 +105,31 @@ def _product_table(F: FieldCtx, kind: str) -> ProductTable:
     return C.brute
 
 
-def _direct_columns(F: FieldCtx):
-    """The base case of the SL2 table: column(j, known) is the list of the
-    masks of C_i * C_j over all i, from one pass over the group with the
-    representative y of C_j; a row i in the dict known is its mask there,
-    and its fiber is not walked.  Rows come in negation pairs, and
-    (-C_i) * C_j = -(C_i * C_j): of each pair of missing rows the pass walks
-    the lesser (or the only missing one) and negates its mask for the other.
-    The pass fills its missing rows in class order, so the six rows of trace
-    +-2 come first.  A walked row of trace +-2 reads its whole class x
-    against y: a trace tr(x y) other than +-2 sets its semisimple class, and
-    classify_sl2 places a product of trace +-2.  A walked semisimple row
-    takes the semisimple classes of its traces, and a class D of trace +-2
-    as bit i of the row of D^-1, filled by then: D in C_i * C_j iff C_i in
-    D^-1 * C_j, as C_i is real.
+def _direct_columns(F: FieldCtx, negate=None):
+    """The base case of the SL2 table: column(j, known) lists the masks of
+    C_i * C_j over all i, from one pass with the representative y of C_j; a
+    row i in the dict known is its mask there, and is not walked.  As
+    (-C_i) * C_j = -(C_i * C_j), of each negation pair of missing rows the
+    pass walks the lesser (or the only missing one) and gives the other
+    negate(mask), the fill's memo of _image(neg, mask) or the pass's own.
+    Missing rows are filled in class order, the six of trace +-2 first.  A
+    walked row of trace +-2 reads its whole class x against y, packed on
+    first reach and kept (at t = 2s, x = (a, b, c, t - a) with b != 0 has
+    c = -(a - s)^2/b, in U or NU[class(b)], and with b = 0 it is s I or in
+    U or NU[class(-c)]): a trace tr(x y) other than +-2 sets its semisimple
+    class, and classify_sl2 places a product of trace +-2.
 
-    A walk reads a class as chunks of its trace-t fiber, each built on
-    first reach and kept, and a semisimple row's trace set stops at all q
-    traces.
-    Chunk b != 0 holds (a, b, (a(t - a) - 1)/b, t - a) over every a, and
-    chunk 0 the (a, 0, c, t - a) with a(t - a) = 1.  A semisimple class is
-    its whole fiber: every b, and every c.  At t = +-2, with s = t/2, the
-    element of chunk b != 0 has c = -(a - s)^2/b, so it lies in U or NU
-    [class(b)], and chunk 0 holds (s, 0, c, s), which is s I at c = 0 and
-    in U or NU[class(-c)] otherwise: U or NU[e] walks the b and c != 0 of
-    square class e, and +-I (param 0, the class of 0 here) only c = 0."""
+    A walked semisimple row of trace t ORs one q-bit trace mask per chunk
+    of its fiber until it holds every semisimple trace (_saturate).  Chunk
+    b != 0 holds (a, b, (a(t - a) - 1)/b, t - a) over every a, and chunk 0,
+    read first, the (a, 0, c, t - a) with a(t - a) = 1 over every c.  For
+    y = [[e, f], [g, h]], tr(x y) on chunk b != 0 is A a^2 + B a + C with
+    A = -f/b, B = e - h + t f/b and C = t h + b g - f/b, so for f != 0 its
+    image is v + A (squares and 0), v = C - B^2/4A = t (e + h)/2 +
+    b (g + (e - h)^2/4f) + (t^2/4 - 1) f/b; for f = 0 it is linear.  Chunk 0
+    is f c plus a constant, so an SS row with f != 0 saturates at once.  A
+    class D of trace +-2 is bit i of the row of D^-1, filled by then: D in
+    C_i * C_j iff C_i in D^-1 * C_j, as C_i is real."""
     q = F.q
     C = class_index(F, "sl2")
     ADD = [F.add(x, y) for x in range(q) for y in range(q)]    # ADD[x*q + y]
@@ -138,55 +138,74 @@ def _direct_columns(F: FieldCtx):
     pm2 = {k: C.at(inverse_class(F, L)) for k, L in enumerate(C.labels)
            if not L.is_semisimple}      # each class of trace +-2: its inverse
     neg = _negation(F, C)
-    spans = [list(range(b, q * q, q)) for b in range(q)]      # u = a*q + b over every a
+    negate = negate or functools.cache(lambda mask: _image(neg, mask))
     inv = [0] + [F.inv(b) for b in range(1, q)]
     minus = [F.neg(x) for x in range(q)]
-    less1 = [F.sub(x, 1) * q for x in range(q)]                 # (x - 1) q
     square = [0] + [F.square_class(x) for x in range(1, q)]
-    bs, cs, ds, ms = [], [], [], []     # per class: its chunks' b, chunk 0's c, d, (ad - 1) q
-    for L in C.labels:
-        t = mat_trace(F, representative(F, L))
-        whole = L.is_semisimple
-        bs.append((*(b for b in range(1, q) if whole or square[b] == L.param), 0))
-        cs.append([c for c in range(q) if whole or square[minus[c]] == L.param])
-        ds.append([ADD[t * q + x] for x in minus])                      # d = t - a
-        ms.append([less1[MUL[a * q + d]] for a, d in enumerate(ds[-1])])
+    half, quarter = F.inv(F.scalar(2)), F.inv(F.scalar(4))
+    every, traces_ss = (1 << q) - 1, sum(1 << t for t in row)
+    classes_ss = sum(1 << k for k in row.values())
+    squares = {MUL[x * q + x] for x in range(q)}      # and 0
+    shifted = {e: [sum({1 << ADD[v * q + MUL[e * q + s]] for s in squares}) for v in range(q)]
+               for e in (0, 1, F.nonsquare_rep)}    # shifted[e][v]: v + e (squares and 0)
 
     @functools.cache
-    def chunk(i, b):    # b != 0: (a, b, (ad - 1)/b, d) over every a; 0: (a, 0, c, d), ad = 1
-        if b:
-            return spans[b], array("l", [MUL[m + inv[b]] * q + d for m, d in zip(ms[i], ds[i])])
-        eig = [a for a, m in enumerate(ms[i]) if m == 0]
-        return (array("l", [a * q for a in eig for _ in cs[i]]),
-                array("l", [c * q + ds[i][a] for a in eig for c in cs[i]]))
-
-    def chunks(i):
-        return (chunk(i, b) for b in bs[i])
+    def packed(i):      # C_i of trace +-2 as u = a*q + b and v = c*q + d
+        s, cls = representative(F, C.labels[i])[0], C.labels[i].param    # s = t/2 = +-1
+        t = ADD[s * q + s]
+        ds = [ADD[t * q + x] for x in minus]                                    # d = t - a
+        ms = [ADD[MUL[a * q + d] * q + minus[1]] * q for a, d in enumerate(ds)]  # (ad - 1) q
+        bs = [b for b in range(1, q) if square[b] == cls]
+        cs = [c for c in range(q) if square[minus[c]] == cls]
+        return (array("l", [a * q + b for b in bs for a in range(q)] + [s * q] * len(cs)),
+                array("l", [MUL[m + inv[b]] * q + d for b in bs for m, d in zip(ms, ds)]
+                      + [c * q + s for c in cs]))
 
     def traces(w):
-        """traces(w)(i) yields tr(x w) = ae + bg + cf + dh over x in C_i, a chunk at a time."""
+        """left and right, so that tr(x w) = ae + bg + cf + dh is _traces over the packed x."""
         me, mf, mg, mh = (MUL[v * q:(v + 1) * q] for v in w)
         left = [ADD[x + g] * q for x in [e * q for e in me] for g in mg]     # at a*q + b
         right = [ADD[x + h] for x in [f * q for f in mf] for h in mh]       # at c*q + d
-        return lambda i: (_traces(ADD, left, right, us, vs) for us, vs in chunks(i))
+        return left, right
+
+    def images(y):
+        """images(y)(t) yields the trace mask of each chunk of the trace-t
+        fiber against y, chunk 0 first: chunk b != 0 at v = k + b gf + dt fb."""
+        e, f, g, h = y
+        eh = ADD[e * q + minus[h]]
+        mid, gf, line = h, g, [every] * q if eh else shifted[0]     # f = 0: v = t h + b g
+        if f:
+            mid = MUL[ADD[e * q + h] * q + half]
+            gf = ADD[g * q + MUL[MUL[MUL[eh * q + eh] * q + quarter] * q + inv[f]]]
+        per_b = [(MUL[b * q + gf], fb, shifted[square[minus[fb]]] if f else line)
+                 for b, fb in ((b, MUL[f * q + inv[b]]) for b in range(1, q))]
+
+        def chunks(t):
+            th, eig = MUL[t * q + h], quadratic_roots(F, 1, minus[t], 1)    # a(t - a) = 1
+            yield every if f and eig else sum({1 << ADD[MUL[a * q + eh] * q + th] for a in eig})
+            k, dt = MUL[t * q + mid] * q, ADD[MUL[MUL[t * q + t] * q + quarter] * q + minus[1]] * q
+            for bg, fb, masks in per_b:
+                yield masks[ADD[ADD[k + bg] * q + MUL[dt + fb]]]
+        return chunks
 
     def column(j, known=None):
         known = known or {}
         y = representative(F, C.labels[j])
-        of_y = traces(y)
+        of_y, chunks = None, images(y)
         masks = [known.get(i, 0) for i in range(len(C.labels))]
         missing = set(range(len(C.labels))) - known.keys()
         walked = {min(i, neg[i]) if neg[i] in missing else i for i in missing}
         for i in sorted(missing):               # the rows of trace +-2 come first
             if i not in walked:
-                masks[i] = _image(neg, masks[neg[i]])
+                masks[i] = negate(masks[neg[i]])
             elif i in pm2:                      # its whole class, against y
-                for (us, vs), ts in zip(chunks(i), of_y(i)):
-                    for u, v, t in zip(us, vs, ts):
-                        masks[i] |= 1 << (row[t] if t in row else C.at(classify_sl2(
-                            F, mat_mul(F, (*divmod(u, q), *divmod(v, q)), y), check=False)))
+                of_y = of_y or traces(y)
+                for u, v, t in zip(*packed(i), _traces(ADD, *of_y, *packed(i))):
+                    masks[i] |= 1 << (row[t] if t in row else C.at(classify_sl2(
+                        F, mat_mul(F, (*divmod(u, q), *divmod(v, q)), y), check=False)))
             else:       # D in C_i * C_j iff C_i in D^-1 * C_j, as C_i is real
-                masks[i] = sum(1 << row[t] for t in _trace_set(of_y(i), q) if t in row)
+                ts = _saturate(chunks, C.labels[i].param, traces_ss) & traces_ss
+                masks[i] = classes_ss if ts == traces_ss else sum(1 << row[t] for t in bits(ts))
                 masks[i] |= sum(1 << k for k, r in pm2.items() if masks[r] >> i & 1)
         return masks
     return column
@@ -197,14 +216,14 @@ def _traces(ADD, left, right, us, vs) -> list[int]:
     return [ADD[left[u] + right[v]] for u, v in zip(us, vs)]
 
 
-def _trace_set(chunks, q: int) -> set[int]:
-    """The traces of chunks, read only until all q have been seen."""
-    seen = set()
-    for chunk in chunks:
-        seen.update(chunk)
-        if len(seen) == q:
+def _saturate(chunks, t: int, full: int) -> int:
+    """The OR of the trace masks chunks(t), read only until it holds full."""
+    out = 0
+    for mask in chunks(t):
+        out |= mask
+        if out & full == full:
             break
-    return seen
+    return out
 
 
 def _image(perm, mask: int) -> int:
@@ -230,8 +249,9 @@ def _sl2_products(F: FieldCtx) -> ProductTable:
     (r, i)."""
     C = class_index(F, "sl2")
     n = len(C.labels)
-    direct, neg = _direct_columns(F), _negation(F, C)
+    neg = _negation(F, C)
     negate = functools.cache(lambda mask: _image(neg, mask))     # columns share most masks
+    direct = _direct_columns(F, negate)
     columns: dict[int, list[int]] = {}
     for r in range(n):
         if r not in columns:
@@ -246,7 +266,8 @@ def _psl_products(F: FieldCtx, S: ProductTable) -> ProductTable:
     C = class_index(F, "psl2")
     project = [C.at(psl_project(F, L)) for L in S.classes.labels]
     lift = [S.classes.at(psl_lift_pair(F, P)[0]) for P in C.labels]
-    return ProductTable(C, lambda i, j: _image(project, S.pair(lift[i], lift[j])))
+    image = functools.cache(lambda mask: _image(project, mask))    # cells share most masks
+    return ProductTable(C, lambda i, j: image(S.pair(lift[i], lift[j])))
 
 
 def _rows(P: ProductTable) -> list[int]:

@@ -1,10 +1,12 @@
 """Oracle internals: enumeration, fibers, brute products, covering numbers,
 commutator sets."""
 
+import functools
 import io
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
@@ -24,6 +26,7 @@ from sl2prod import (EnumerationBoundError, PSLLabel, SL2Label,
 from sl2prod.classes import ProductTable, class_index, negate_class
 from sl2prod.cli import DEFAULT_SUITE, main as cli_main
 from sl2prod.field import FieldCtx
+from sl2prod.mat2 import iter_trace_fiber
 
 from conftest import ODD_PRIME_POWERS_TO_31, ODD_PRIME_POWERS_TO_61, _qid
 
@@ -143,38 +146,39 @@ def test_brute_pair_golden():
 
 
 def _count_passes(monkeypatch, classified=None):
-    """Record (class, missing rows, fiber rows walked) for every column that
-    takes a group pass.  The rows given as known are not missing; of the
-    missing rows, those the pass sets to the negated mask of their partner
-    (one _image call each) are not walked.  The list classified, if given,
-    gets (class, classify_sl2 calls) for each pass."""
+    """Record (class, missing rows, rows walked) for every column that takes
+    a group pass.  The rows given as known are not missing; of the missing
+    rows, those the pass sets to the negated mask of their partner are not
+    walked.  A walked row of trace +-2 reads its class through one
+    oracle._traces call, and a walked semisimple row its chunk masks through
+    one oracle._saturate call, so the rows walked are counted as those
+    calls.  The list classified, if given, gets (class, classify_sl2 calls)
+    for each pass."""
     passes, direct_columns = [], oracle._direct_columns
-    calls, classify, image = [0, 0], oracle.classify_sl2, oracle._image
+    calls = [0, 0]
 
-    def counted_classify(*args, **kwargs):
-        calls[0] += 1
-        return classify(*args, **kwargs)
+    def counting(k, call):
+        def counted(*args, **kwargs):
+            calls[k] += 1
+            return call(*args, **kwargs)
+        return counted
 
-    def counted_image(*args):
-        calls[1] += 1
-        return image(*args)
-
-    def counted(F):
-        direct = direct_columns(F)
+    def counted(F, negate=None):
+        direct = direct_columns(F, negate)
         n = len(all_classes_sl2(F))
 
         def column(j, known=None):
-            missing = n - len(known or {})
-            before, negated = calls
+            before, walked = calls
             out = direct(j, known)
-            passes.append((j, missing, missing - (calls[1] - negated)))
+            passes.append((j, n - len(known or {}), calls[1] - walked))
             if classified is not None:
                 classified.append((j, calls[0] - before))
             return out
         return column
     monkeypatch.setattr(oracle, "_direct_columns", counted)
-    monkeypatch.setattr(oracle, "classify_sl2", counted_classify)
-    monkeypatch.setattr(oracle, "_image", counted_image)
+    monkeypatch.setattr(oracle, "classify_sl2", counting(0, oracle.classify_sl2))
+    for name in ("_traces", "_saturate"):
+        monkeypatch.setattr(oracle, name, counting(1, getattr(oracle, name)))
     return passes
 
 
@@ -237,69 +241,156 @@ def test_certify_fold_walks(monkeypatch):
 
 
 def test_certify_trace_walks(monkeypatch):
-    """The SL2 fills at q = 27 and 31, from fresh fields, walk 73875 trace
-    elements tr(x y): a semisimple row's traces are read a chunk of q at a
-    time and only until all q have been seen, and it reads each class D of
-    trace +-2 from the filled row of D^-1; only the rows of trace +-2 are
-    walked whole.  A semisimple row reads its chunks b = 1 ... q - 1 first,
-    then that of b = 0.  When the passes of U[1] and U[nu] also walked the
-    dual traces of every class of trace +-2 against y^-1, the fills walked
-    80635; packed fibers in stride q walked 82573, and walking each fiber
-    whole, both classes of each dual pair included, 206222."""
-    walked, traces = [], oracle._traces
+    """The SL2 fills at q = 27 and 31, from fresh fields, walk 2532 trace
+    elements tr(x y), all in the 6 rows of trace +-2 that the passes of U[1]
+    and U[nu] walk, and read 2508 chunk masks in their 267 walked
+    semisimple rows: a semisimple row reads the trace set of each chunk of
+    its fiber as one mask, chunk 0 first, and only until it holds every
+    semisimple trace.  When a semisimple row read its traces element by
+    element, a chunk of q at a time until all q had been seen, the fills
+    walked 73875 elements; with the dual walks of the passes of U[1] and
+    U[nu] as well, 80635; packed fibers in stride q walked 82573, and
+    walking each fiber whole, both classes of each dual pair included,
+    206222."""
+    walked, read, traces, saturate = [], [], oracle._traces, oracle._saturate
 
-    def counted(*args):
+    def counted_traces(*args):
         out = traces(*args)
         walked.append(len(out))
         return out
-    monkeypatch.setattr(oracle, "_traces", counted)
+
+    def counted_saturate(chunks, t, full):
+        def counted(t):
+            for mask in chunks(t):
+                read.append(t)
+                yield mask
+        return saturate(counted, t, full)
+    monkeypatch.setattr(oracle, "_traces", counted_traces)
+    monkeypatch.setattr(oracle, "_saturate", counted_saturate)
     for pa in ((3, 3), (31, 1)):
         oracle._sl2_products(FieldCtx(*pa))
-    assert sum(walked) == 73875
+    assert (len(walked), sum(walked)) == (6, 2532)
+    assert len(read) == 2508
 
 
-def _walked_chunks(monkeypatch, F):
-    """Record each nonempty chunk that a walk reads through oracle._traces,
-    as (class, us, vs): a chunk holds elements of one class, so its first
-    element x = [[a, b], [c, d]], with u = a*q + b and v = c*q + d, names it."""
-    walked, traces = [], oracle._traces
+def _walked_rows(monkeypatch, F):
+    """Record each row that a walk reads.  A row of trace +-2 is recorded
+    as (class, us, vs), its packed elements as oracle._traces reads them:
+    its first element x = [[a, b], [c, d]], with u = a*q + b and
+    v = c*q + d, names it.  A semisimple row is recorded as (class, None,
+    None), the class of the trace that oracle._saturate reads its chunk
+    masks for."""
+    walked, traces, saturate = [], oracle._traces, oracle._saturate
+    C = class_index(F, "sl2")
+    semisimple = {L.param: L for L in C.labels if L.is_semisimple}
 
-    def recorded(ADD, left, right, us, vs):
-        if len(us):
-            x = (*divmod(us[0], F.q), *divmod(vs[0], F.q))
-            walked.append((classify_sl2(F, x), us, vs))
+    def recorded_traces(ADD, left, right, us, vs):
+        x = (*divmod(us[0], F.q), *divmod(vs[0], F.q))
+        walked.append((classify_sl2(F, x), us, vs))
         return traces(ADD, left, right, us, vs)
-    monkeypatch.setattr(oracle, "_traces", recorded)
+
+    def recorded_saturate(chunks, t, full):
+        walked.append((semisimple[t], None, None))
+        return saturate(chunks, t, full)
+    monkeypatch.setattr(oracle, "_traces", recorded_traces)
+    monkeypatch.setattr(oracle, "_saturate", recorded_saturate)
     return walked
+
+
+def _chunks_by_b(F, t):
+    """The elements of trace t from iter_trace_fiber, grouped by b: list b
+    is chunk b of the fill."""
+    chunks = [[] for _ in range(F.q)]
+    for x in iter_trace_fiber(F, t):
+        chunks[x[1]].append(x)
+    return chunks
+
+
+def _read_whole(monkeypatch):
+    """Make every semisimple row read all its chunk masks, and return the
+    list that gets (trace, [chunk masks]) of each row read."""
+    rows = []
+
+    def whole(chunks, t, full):
+        rows.append((t, list(chunks(t))))
+        return functools.reduce(operator.or_, rows[-1][1])
+    monkeypatch.setattr(oracle, "_saturate", whole)
+    return rows
 
 
 @pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
 def test_chunks_hold_the_fiber(monkeypatch, pa):
-    """Walked whole, the chunks of each class, those of trace +-2 and of +-I
-    included, hold exactly its GroupTable fiber, each element once.  Each
-    class is walked on its own: every other row is known, so the pass of I
-    walks that row alone, and reads no chunk of any other class, those of
-    trace +-2 included."""
+    """Each class is walked on its own: every other row is known, so the
+    pass of I walks that row alone, and reads no other class, those of
+    trace +-2 included.  A class of trace +-2, those of +-I included, is
+    read as its packed elements, which are exactly its GroupTable fiber,
+    each element once.  A semisimple class of trace t is read as q chunk
+    masks, chunk b for b = 0 ... q - 1, which against I are {t} where the
+    fiber holds an element of that b and empty where it holds none (chunk
+    0 of an NSS class)."""
     F = FieldCtx(*pa)
     T = enumerate_sl2(F)
     C = class_index(F, "sl2")
     n = len(C.labels)
-    monkeypatch.setattr(oracle, "_trace_set",
-                        lambda chunks, q: {t for chunk in chunks for t in chunk})
-    walked = _walked_chunks(monkeypatch, F)
+    rows = _read_whole(monkeypatch)
+    walked = _walked_rows(monkeypatch, F)
     for i, L in enumerate(C.labels):
         walked.clear()
+        rows.clear()
         oracle._direct_columns(F)(0, {k: 0 for k in range(n) if k != i})
-        assert {K for K, _, _ in walked} == {L}
-        got = [(*divmod(u, F.q), *divmod(v, F.q))
-               for _, us, vs in walked for u, v in zip(us, vs)]
-        assert sorted(got) == sorted(T.fiber(L)), str(L)
+        assert [K for K, _, _ in walked] == [L]
+        if L.is_semisimple:
+            chunks = _chunks_by_b(F, L.param)
+            assert rows == [(L.param, [1 << L.param if chunk else 0 for chunk in chunks])]
+            assert any(chunks[0]) == (L.kind == "SS")
+        else:
+            _, us, vs = walked[0]
+            got = [(*divmod(u, F.q), *divmod(v, F.q)) for u, v in zip(us, vs)]
+            assert sorted(got) == sorted(T.fiber(L)), str(L)
+
+
+def _sl2_passes(monkeypatch, F):
+    """The passes of the SL2 fill of F, as _count_passes records them."""
+    with monkeypatch.context() as patched:
+        passes = _count_passes(patched)
+        oracle._sl2_products(F)
+    return passes
+
+
+@pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
+def test_chunk_masks_are_the_literal_traces(monkeypatch, pa):
+    """Completing the square gives each chunk's trace set exactly: for
+    every semisimple class, every representative y that a pass of the fill
+    walks and every chunk b, the chunk's mask equals the set of tr(x y)
+    over the elements x of the fiber with that b, read one by one from
+    iter_trace_fiber (the mask of the empty chunk 0 of an NSS class is 0).
+    Each row is read whole, its saturating stop turned off."""
+    F = FieldCtx(*pa)
+    q = F.q
+    C = class_index(F, "sl2")
+    n = len(C.labels)
+    passes = [j for j, _, _ in _sl2_passes(monkeypatch, F)]
+    rows = _read_whole(monkeypatch)
+    direct = oracle._direct_columns(F)
+    add, mul = ([[op(x, z) for z in range(q)] for x in range(q)] for op in (F.add, F.mul))
+    fibers = {L: _chunks_by_b(F, L.param) for L in C.labels if L.is_semisimple}
+    for j in passes:
+        e, f, g, h = (mul[v] for v in representative(F, C.labels[j]))     # x -> x e, ...
+        for L, chunks in fibers.items():
+            rows.clear()
+            direct(j, {k: 0 for k in range(n) if k != C.at(L)})
+            want = [sum({1 << add[add[e[a]][g[b]]][add[f[c]][h[d]]] for a, b, c, d in chunk})
+                    for chunk in chunks]
+            assert rows == [(L.param, want)], (str(C.labels[j]), str(L))
 
 
 def test_sl2_fill_memory():
-    """The SL2 fill at q = 61 keeps the chunks that its walks reach as
-    arrays: its tracemalloc peak stays at 4 MiB or less, where packing every
-    fiber it walked took 9.3 MiB."""
+    """The SL2 fill at q = 61 builds no chunk of a semisimple fiber and
+    keeps only the packed classes of trace +-2 that its walks reach: its
+    tracemalloc peak stays at 0.5 MiB or less (0.40 MiB measured with
+    Python 3.11), where keeping the semisimple chunks that its walks
+    reached took 1.27 MiB, under a bound of 4 MiB, and packing every fiber
+    it walked 9.3 MiB."""
     F = FieldCtx(61, 1)
     tracemalloc.start()
     try:
@@ -307,19 +398,20 @@ def test_sl2_fill_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20, peak
+    assert peak <= 2 ** 19, peak
 
 
 @pytest.mark.parametrize("pa", ODD_PRIME_POWERS_TO_61, ids=_qid)
 def test_saturating_walk_matches_full_walk(monkeypatch, pa):
-    """The SL2 table whose trace sets stop once they hold all q traces
-    equals the one whose trace sets read every element of the fiber."""
+    """The SL2 table whose semisimple rows stop reading chunk masks once
+    they hold every semisimple trace equals the one whose rows read every
+    chunk mask of the fiber."""
     F = FieldCtx(*pa)
     n = len(all_classes_sl2(F))
     got = oracle._sl2_products(F)
-    monkeypatch.setattr(oracle, "_trace_set",
-                        lambda chunks, q: {t for chunk in chunks for t in chunk})
+    rows = _read_whole(monkeypatch)
     want = oracle._sl2_products(F)
+    assert len(rows) >= (F.q - 1) // 2
     assert [[got._fill(i, j) for i in range(n)] for j in range(n)] == \
         [[want._fill(i, j) for i in range(n)] for j in range(n)]
 
@@ -397,14 +489,14 @@ def test_direct_columns_match_literal_products(pa):
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
 def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
-    """A fill reads no class fiber through _fiber: each fiber is built a
-    chunk at a time from its trace, and each chunk, those of trace +-2
-    included, once, and kept, so every later walk of a chunk, in the same
-    pass or another, reads the same object.  A pass with no known rows walks
-    no chunk of a semisimple row whose negation partner is the lesser index
-    (the pass walks the partner and negates its mask).  Of the classes of
-    trace +-2, the passes with no known rows walk exactly I, U[1] and
-    U[nu], and negate them for -I, NU[1] and NU[nu]."""
+    """A fill reads no class fiber through _fiber: a class of trace +-2 is
+    packed from its trace once, and kept, so every later walk of it, in the
+    same pass or another, reads the same objects, and a semisimple class is
+    read as chunk masks, built from no element.  A pass with no known rows
+    walks no semisimple row whose negation partner is the lesser index (the
+    pass walks the partner and negates its mask).  Of the classes of trace
+    +-2, the passes with no known rows walk exactly I, U[1] and U[nu], and
+    negate them for -I, NU[1] and NU[nu]."""
     F = make_field(*pa)
     C = class_index(F, "sl2")
 
@@ -412,7 +504,7 @@ def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
         raise AssertionError(f"the fill read the fiber of {L}")
     monkeypatch.setattr(oracle, "_fiber", fiber_read)
     oracle._sl2_products(F)
-    walked = _walked_chunks(monkeypatch, F)
+    walked = _walked_rows(monkeypatch, F)
     direct = oracle._direct_columns(F)
     first = next(k for k, L in enumerate(C.labels) if L.is_semisimple)
     direct(first)
@@ -423,29 +515,31 @@ def test_direct_pass_reads_each_fiber_once(monkeypatch, pa):
         direct(j)
     assert {L for L, _, _ in walked if not L.is_semisimple} == \
         {SL2Label("I"), SL2Label("U", 1), SL2Label("U", F.nonsquare_rep)}
+    packed = [(L, us, vs) for L, us, vs in walked if us is not None]
     kept = {}
-    for L, us, vs in walked:
-        assert kept.setdefault((L, us[0]), vs) is vs, str(L)
-    assert len(kept) < len(walked)
+    for L, us, vs in packed:
+        kept_us, kept_vs = kept.setdefault(L, (us, vs))
+        assert kept_us is us and kept_vs is vs, str(L)
+    assert len(kept) < len(packed)
 
 
 @pytest.mark.parametrize("pa", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)], ids=_qid)
 def test_a_pass_reads_only_the_rows_it_walks(monkeypatch, pa):
-    """Every chunk a pass reads belongs to a row that the pass walks, and
-    each walked row reads one: the rows walked are the missing rows whose
-    negation partner is not a lesser missing row (a class that is its own
-    negation is walked).  So a class of trace +-2 is read only as a row of
+    """Every row a pass reads is a row that the pass walks, and each walked
+    row is read once: the rows walked are the missing rows whose negation
+    partner is not a lesser missing row (a class that is its own negation
+    is walked).  So a class of trace +-2 is read only as a row of
     its own, never for a dual of another row.  Each pass of the symmetric
     fill is checked, then each pass with no rows known."""
     F = make_field(*pa)
     C = class_index(F, "sl2")
     n = len(C.labels)
     neg = [C.at(negate_class(F, L)) for L in C.labels]
-    walked = _walked_chunks(monkeypatch, F)
+    walked = _walked_rows(monkeypatch, F)
     passes, direct_columns = [], oracle._direct_columns
 
-    def checked(F):
-        direct = direct_columns(F)
+    def checked(F, negate=None):
+        direct = direct_columns(F, negate)
 
         def column(j, known=None):
             missing = set(range(n)) - set(known or {})
@@ -453,6 +547,7 @@ def test_a_pass_reads_only_the_rows_it_walks(monkeypatch, pa):
             out = direct(j, known)
             rows = {C.labels[i] for i in missing if neg[i] not in missing or neg[i] >= i}
             assert {L for L, _, _ in walked} == rows, str(C.labels[j])
+            assert len(walked) == len(rows), str(C.labels[j])
             passes.append(j)
             return out
         return column
@@ -469,7 +564,7 @@ def test_a_pass_reads_only_the_rows_it_walks(monkeypatch, pa):
 def test_known_rows_stay_as_given(monkeypatch, F, semisimple):
     """Rows given as known, true cells of the brute table, come back as
     given, every other row as the pass with no rows known fills it, and no
-    chunk of a known semisimple row is walked.  The column is U[1] or the
+    known semisimple row is read.  The column is U[1] or the
     first semisimple class; the known rows are every row of trace +-2 and
     every other semisimple row, which a pass reads its duals from, or I and
     -I alone, as in the pass of U[1]."""
@@ -479,7 +574,7 @@ def test_known_rows_stay_as_given(monkeypatch, F, semisimple):
     j = next(k for k, L in enumerate(C.labels) if L.is_semisimple) if semisimple \
         else C.at(SL2Label("U", 1))
     want = oracle._direct_columns(F)(j)
-    walked = _walked_chunks(monkeypatch, F)
+    walked = _walked_rows(monkeypatch, F)
     for rows in ([i for i, L in enumerate(C.labels) if not L.is_semisimple or i % 2],
                  [C.at(SL2Label("I")), C.at(SL2Label("-I"))]):
         known = {i: S.pair(i, j) for i in rows}
