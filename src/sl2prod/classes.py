@@ -275,6 +275,17 @@ def bits(mask: int):
     return compress(count(), bin(mask)[:1:-1].encode().translate(_FLAGS))
 
 
+def _joined(cells: list[int], width: int) -> int:
+    """The int with cells[k] at bit k*width on, joined by halves (n log n shifts, not n^2)."""
+    if len(cells) <= 32:
+        out = 0
+        for cell in reversed(cells):
+            out = out << width | cell
+        return out
+    half = len(cells) // 2
+    return _joined(cells[:half], width) | _joined(cells[half:], width) << half * width
+
+
 class ClassIndex:
     """The classes of one group over the field F in canonical order; class k
     is bit k of a class-set mask.  Its tables are filled on first use: pairs
@@ -360,6 +371,15 @@ class ProductTable:
         if cell is None:
             cell = self._columns[i][j] = self._columns[j][i] = self._fill(min(i, j), max(i, j))
         return cell
+
+    def rows(self) -> list[int]:
+        """Row m as one int, cell (m, k) at bit k*n on: column m, its missing cells filled."""
+        n, columns = len(self.classes.labels), self._columns
+        for j in range(n):
+            for i in range(j + 1):
+                if i not in columns[j]:
+                    columns[j][i] = columns[i][j] = self._fill(i, j)
+        return [_joined([columns[m][k] for k in range(n)], n) for m in range(n)]
 
     def compose(self, mask: int, j: int) -> int:
         """Mask of S * C_j for the class set S given by mask."""

@@ -26,13 +26,13 @@ as the fill reads every class as chunks of its trace fiber.
   product set, which projection erases; so P1 * P2 is the projection of
   D1 * D2.
 - Triple products and covering numbers are OR-folds over table rows: row m
-  is one int with cell (m, k) in its field k (_rows), so one OR of the rows
-  of a class set S gives S * C_k for every k.  verify_laws checks the laws'
-  table (laws.law_table) against the brute table, pairs row by row and a
-  triple i <= j <= k once per key (cell (i, j), C_i central or not), every
-  k in one fold of the brute rows (79 keys, 1432 (key, k) checks, for 7770
-  triples at q = 31), against law folds or ProductTable.triple's closed form.
-  Containment and covering numbers come from the brute folds.
+  is one int with cell (m, k) in its field k (ProductTable.rows), so one OR
+  of the rows of a class set S gives S * C_k for every k.  verify_laws checks
+  the laws' table (laws.law_table) against the brute table, pairs row by row
+  and a triple i <= j <= k once per key (cell (i, j), C_i central or not),
+  every k in one fold of the brute rows (79 keys, 1432 (key, k) checks, for
+  7770 triples at q = 31), against law folds or ProductTable.triple's closed
+  form.  Containment and covering numbers come from the brute folds.
 
 GroupTable, enumerate_sl2, verify_laws and covering_numbers refuse q >
 ENUMERATION_BOUND = 251 before building anything; on a shared 2-core host
@@ -270,18 +270,6 @@ def _psl_products(F: FieldCtx, S: ProductTable) -> ProductTable:
     return ProductTable(C, lambda i, j: image(S.pair(lift[i], lift[j])))
 
 
-def _rows(P: ProductTable) -> list[int]:
-    """Row m of P as one int, cell (m, k) at bit k*n on.  Products commute,
-    so each cell (i, j), i <= j, is read once and set in rows i and j."""
-    n = len(P.classes.labels)
-    rows = [0] * n
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
-        cell = P.pair(i, j)
-        rows[i] |= cell << j * n
-        rows[j] |= cell << i * n
-    return rows
-
-
 def _fold(rows, mask: int) -> int:
     """The OR of the rows of the bits of mask: of a table's, S * C_k in field k."""
     out = 0
@@ -433,7 +421,7 @@ def verify_laws(F: FieldCtx, kind: str) -> VerificationReport:
         return Mismatch(tuple(labels[i] for i in cell), names(got), names(want),
                         _counterexample(F, kind, brute, cell, missing) if missing else None)
 
-    law_rows, brute_rows = _rows(law), _rows(brute)
+    law_rows, brute_rows = law.rows(), brute.rows()
     differ = [i for i in range(n) if law_rows[i] != brute_rows[i]]     # go cell by cell
     for i, j in itertools.product(differ, range(n)):
         got, want = law.pair(i, j), brute.pair(i, j)
@@ -488,7 +476,7 @@ def covering_numbers(F: FieldCtx, kind: str) -> tuple:
     Returns None in a slot not reached within COVERING_LIMIT factors."""
     _check_bound(F)
     C = class_index(F, kind)        # rejects a bad kind before enumerating
-    rows, size = _rows(_product_table(F, kind)), len(C.labels)
+    rows, size = _product_table(F, kind).rows(), len(C.labels)
     noncentral = range(C.n_central, size)     # central classes come first
 
     def least(level, step):

@@ -13,9 +13,12 @@ for the elements of one trace fiber with a prescribed tr(x y), a quadratic
 per row of the fiber, and test only those.  So witnesses exist at every q,
 above the oracle's enumeration bound too.
 
-Every returned witness is re-validated: factorizations and commutator
-certificates by direct multiplication and classification, Macbeath triples
-(C is (A*B)^-1) by their traces.  A construction that finds no witness
+A search does not classify a class that a trace already fixes: a candidate
+x of the factor scan has tr(x) = t1 and tr(x^-1 g) = t2 by construction,
+and a semisimple class is fixed by its trace.  Every returned witness is
+still re-validated (ok(F)): factorizations and commutator certificates by
+direct multiplication and classification, Macbeath triples (C is
+(A*B)^-1) by their traces.  A construction that finds no witness
 where the laws or Macbeath's theorem promise one raises WitnessError.
 """
 
@@ -66,11 +69,10 @@ class CommutatorCert(NamedTuple):
 def conjugating_element(F: FieldCtx, x: Mat, y: Mat):
     """First h in canonical order with h x h^-1 = y, or None; x, y in SL2.
     The conjugators come in that order, so this is the first one yielded."""
-    for m in (x, y):
-        classify_sl2(F, m)      # ValueError unless m is an SL2 element
-    if _is_scalar(x):
-        return (0, 1, F.neg(1), 0) if x == y else None    # first of iter_sl2
-    return next(_conjugators(F, x, y), None)
+    if classify_sl2(F, x) != classify_sl2(F, y):    # ValueError unless both are in SL2
+        return None
+    # a scalar x is y, and (0, 1, -1, 0) is the first element of iter_sl2
+    return (0, 1, F.neg(1), 0) if _is_scalar(x) else next(_conjugators(F, x, y), None)
 
 
 def _is_scalar(m: Mat) -> bool:
@@ -106,7 +108,7 @@ def _conjugators(F: FieldCtx, x: Mat, y: Mat) -> Iterator[Mat]:
     B = mat_mul(F, _cyclic_basis(F, y), mat_inv(F, _cyclic_basis(F, x)))
     P, Q = _echelon(F, B, mat_mul(F, B, x))
     c0, c2 = mat_det(F, P), mat_det(F, Q)
-    c1 = F.sub(mat_det(F, _span(F, 1, P, 1, Q)), F.add(c0, c2))
+    c1 = F.sub(mat_det(F, tuple(map(F.add, P, Q))), F.add(c0, c2))
     if tau in (F.scalar(2), F.neg(2)):
         if c2 == 0:
             for v in quadratic_roots(F, c0, 0, F.neg(1)):
@@ -125,11 +127,11 @@ def _echelon(F: FieldCtx, X: Mat, Y: Mat) -> tuple[Mat, Mat]:
     e = next(i for i in range(4) if X[i] or Y[i])
     if not X[e]:
         X, Y = Y, X
-    P = _span(F, F.inv(X[e]), X, 0, Y)
-    Y = _span(F, 1, Y, F.neg(Y[e]), P)
+    P = _scaled(F, F.inv(X[e]), X)
+    Y = _plus(F, Y, F.neg(Y[e]), P)
     f = next(i for i in range(4) if Y[i])
-    Q = _span(F, F.inv(Y[f]), Y, 0, Y)
-    return _span(F, 1, P, F.neg(P[f]), Q), Q
+    Q = _scaled(F, F.inv(Y[f]), Y)
+    return _plus(F, P, F.neg(P[f]), Q), Q
 
 
 def _span(F: FieldCtx, s: int, X: Mat, t: int, Y: Mat) -> Mat:
@@ -137,9 +139,19 @@ def _span(F: FieldCtx, s: int, X: Mat, t: int, Y: Mat) -> Mat:
     return tuple(F.add(F.mul(s, a), F.mul(t, b)) for a, b in zip(X, Y))
 
 
-def _factor_unipotent_pair(F, g, L1, L2):
-    """x in L1, y in L2 with x*y = g for two U/NU classes, or None: an
-    observation product conjugated onto g by its first conjugator.
+def _scaled(F: FieldCtx, s: int, X: Mat) -> Mat:
+    """s X."""
+    return tuple(F.mul(s, a) for a in X)
+
+
+def _plus(F: FieldCtx, X: Mat, t: int, Y: Mat) -> Mat:
+    """X + t Y."""
+    return tuple(F.add(a, F.mul(t, b)) for a, b in zip(X, Y))
+
+
+def _factor_unipotent_pair(F, g, Lg, L1, L2):
+    """x in L1, y in L2 with x*y = g, g of class Lg, for two U/NU classes,
+    or None: an observation product conjugated onto g by its first conjugator.
 
     With the NU factors negated, and g too when one factor is, the pair is
     U[e1] x U[e2].  For h with first column (a, c), h X12(e1) h^-1 =
@@ -152,8 +164,8 @@ def _factor_unipotent_pair(F, g, L1, L2):
     and c^2 = (2 - tr g)/(e1 e2): the one admitted class of its trace."""
     e1, e2 = (negate_class(F, L).param if L.kind == "NU" else L.param
               for L in (L1, L2))
-    red_g = mat_neg(F, g) if (L1.kind == "NU") != (L2.kind == "NU") else g
-    target = classify_sl2(F, red_g, check=False)
+    red_g, target = ((mat_neg(F, g), negate_class(F, Lg))
+                     if (L1.kind == "NU") != (L2.kind == "NU") else (g, Lg))
     x, y = (1, e1, 0, 1), (1, e2, 0, 1)
     if target.kind == "I":
         y = mat_inv(F, x)
@@ -168,7 +180,7 @@ def _factor_unipotent_pair(F, g, L1, L2):
         ac = F.mul(e1, F.mul(a, c))
         x = (F.sub(1, ac), F.mul(e1, F.mul(a, a)),
              F.neg(F.mul(e1, F.mul(c, c))), F.add(1, ac))
-        s = conjugating_element(F, mat_mul(F, x, y), red_g)
+        s = next(_conjugators(F, mat_mul(F, x, y), red_g), None)
         if s is None:
             return None
         x, y = conjugate(F, s, x), conjugate(F, s, y)
@@ -182,17 +194,21 @@ def _factor_scan(F, g, L1, L2):
     if L1.is_central or L2.is_central:      # one candidate: x = z or g z^-1 = g z
         candidates = [representative(F, L1) if L1.is_central
                       else mat_mul(F, g, representative(F, L2))]
+        decided = False, False
     else:
-        t1 = mat_trace(F, representative(F, L1))
+        pm2 = {"U": F.scalar(2), "NU": F.neg(2)}      # a semisimple label's param is its trace
+        t1, t2 = pm2.get(L1.kind, L1.param), pm2.get(L2.kind, L2.param)
         # y = x^-1 g needs L2's trace t2, and x^-1 = t1 I - x in SL2, so
-        # tr(x g) = t1 tr(g) - t2 rejects x before y is formed
-        want = F.sub(F.mul(t1, mat_trace(F, g)), mat_trace(F, representative(F, L2)))
+        # tr(x g) = t1 tr(g) - t2 rejects x before y is formed; each
+        # candidate has both traces, which fix a semisimple class
+        want = F.sub(F.mul(t1, mat_trace(F, g)), t2)
         candidates = fiber_solutions(F, t1, g, (want,))
+        decided = L1.is_semisimple, L2.is_semisimple
     for x in candidates:
-        if classify_sl2(F, x, check=False) != L1:
+        if not decided[0] and classify_sl2(F, x, check=False) != L1:
             continue
         y = mat_mul(F, mat_inv(F, x), g)
-        if classify_sl2(F, y, check=False) == L2:
+        if decided[1] or classify_sl2(F, y, check=False) == L2:
             return Factorization(x, y, g, L1, L2)
     return None
 
@@ -203,15 +219,22 @@ def factor_pair(F: FieldCtx, g: Mat, L1: SL2Label, L2: SL2Label):
     conjugated onto g (_factor_unipotent_pair), in general not the first x in
     canonical order; every other pair takes the first x that fits
     (_factor_scan).  A missing witness or a failed check raises WitnessError."""
-    Lg = classify_sl2(F, g)         # a bad g is refused before a bad label
-    C = class_index(F, "sl2")
-    if not law_table(F, "sl2").pair(C.at(L1), C.at(L2)) >> C.at(Lg) & 1:
-        return None
-    unipotent = {L1.kind, L2.kind} <= {"U", "NU"}
-    cert = (_factor_unipotent_pair if unipotent else _factor_scan)(F, g, L1, L2)
-    if cert is None or not cert.ok(F):
-        raise WitnessError("law admitted a class with no witness")
-    return cert
+    return _factor(F, g, classify_sl2(F, g), (L1,), L2)    # a bad g is refused first
+
+
+def _factor(F, g, Lg, lefts, L2):
+    """factor_pair's witness for the first L1 of lefts whose law cell
+    (L1, L2) holds Lg, the class of g, or None if no cell does."""
+    C, law = class_index(F, "sl2"), law_table(F, "sl2")
+    rows, j, k = [C.at(L1) for L1 in lefts], C.at(L2), C.at(Lg)     # a bad L1 first
+    for L1, i in zip(lefts, rows):
+        if law.pair(i, j) >> k & 1:
+            cert = (_factor_unipotent_pair(F, g, Lg, L1, L2) if {L1.kind, L2.kind} <= {"U", "NU"}
+                    else _factor_scan(F, g, L1, L2))
+            if cert is None or not cert.ok(F):
+                raise WitnessError("law admitted a class with no witness")
+            return cert
+    return None
 
 
 def factor_pair_psl(F: FieldCtx, g: Mat, P1: PSLLabel, P2: PSLLabel):
@@ -222,11 +245,7 @@ def factor_pair_psl(F: FieldCtx, g: Mat, P1: PSLLabel, P2: PSLLabel):
     to g exactly, with no sign ambiguity left."""
     D1 = psl_lift_pair(F, P1)[0]
     D2 = psl_lift_pair(F, P2)[0]
-    for left in (D1, negate_class(F, D1)):
-        cert = factor_pair(F, g, left, D2)
-        if cert is not None:
-            return cert
-    return None
+    return _factor(F, g, classify_sl2(F, g), (D1, negate_class(F, D1)), D2)
 
 
 def macbeath_triple(F: FieldCtx, alpha: int, beta: int, gamma: int):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -18,6 +20,17 @@ ODD_PRIME_POWERS_TO_61 = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
                           (37, 1), (41, 1), (43, 1), (47, 1), (7, 2), (53, 1),
                           (59, 1), (61, 1)]
 ODD_PRIME_POWERS_TO_31 = ODD_PRIME_POWERS_TO_61[:12]
+
+
+def odd_prime_powers(lo, hi):
+    """(p, a) for every odd prime power lo <= p^a <= hi, in increasing order."""
+    out = []
+    for q in range(max(lo, 3), hi + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)     # least prime factor
+        a = round(math.log(q, p))
+        if p > 2 and p ** a == q:
+            out.append((p, a))
+    return out
 
 
 def _qid(pa):

@@ -25,6 +25,7 @@ from sl2prod.cli import DEFAULT_SUITE
 from sl2prod.oracle import triple_containment_expected
 
 from bruhat import bruhat_compose, bruhat_decompose, bruhat_product
+from conftest import ODD_PRIME_POWERS_TO_61, odd_prime_powers
 
 FIELDS = [make_field(p, a) for p, a in DEFAULT_SUITE]
 
@@ -242,4 +243,18 @@ def test_criterion_9_certification_to_61():
     elapsed = time.monotonic() - t0
     print(f"PASS criterion 9: {checked} pair and triple products law==oracle "
           f"at every odd prime power 27 <= q <= 61, covering (3,4) "
+          f"({elapsed:.1f}s)")
+
+
+def test_criterion_9_certification_67_to_127():
+    """The same certification as criterion 8 at every odd prime power
+    67 <= q <= 127, the next 16 fields after criterion 9's."""
+    fields = odd_prime_powers(67, 127)
+    assert odd_prime_powers(5, 61) == ODD_PRIME_POWERS_TO_61
+    assert len(fields) == 16 and (3, 4) in fields and (5, 3) in fields
+    t0 = time.monotonic()
+    checked = _certify([make_field(*pa) for pa in fields])
+    elapsed = time.monotonic() - t0
+    print(f"PASS criterion 9: {checked} pair and triple products law==oracle "
+          f"at every odd prime power 67 <= q <= 127, covering (3,4) "
           f"({elapsed:.1f}s)")

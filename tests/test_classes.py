@@ -585,6 +585,26 @@ def test_compose_is_the_stopping_fold(monkeypatch):
     assert fills == [(i, j)]
 
 
+@pytest.mark.parametrize("kind", ["sl2", "psl2"])
+def test_rows_fill_each_missing_cell_once(kind):
+    """rows() fills each cell (i, j), i <= j, that is still missing, once,
+    and row m holds cell (m, k) at bit k*n: a second call, or a call on a
+    filled table, fills nothing."""
+    F = make_field(13)
+    C, law = class_index(F, kind), law_table(F, kind)
+    n, fills = len(C.labels), []
+
+    def fill(i, j):
+        fills.append((i, j))
+        return law.pair(i, j)
+    P = ProductTable(C, fill)
+    P.pair(3, 1)
+    rows = P.rows()
+    assert sorted(fills) == [(i, j) for i in range(n) for j in range(i, n)]
+    assert rows == [sum(law.pair(m, k) << k * n for k in range(n)) for m in range(n)]
+    assert P.rows() == rows and len(fills) == n * (n + 1) // 2
+
+
 FOLD_FIELDS = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3)]
 
 

@@ -72,6 +72,19 @@ def test_conjugating_element_validates():
         assert conjugate(F7, h, x) == (3, 1, 4, 4)
 
 
+def test_conjugating_element_refuses_another_class_before_its_plane(monkeypatch):
+    """Two classes of one trace, U[1] and U[nu] or NU[1] and NU[nu], have no
+    conjugator, and conjugating_element returns None from their classes
+    alone: it never builds the plane of solutions of h x = y h."""
+    def fail(*args):
+        raise AssertionError("conjugator plane built")
+    monkeypatch.setattr(witness, "_echelon", fail)
+    for F in (F5, F7, F9, F11, F13):
+        for kind in ("U", "NU"):
+            x, y = (representative(F, SL2Label(kind, s)) for s in (1, F.nonsquare_rep))
+            assert conjugating_element(F, x, y) is None, (F.q, kind)
+
+
 def test_factor_pair_golden():
     cert = factor_pair(F7, (1, 3, 0, 1), SL2Label("U", 1), SL2Label("U", 1))
     assert cert.ok(F7)
@@ -132,6 +145,28 @@ def test_factor_pair_psl_complete_q5():
             assert mat_mul(F5, cert.x, cert.y) == g
         else:
             assert cert is None, (Pg, P1, P2)
+
+
+def test_factor_pair_psl_classifies_g_once(monkeypatch):
+    """factor_pair_psl classifies its target once, with the SL2 check, and
+    tests the law bit of each lift by class index: on every PSL pair at
+    q = 13 and a seeded conjugate of each class representative as target,
+    including the pairs where only the second lift holds g and the U/NU
+    pairs built in closed form.  The certificate check classifies x and y,
+    never g."""
+    classify, seen = witness.classify_sl2, []
+
+    def spy(F, m, check=True):
+        seen.append(m)
+        return classify(F, m, check)
+    monkeypatch.setattr(witness, "classify_sl2", spy)
+    labs, plabs = all_classes_sl2(F13), all_classes_psl(F13)
+    for target in seeded_targets(F13, labs)[len(labs):]:
+        for P1, P2 in itertools.product(plabs, repeat=2):
+            g, seen[:] = tuple(list(target)), []       # an object no witness holds
+            cert = factor_pair_psl(F13, g, P1, P2)
+            assert sum(m is g for m in seen) == 1, (target, P1, P2)
+            assert cert is None or cert.ok(F13) and mat_mul(F13, cert.x, cert.y) == g
 
 
 def test_macbeath_golden():
@@ -412,6 +447,24 @@ def test_factor_scan_matches_walk(pa):
             cert = witness._factor_scan(F, g, L1, L2)
             got = None if cert is None else (cert.x, cert.y)
             assert got == walk[L2], (g, L1, L2)
+
+
+@pytest.mark.parametrize("pa", WALKED, ids=_qid)
+def test_semisimple_factor_scan_classifies_nothing(monkeypatch, pa):
+    """Every candidate of the scan has tr(x) = t1 and tr(x^-1 g) = t2, and a
+    semisimple class is fixed by its trace: for every pair of semisimple
+    classes and every target of seeded_targets at q <= 13, _factor_scan
+    makes no classify_sl2 call and still finds the walk's witness."""
+    F = make_field(*pa)
+    labs = all_classes_sl2(F)
+    semisimple = [L for L in labs if L.is_semisimple]
+    calls = count_calls(monkeypatch, "classify_sl2")
+    for g, L1 in itertools.product(seeded_targets(F, labs), semisimple):
+        walk = walk_factor_scans(F, g, L1, semisimple)
+        for L2 in semisimple:
+            cert = witness._factor_scan(F, g, L1, L2)
+            assert (None if cert is None else (cert.x, cert.y)) == walk[L2], (g, L1, L2)
+    assert calls == {"classify_sl2": 0}
 
 
 @pytest.mark.parametrize("pa", WALKED + SAMPLED, ids=_qid)
