@@ -2,16 +2,21 @@
 verification, covering numbers.  JSON output by default, byte-stable for
 fixed inputs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
-error (even characteristic, q < 5 or q > 10^5, malformed label or matrix,
-verify/covering above q = 251), 4 internal error (a witness construction
-failed where one is promised).
+Each subcommand returns its JSON object and a function from it to its
+--format text lines; main alone reads --field, prints and decides every exit
+code: 0 success, 1 verification failure, 2 usage error, 3 domain error (even
+characteristic, q < 5 or q > 10^5, malformed label or matrix, verify/covering
+above q = 251), 4 internal error (a witness construction failed where one is
+promised).  A closed stdout ends quietly with the code already decided.
+triple's "rule" is the fixed tag composed_from_pairwise_laws, kept for
+byte-stable output; it is not the rule that answered.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -23,12 +28,6 @@ from .field import FieldCtx, make_field, parse_descriptor
 from .mat2 import Mat, sl2
 
 DEFAULT_SUITE = ((5, 1), (7, 1), (3, 2), (11, 1), (13, 1))
-
-
-def _field(args) -> FieldCtx:
-    if args.field is None:
-        raise ValueError("--field is required for this command")
-    return parse_descriptor(args.field)
 
 
 def _matrix(F: FieldCtx, text: str) -> Mat:
@@ -52,126 +51,89 @@ def _mat_json(m: Mat):
     return [[m[0], m[1]], [m[2], m[3]]]
 
 
-def _emit(args, obj, text_lines):
-    if args.format == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        for line in text_lines(obj):
-            print(line)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
-    F = _field(args)
+def _cmd_classify(F, args):
     m = _matrix(F, args.matrix)
     label = classify_sl2(F, m) if args.group == "sl2" else psl_classify(F, m)
-    _emit(args, {"label": str(label)}, lambda o: [o["label"]])
-    return 0
+    return {"label": str(label)}, lambda o: [o["label"]]
 
 
-def _cmd_classes(args) -> int:
-    F = _field(args)
+def _cmd_classes(F, args):
     labels = all_classes_sl2(F) if args.group == "sl2" else all_classes_psl(F)
     reps = (representative if args.group == "sl2" else psl_representative)
     obj = {"field": F.descriptor, "group": args.group,
            "classes": [{"label": str(L), "representative": _mat_json(reps(F, L))}
                        for L in labels]}
-    _emit(args, obj, lambda o: [f"{c['label']}: {c['representative']}"
-                                for c in o["classes"]])
-    return 0
+    return obj, lambda o: [f"{c['label']}: {c['representative']}"
+                           for c in o["classes"]]
 
 
-def _cmd_product(args) -> int:
-    F = _field(args)
+def _cmd_product(F, args):
     pair_law = laws.sl2_pair_product_law if args.group == "sl2" else laws.psl_pair_product_law
     law = pair_law(F, *(_label(F, t, args.group) for t in args.labels))
     obj = {"classes": [str(L) for L in sort_labels(law.classes)], "rule": law.rule}
-    _emit(args, obj, lambda o: [" ".join(o["classes"]), f"rule: {o['rule']}"])
-    return 0
+    return obj, lambda o: [" ".join(o["classes"]), f"rule: {o['rule']}"]
 
 
-def _cmd_triple(args) -> int:
-    F = _field(args)
+def _cmd_triple(F, args):
     Ls = [_label(F, t, args.group) for t in args.labels]
     fn = laws.sl2_triple_product if args.group == "sl2" else laws.psl_triple_product
     out = fn(F, *Ls)
     obj = {"classes": [str(L) for L in sort_labels(out)],
            "rule": "composed_from_pairwise_laws"}
-    _emit(args, obj, lambda o: [" ".join(o["classes"])])
-    return 0
+    return obj, lambda o: [" ".join(o["classes"])]
 
 
-def _cmd_witness(args) -> int:
-    F = _field(args)
+def _cmd_witness(F, args):
     g = _matrix(F, args.matrix)
     factor = witness.factor_pair if args.group == "sl2" else witness.factor_pair_psl
     cert = factor(F, g, *(_label(F, t, args.group) for t in args.labels))
     if cert is None:
-        _emit(args, {"found": False}, lambda o: ["no factorization: class not in product"])
-        return 0
+        return {"found": False}, lambda o: ["no factorization: class not in product"]
     obj = {"found": True, "x": _mat_json(cert.x), "y": _mat_json(cert.y),
            "labels": [str(cert.left), str(cert.right)], "check": "ok"}
-    _emit(args, obj, lambda o: [f"x = {o['x']}", f"y = {o['y']}", f"check: {o['check']}"])
-    return 0
+    return obj, lambda o: [f"x = {o['x']}", f"y = {o['y']}", f"check: {o['check']}"]
 
 
-def _cmd_macbeath(args) -> int:
-    F = _field(args)
+def _cmd_macbeath(F, args):
     A, B, C = witness.macbeath_triple(F, *args.traces)
     obj = {"A": _mat_json(A), "B": _mat_json(B), "C": _mat_json(C), "check": "ok"}
-    _emit(args, obj, lambda o: [f"A = {o['A']}", f"B = {o['B']}", f"C = {o['C']}"])
-    return 0
+    return obj, lambda o: [f"A = {o['A']}", f"B = {o['B']}", f"C = {o['C']}"]
 
 
-def _cmd_commutator(args) -> int:
-    F = _field(args)
+def _cmd_commutator(F, args):
     g = _matrix(F, args.matrix)
     cert = witness.commutator_witness_psl(F, g)
     if cert is None:
-        _emit(args, {"expressible": False},
-              lambda o: ["not a semisimple-unipotent commutator"])
-        return 0
+        return ({"expressible": False},
+                lambda o: ["not a semisimple-unipotent commutator"])
     obj = {"expressible": True, "s": _mat_json(cert.s), "u": _mat_json(cert.u),
            "sign_flipped": cert.sign_flipped, "check": "ok"}
-    _emit(args, obj, lambda o: [f"s = {o['s']}", f"u = {o['u']}",
-                                f"sign_flipped: {o['sign_flipped']}"])
-    return 0
+    return obj, lambda o: [f"s = {o['s']}", f"u = {o['u']}",
+                           f"sign_flipped: {o['sign_flipped']}"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(F, args):
     kinds = [args.group] if args.group else ["sl2", "psl2"]
-    if args.field is not None:
-        fields = [_field(args)]
-    else:
-        fields = [make_field(p, a) for p, a in DEFAULT_SUITE]
+    fields = [F] if F is not None else [make_field(p, a) for p, a in DEFAULT_SUITE]
     reports = [oracle.verify_laws(F, k).to_dict() for F in fields for k in kinds]
-    ok = all(r["ok"] for r in reports)
-    obj = {"reports": reports, "ok": ok}
-    def text_lines(o):
-        lines = []
-        for r in o["reports"]:
-            lines.append(f"q={r['q']} {r['group']}: pairs {r['pairs']['checked']}"
-                         f" triples {r['triples']['checked']}"
-                         f" {'PASS' if r['ok'] else 'FAIL'}")
-        lines.append("ALL PASS" if o["ok"] else "FAILURES PRESENT")
-        return lines
-    _emit(args, obj, text_lines)
-    return 0 if ok else 1
+    obj = {"reports": reports, "ok": all(r["ok"] for r in reports)}
+    return obj, lambda o: [*(f"q={r['q']} {r['group']}: pairs {r['pairs']['checked']}"
+                             f" triples {r['triples']['checked']}"
+                             f" {'PASS' if r['ok'] else 'FAIL'}" for r in o["reports"]),
+                           "ALL PASS" if o["ok"] else "FAILURES PRESENT"]
 
 
-def _cmd_covering(args) -> int:
-    F = _field(args)
+def _cmd_covering(F, args):
     kinds = [args.group] if args.group else ["sl2", "psl2"]
-    results = {}
+    obj = {"field": F.descriptor}
     for kind in kinds:
         cn, ecn = oracle.covering_numbers(F, kind)
-        results[kind] = {"cn": cn, "ecn": ecn}
-    obj = {"field": F.descriptor, **results}
-    _emit(args, obj, lambda o: [f"{k}: cn={v['cn']} ecn={v['ecn']}"
-                                for k, v in results.items()])
-    return 0
+        obj[kind] = {"cn": cn, "ecn": ecn}
+    return obj, lambda o: [f"{k}: cn={v['cn']} ecn={v['ecn']}"
+                           for k, v in o.items() if k != "field"]
 
 
 def _int(text: str) -> int:
@@ -260,13 +222,26 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.fn(args)
+        F = None if args.field is None else parse_descriptor(args.field)
+        if F is None and args.command != "verify":
+            raise ValueError("--field is required for this command")
+        obj, text_lines = args.fn(F, args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except witness.WitnessError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
+    lines = [json.dumps(obj, indent=2)] if args.format == "json" else text_lines(obj)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left, as `head` does: devnull keeps the flush at exit quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return 1 if obj.get("ok") is False else 0
 
 
 if __name__ == "__main__":

@@ -138,10 +138,31 @@ def test_covering_command():
 
 
 def test_text_format():
-    code, out, _ = run_cli(["product", "--field", "7", "--format", "text",
-                            "U[1]", "U[3]"])
-    assert code == 0
-    assert out.splitlines()[0] == "I U[1] U[3] SS[6] NSS[3] NSS[4]"
+    """--format text prints exactly these lines, and nothing on stderr."""
+    for argv, lines in [
+            (["classify", "--field", "7", "[[0,6],[1,3]]"], ["NSS[3]"]),
+            (["classes", "--field", "5"],
+             ["I: [[1, 0], [0, 1]]", "-I: [[4, 0], [0, 4]]", "U[1]: [[1, 1], [0, 1]]",
+              "U[2]: [[1, 2], [0, 1]]", "NU[1]: [[4, 1], [0, 4]]",
+              "NU[2]: [[4, 2], [0, 4]]", "SS[0]: [[2, 0], [0, 3]]",
+              "NSS[1]: [[0, 4], [1, 1]]", "NSS[4]: [[0, 4], [1, 4]]"]),
+            (["product", "--field", "7", "U[1]", "U[3]"],
+             ["I U[1] U[3] SS[6] NSS[3] NSS[4]", "rule: distinct_unipotent_classes"]),
+            (["triple", "--field", "7", "U[1]", "U[1]", "U[3]"],
+             ["I U[1] U[3] NU[1] NU[3] SS[1] SS[6] NSS[0] NSS[3] NSS[4]"]),
+            (["witness", "--field", "7", "[[1,3],[0,1]]", "U[1]", "U[1]"],
+             ["x = [[1, 1], [0, 1]]", "y = [[1, 2], [0, 1]]", "check: ok"]),
+            (["witness", "--field", "7", "[[1,0],[0,1]]", "U[1]", "U[1]"],
+             ["no factorization: class not in product"]),
+            (["macbeath", "--field", "5", "0", "0", "1"],
+             ["A = [[0, 4], [1, 0]]", "B = [[2, 0], [4, 3]]", "C = [[0, 3], [3, 1]]"]),
+            (["commutator", "--field", "5", "[[1,1],[0,1]]"],
+             ["s = [[1, 2], [2, 0]]", "u = [[0, 4], [1, 2]]", "sign_flipped: True"]),
+            (["commutator", "--field", "5", "[[2,0],[0,3]]"],
+             ["not a semisimple-unipotent commutator"]),
+            (["covering", "--field", "7"], ["sl2: cn=3 ecn=4", "psl2: cn=3 ecn=4"])]:
+        out = "".join(f"{line}\n" for line in lines)
+        assert run_cli([*argv, "--format", "text"]) == (0, out, ""), argv
 
 
 def test_usage_error_exit_2():
@@ -233,6 +254,16 @@ def test_internal_error_exit_4(monkeypatch):
     assert len(err.splitlines()) == 1
 
 
+def test_witness_not_found_exit_4(monkeypatch):
+    """A class the law admits but the witness scan misses is a WitnessError,
+    and the CLI exits 4 for it."""
+    from sl2prod import witness
+    monkeypatch.setattr(witness, "_factor_scan", lambda F, g, L1, L2: None)
+    code, out, err = run_cli(["witness", "--field", "7", "[[0,6],[1,3]]", "SS[1]", "U[1]"])
+    assert (code, out) == (4, "")
+    assert err == "internal error: law admitted a class with no witness\n"
+
+
 def test_commutator_cert_revalidated(monkeypatch):
     """A commutator certificate that fails its check is a WitnessError, and
     the CLI exits 4 for it."""
@@ -244,6 +275,22 @@ def test_commutator_cert_revalidated(monkeypatch):
     code, out, err = run_cli(["commutator", "--field", "7", "[[1,1],[0,1]]"])
     assert code == 4 and out == ""
     assert err.startswith("internal error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "[[1,0],[0,1]]"],
+    ["classes"],
+    ["product", "U[1]", "U[1]"],
+    ["triple", "U[1]", "U[1]", "U[1]"],
+    ["witness", "[[1,1],[0,1]]", "U[1]", "U[1]"],
+    ["macbeath", "0", "0", "1"],
+    ["commutator", "[[1,1],[0,1]]"],
+    ["covering"],
+], ids=lambda argv: argv[0])
+def test_field_required(argv):
+    """Every subcommand but verify, which falls back to its default suite,
+    needs --field: without it, exit 3 with one error line."""
+    assert run_cli(argv) == (3, "", "error: --field is required for this command\n")
 
 
 def test_label_error_names_the_group():
@@ -286,12 +333,52 @@ def test_verify_golden_bytes(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def run_fresh(code):
-    """Run code in a fresh interpreter that imports this sl2prod."""
+def fresh_env():
+    """The environment of a fresh interpreter that imports this sl2prod."""
     src = str(Path(sl2prod.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports this sl2prod."""
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=fresh_env())
+
+
+def run_closed_stdout(code):
+    """Run code in a fresh interpreter whose stdout is a pipe closed before
+    the interpreter starts writing; return its exit code and stderr."""
+    p = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=fresh_env())
+    p.stdout.close()
+    _, err = p.communicate(timeout=120)
+    return p.returncode, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--field", "7", "[[0,6],[1,3]]"],          # fits the stdout buffer
+    ["classes", "--field", "1009", "--format", "text"],      # about 35 KB
+], ids=["small", "large"])
+def test_closed_stdout_ends_quietly(argv):
+    """A reader that closes the pipe early, as `head` does, gets no
+    traceback: the CLI exits 0 with nothing on stderr."""
+    code = f"import sys; from sl2prod.cli import main; sys.exit(main({argv!r}))"
+    assert run_closed_stdout(code) == (0, "")
+
+
+def test_closed_stdout_keeps_verify_failure():
+    """A failed verify still exits 1 when its stdout is closed, and quietly."""
+    code = "\n".join([
+        "import sys, types",
+        "from sl2prod import oracle",
+        "from sl2prod.cli import main",
+        "report = {'q': 5, 'group': 'sl2', 'ok': False, 'covering': None,",
+        "          'pairs': {'checked': 1, 'failures': []},",
+        "          'triples': {'checked': 0, 'failures': []}}",
+        "oracle.verify_laws = lambda F, kind: types.SimpleNamespace(to_dict=lambda: report)",
+        "sys.exit(main(['verify', '--field', '5']))"])
+    assert run_closed_stdout(code) == (1, "")
 
 
 def test_cold_start_imports():
